@@ -127,8 +127,3 @@ def compile_alo_rule(rule: AloRule) -> CompiledAloRule:
             CompiledProduction(prod.lhs, prod.rhs, re.compile("".join(parts)), groups)
         )
     return CompiledAloRule(rule.name, compiled)
-
-
-def identity(argument: str) -> str:
-    """The rule written `$`: every argument rewrites to itself."""
-    return argument

@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="constraint",
         help="feature constraints, e.g. vinfo.tense=impf agr.pers=1,3",
     )
-    p.add_argument("--porcelain", action="store_true")
     _add_feature_options(p)
     p.set_defaults(func=cmd_generate)
 

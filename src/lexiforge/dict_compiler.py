@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import ERROR, WARNING, Diagnostic, has_errors
-from .feature_tree import Atom, EMPTY_TREE, FeatureTree, ValueSet, is_symbol_text
+from .feature_tree import (
+    Atom,
+    EMPTY_TREE,
+    FeatureTree,
+    PathThroughLeaf,
+    ValueSet,
+    is_symbol_text,
+)
 from .inheritance import resolve_all
 from .object_dict import ObjectDictionary, ObjectEntry
 from .source import DictRule, SourceBase
@@ -122,7 +129,7 @@ def compile_base(
                     entry = apply_dict_rule(
                         rule, item.name, item.tree, section, index
                     )
-                except Exception as exc:
+                except (DictRuleError, PathThroughLeaf, ValueError) as exc:
                     diagnostics.append(
                         Diagnostic(
                             ERROR,

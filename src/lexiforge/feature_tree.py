@@ -13,17 +13,21 @@ and threads.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Mapping, Union
 
 # Characters that can never appear in a bare symbol or feature label.
 RESERVED_CHARS = frozenset('=$()#;"\\')
 
+# For str patterns `\s` matches exactly the characters for which
+# str.isspace() is true, so one search finds any character that is
+# whitespace or reserved.
+_NOT_SYMBOL = re.compile("[\\s%s]" % re.escape("".join(sorted(RESERVED_CHARS))))
+
 
 def is_symbol_text(text: str) -> bool:
     """True if text can stand as a bare (unquoted) symbol token."""
-    if not text:
-        return False
-    return not any(c.isspace() or c in RESERVED_CHARS for c in text)
+    return bool(text) and _NOT_SYMBOL.search(text) is None
 
 
 class PathThroughLeaf(Exception):
@@ -104,10 +108,15 @@ class ValueSet:
         return self._texts
 
     def intersect(self, other: "ValueSet") -> "ValueSet | None":
-        """Set intersection keeping this side's order; None when empty."""
+        """Set intersection keeping this side's order; None when empty.
+
+        Returns this set itself when no value was dropped.
+        """
         kept = [v for v in self.values if v.text in other._texts]
         if not kept:
             return None
+        if len(kept) == len(self.values):
+            return self
         return ValueSet(kept)
 
     def __iter__(self) -> Iterator[Atom]:
@@ -144,15 +153,21 @@ class FeatureTree:
     (get/set/delete/merge), which lets the resolver thread rule-call
     placeholders through merging; unify and canonical_form demand real
     ValueSet leaves.
+
+    Every tree is built here, and each label is checked the first time
+    a tree holds it.  Operations that leave an operand unchanged return
+    that operand rather than a copy.
     """
 
     __slots__ = ("children",)
 
     def __init__(self, children: Mapping[str, "Node"] | None = None):
         items = dict(children) if children else {}
-        for label in items:
-            if not is_symbol_text(label):
-                raise ValueError("invalid feature label %r" % (label,))
+        if not _LABELS.issuperset(items):
+            for label in items:
+                if not is_symbol_text(label):
+                    raise ValueError("invalid feature label %r" % (label,))
+            _LABELS.update(items)
         self.children = items
 
     # -- structural operations ------------------------------------------
@@ -230,6 +245,10 @@ class FeatureTree:
         and any other combination is replaced wholesale by the overlay
         node.  Associative; the empty tree is its identity.
         """
+        if not overlay.children:
+            return self
+        if not self.children:
+            return overlay
         children = dict(self.children)
         for label, onode in overlay.children.items():
             mine = children.get(label)
@@ -289,6 +308,10 @@ class FeatureTree:
 
 Node = Union[FeatureTree, ValueSet]
 
+# Labels that have passed is_symbol_text.  Only ever grows, and only by
+# valid labels, so a label missing from it is always checked.
+_LABELS: set[str] = set()
+
 _EMPTY = FeatureTree()
 EMPTY_TREE = _EMPTY
 
@@ -300,8 +323,13 @@ def unify(a: FeatureTree, b: FeatureTree) -> FeatureTree | None:
     unify recursively; shared leaves intersect their value sets.  Any
     empty intersection or leaf/interior clash fails the whole
     unification.  Commutative up to canonical form, idempotent, and
-    the empty tree is its unit.
+    the empty tree is its unit.  When one operand is empty the other is
+    returned as it is.
     """
+    if not b.children:
+        return a
+    if not a.children:
+        return b
     children: dict[str, Node] = {}
     for label, anode in a.children.items():
         bnode = b.children.get(label)

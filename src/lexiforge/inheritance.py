@@ -19,7 +19,14 @@ from typing import Mapping
 
 from .alo_rules import BadPattern, CompiledAloRule, compile_alo_rule
 from .diagnostics import ERROR, Diagnostic
-from .feature_tree import EMPTY_TREE, Atom, FeatureTree, ValueSet, is_symbol_text
+from .feature_tree import (
+    EMPTY_TREE,
+    Atom,
+    FeatureTree,
+    PathThroughLeaf,
+    ValueSet,
+    is_symbol_text,
+)
 from .source import Entry, RuleCall, SelfRef, SourceBase
 
 
@@ -164,7 +171,7 @@ def resolve_all(
     for name, cls in base.classes.items():
         try:
             class_trees[name] = cls.tree()
-        except Exception as exc:
+        except (PathThroughLeaf, ValueError) as exc:
             diagnostics.append(
                 Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
             )
@@ -174,7 +181,7 @@ def resolve_all(
         for entry in base.entries_in(section).values():
             try:
                 out.append(resolve(entry, base, compiled, class_trees))
-            except Exception as exc:
+            except (ResolveError, PathThroughLeaf, ValueError) as exc:
                 diagnostics.append(
                     Diagnostic(
                         ERROR,

@@ -134,21 +134,27 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     """Write the canonical on-disk form (byte deterministic)."""
     rows = []
     for entry in dictionary.entries:
-        if not entry.surface or entry.surface[0].isspace() or "\n" in entry.surface:
-            raise ValueError("surface %r is not serializable" % entry.surface)
-        rows.append((entry.surface, entry.tree.canonical_form()))
+        surface = entry.surface
+        if not surface or surface[0].isspace() or "\n" in surface or "\r" in surface:
+            raise ValueError("surface %r is not serializable" % surface)
+        rows.append((surface, entry.tree.canonical_form()))
     rows.sort()
     out = io.StringIO()
     out.write(HEADER + "\n")
     for surface, canon in rows:
         out.write(surface + "\n")
-        for line in canon.splitlines():
+        # Split on "\n" only: str.splitlines() would also split inside
+        # quoted values at characters such as "\x0b" and "\u2028".
+        for line in canon.split("\n")[:-1]:
             out.write("  " + line + "\n")
         out.write("\n")
     text = out.getvalue()
     if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        # Encode first: text that is not valid UTF-8 (a lone surrogate)
+        # raises UnicodeEncodeError before an existing file is truncated.
+        data = text.encode("utf-8")
+        with open(dest, "wb") as handle:
+            handle.write(data)
     else:
         dest.write(text)
 

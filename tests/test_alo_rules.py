@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lexiforge.alo_rules import BadPattern, compile_alo_rule, identity
+from lexiforge.alo_rules import BadPattern, compile_alo_rule
 from lexiforge.source import parse_alo_rule
 
 from oracles import greedy_rewrite
@@ -84,11 +84,6 @@ def test_optional_and_classes():
     assert rule.apply("aep") == "pae"
     assert rule.apply("ae") == "ae"
     assert rule.apply("pa") is None
-
-
-def test_identity_helper():
-    assert identity("pedir") == "pedir"
-    assert identity("") == ""
 
 
 # -- rejected patterns ----------------------------------------------------------

@@ -209,7 +209,8 @@ def test_generate_no_answer(dic_path, rules_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "constraint", ["vinfo.tense", "=impf", "vinfo.tense=", "lex=a lex.sub=b"]
+    "constraint",
+    ["vinfo.tense", "=impf", "vinfo.tense=", "lex=a lex.sub=b", "vinfo.$x=impf"],
 )
 def test_generate_rejects_bad_constraints(dic_path, rules_path, capsys, constraint):
     code = main(

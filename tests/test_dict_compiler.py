@@ -1,5 +1,6 @@
 import pytest
 
+from lexiforge import dict_compiler
 from lexiforge.dict_compiler import (
     DictRuleError,
     NonAtomicName,
@@ -228,6 +229,16 @@ def test_rule_errors_abort_the_dictionary():
     assert result.dictionary is None
     messages = [d.message for d in result.diagnostics]
     assert "rule 1: '$$' must come out as a single atomic value" in messages
+
+
+def test_programming_errors_escape_the_rule_loop(monkeypatch):
+    # only lexicographer errors become diagnostics; a bug fails loudly
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(dict_compiler, "apply_dict_rule", broken)
+    with pytest.raises(TypeError):
+        compile_base(parse_source_text(BASE).base)
 
 
 def test_compile_reports_type_errors():

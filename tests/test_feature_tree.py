@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from lexiforge.feature_tree import (
     EMPTY_TREE,
+    RESERVED_CHARS,
     Atom,
     FeatureTree,
     PathThroughLeaf,
@@ -44,6 +45,12 @@ def test_symbol_charset():
         assert not is_symbol_text(bad)
 
 
+def test_symbol_charset_agrees_with_its_definition_on_every_code_point():
+    for code in range(0x110000):
+        c = chr(code)
+        assert is_symbol_text(c) == (not (c.isspace() or c in RESERVED_CHARS)), hex(code)
+
+
 def test_value_set_deduplicates_and_keeps_order():
     vs = ValueSet([Atom("2"), Atom("1"), Atom("2")])
     assert [a.text for a in vs] == ["2", "1"]
@@ -72,6 +79,7 @@ def test_value_set_intersection_keeps_left_order():
     b = leaf("2", "3")
     assert [x.text for x in a.intersect(b)] == ["3", "2"]
     assert a.intersect(leaf("9")) is None
+    assert a.intersect(leaf("1", "2", "3", "4")) is a
 
 
 def test_value_set_rendering_sorts():
@@ -180,6 +188,14 @@ def test_invalid_labels_rejected():
         EMPTY_TREE.set(("a=b",), leaf("1"))
     with pytest.raises(ValueError):
         EMPTY_TREE.set((), leaf("1"))
+    # labels already seen in valid trees do not let a new bad one through
+    tree_ab()
+    with pytest.raises(ValueError):
+        EMPTY_TREE.set(("agr", "a b"), leaf("1"))
+    with pytest.raises(ValueError):
+        FeatureTree({"agr": leaf("1"), "pers;": leaf("1")})
+    with pytest.raises(ValueError):
+        FeatureTree({"agr": leaf("1"), "a b": leaf("1")})
 
 
 # -- unification --------------------------------------------------------------
@@ -263,6 +279,9 @@ def test_unify_is_idempotent(a):
 def test_empty_tree_is_a_unit(a):
     assert unify(a, EMPTY_TREE).canonical_form() == a.canonical_form()
     assert unify(EMPTY_TREE, a).canonical_form() == a.canonical_form()
+    # trees are immutable, so the unchanged operand itself comes back
+    assert a.merge(EMPTY_TREE) is a
+    assert unify(a, EMPTY_TREE) is a
 
 
 @settings(max_examples=300)

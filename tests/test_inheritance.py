@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lexiforge import inheritance
 from lexiforge.feature_tree import ValueSet, leaf
 from lexiforge.inheritance import (
     InheritanceCycle,
@@ -147,6 +148,16 @@ def test_resolve_all_isolates_failing_entries():
     assert len(diagnostics) == 1
     assert diagnostics[0].entry == "bad"
     assert "unknown class 'Nope'" in diagnostics[0].message
+
+
+def test_resolve_all_lets_programming_errors_through(monkeypatch):
+    # only resolution errors become diagnostics; a bug fails loudly
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(inheritance, "resolve", broken)
+    with pytest.raises(TypeError):
+        resolve_all(parsed("#LEXEMES\n\ngood\nx = 1\n"))
 
 
 def test_resolve_all_covers_every_entry_section():

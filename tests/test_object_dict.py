@@ -1,9 +1,13 @@
 import io
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexiforge.feature_tree import EMPTY_TREE, leaf
+from lexiforge.feature_tree import EMPTY_TREE, FeatureTree, leaf
 from lexiforge.object_dict import (
     FormatError,
     ObjectDictionary,
@@ -165,9 +169,55 @@ def test_quoted_values_round_trip():
 
 
 def test_unserializable_surfaces_are_rejected():
-    for surface in ("", " lead", "a\nb"):
+    for surface in ("", " lead", "a\nb", "a\rb"):
         with pytest.raises(ValueError):
             save(ObjectDictionary([ObjectEntry(surface, EMPTY_TREE)]), io.StringIO())
+
+
+# Whitespace that str.splitlines() or str.isspace() treat specially,
+# drawn often enough to be tried in every run.
+_SPACES = "\x0b\x0c\x1c\x85\u2028 \t"
+_surfaces = st.text(st.characters() | st.sampled_from("\n\r" + _SPACES), max_size=8)
+_quoted_values = st.text(
+    st.characters(blacklist_characters="\n\r") | st.sampled_from(_SPACES + '"\\'),
+    max_size=8,
+)
+
+
+def _utf8(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@given(
+    _surfaces,
+    st.dictionaries(st.sampled_from(["gloss", "lex", "note"]), _quoted_values, max_size=3),
+)
+def test_whatever_save_accepts_loads_back_equal(surface, values):
+    tree = FeatureTree({label: leaf(text, quoted=True) for label, text in values.items()})
+    original = ObjectEntry(surface, tree)
+    saveable = (
+        surface != ""
+        and not surface[0].isspace()
+        and "\n" not in surface
+        and "\r" not in surface
+        and all(_utf8(text) for text in (surface, *values.values()))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.dic")
+        if not saveable:
+            with pytest.raises(ValueError):
+                save(ObjectDictionary([original]), path)
+            assert not os.path.exists(path)
+            return
+        save(ObjectDictionary([original]), path)
+        loaded = load(path)
+    assert loaded.entries == (original,)
+    assert loaded.entries[0].tree.canonical_form() == tree.canonical_form()
 
 
 def test_golden_file_loads(fixtures_dir):
