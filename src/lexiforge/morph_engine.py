@@ -13,7 +13,16 @@ in the object dictionary, and runs the equations over each combination
 of entries; a combination survives when every equation unifies.
 Generation runs the same engine over candidate entries drawn from the
 lemma and concatenation-category indexes and keeps the candidates
-whose result tree unifies with the caller's constraints.
+whose result tree unifies with the caller's constraints.  Before any
+equation runs it drops candidates that must fail: an entry whose node
+clashes with the constraints' node through an equation `LHS p = Ci q`,
+and a pair of entries whose nodes clash at the two paths of an
+equation `Ci p = Cj q`.  Running the equations only narrows a node
+that is present (a leaf stays a leaf, a subtree a subtree, a path
+below a leaf stays blocked), so a clash seen on the entries' original
+nodes would fail the same candidate later; pruning never changes an
+answer.  Analysis does no such pruning: its candidates are exact
+surface matches and mostly succeed.
 """
 
 from __future__ import annotations
@@ -169,7 +178,8 @@ def _execute(rule: WFRule, trees: dict[str, FeatureTree]) -> dict[str, FeatureTr
     """Run the equations; None when the candidate fails.
 
     Equation order never changes success or failure, only which
-    intermediate trees exist along the way.
+    intermediate trees exist along the way.  A node that unification
+    leaves unchanged is not written back.
     """
     for eq in rule.equations:
         if isinstance(eq, ValueEquation):
@@ -183,7 +193,8 @@ def _execute(rule: WFRule, trees: dict[str, FeatureTree]) -> dict[str, FeatureTr
             merged = node.intersect(eq.values)
             if merged is None:
                 return None
-            trees[eq.root] = tree.set(eq.path, merged)
+            if merged is not node:
+                trees[eq.root] = tree.set(eq.path, merged)
             continue
         left = _peek(trees[eq.left_root], eq.left_path)
         right = _peek(trees[eq.right_root], eq.right_path)
@@ -205,9 +216,32 @@ def _execute(rule: WFRule, trees: dict[str, FeatureTree]) -> dict[str, FeatureTr
             merged = left.intersect(right)
         if merged is None:
             return None
-        trees[eq.left_root] = trees[eq.left_root].set(eq.left_path, merged)
-        trees[eq.right_root] = trees[eq.right_root].set(eq.right_path, merged)
+        if merged is not left:
+            trees[eq.left_root] = trees[eq.left_root].set(eq.left_path, merged)
+        if merged is not right:
+            trees[eq.right_root] = trees[eq.right_root].set(eq.right_path, merged)
     return trees
+
+
+def _clash(a, b) -> bool:
+    """True when two `_peek` results can never be equated.
+
+    That is when either path runs through a leaf, a leaf meets a
+    subtree, two leaves share no value or two subtrees do not unify;
+    an absent side never clashes.  `_execute` only narrows a node that
+    is present (a leaf stays a leaf, a subtree a subtree, a blocked
+    path blocked), so a clash between two entries' original nodes is
+    still there when the equation linking them runs.
+    """
+    if isinstance(a, ValueSet) and isinstance(b, ValueSet):
+        return a.texts().isdisjoint(b.texts())
+    if a is _BLOCKED or b is _BLOCKED:
+        return True
+    if a is None or b is None:
+        return False
+    if isinstance(a, FeatureTree) and isinstance(b, FeatureTree):
+        return unify(a, b) is None
+    return True  # a leaf meets a subtree
 
 
 def _lemma_of(tree: FeatureTree, lex_feature: str) -> str | None:
@@ -296,6 +330,46 @@ def _concat_category(rule: WFRule, label: str, concat_feature: str) -> str | Non
     return None
 
 
+def _constraint_filters(
+    rule: WFRule, constraints: FeatureTree
+) -> dict[str, list[tuple[tuple[str, ...], object]]]:
+    """For each constituent, the (path, constraint node) pairs its
+    candidates must not clash with.
+
+    An equation `LHS p = C q` (either way round) puts C's node at q
+    into the result at p, only ever narrowed, so when that node clashes
+    with the constraints' node at p the result cannot unify with the
+    constraints.  Nothing is pruned when the constraints have no node
+    at p, or a leaf above it: there a candidate lacking q still yields
+    a result the constraints accept.
+    """
+    filters: dict[str, list] = {}
+    for eq in rule.equations:
+        if not isinstance(eq, PathEquation):
+            continue
+        for root, path, label, label_path in (
+            (eq.left_root, eq.left_path, eq.right_root, eq.right_path),
+            (eq.right_root, eq.right_path, eq.left_root, eq.left_path),
+        ):
+            if root != rule.lhs or label == rule.lhs:
+                continue
+            node = _peek(constraints, path)
+            if node is not None and node is not _BLOCKED:
+                filters.setdefault(label, []).append((label_path, node))
+    return filters
+
+
+def _pair_checks(rule: WFRule) -> list[tuple[int, tuple[str, ...], int, tuple[str, ...]]]:
+    """Equations `Ci p = Cj q` linking two right-hand constituents, as
+    (i, p, j, q) with constituent positions."""
+    rhs = rule.rhs
+    return [
+        (rhs.index(eq.left_root), eq.left_path, rhs.index(eq.right_root), eq.right_path)
+        for eq in rule.equations
+        if isinstance(eq, PathEquation) and eq.left_root in rhs and eq.right_root in rhs
+    ]
+
+
 def generate(
     lemma: str,
     constraints: FeatureTree,
@@ -303,12 +377,22 @@ def generate(
     rules: Iterable[WFRule],
 ) -> list[str]:
     """Surfaces derivable for the lemma whose result tree unifies with
-    the constraints, deduplicated and sorted."""
+    the constraints, deduplicated and sorted.
+
+    Candidates that must fail are dropped before their equations run:
+    those clashing with the constraints through an equation with the
+    result (`_constraint_filters`), and pairs clashing at the paths an
+    equation links (`_pair_checks`).  Both tests look at the entries'
+    original nodes, which the equations only narrow, so they never
+    drop a candidate that would have succeeded.
+    """
     surfaces: set[str] = set()
     for rule in rules:
         linked = _lemma_linked(rule, dictionary.lex_feature)
-        candidate_lists: list[list[ObjectEntry]] = []
-        for label in rule.rhs:
+        filters = _constraint_filters(rule, constraints)
+        checks = _pair_checks(rule)
+        candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
+        for k, label in enumerate(rule.rhs):
             if label in linked:
                 candidates = dictionary.lookup_by_lemma(lemma)
             else:
@@ -317,11 +401,22 @@ def generate(
                     candidates = dictionary.lookup_by_concat(category)
                 else:
                     candidates = list(dictionary.entries)
-            candidate_lists.append(candidates)
+            wanted = filters.get(label, ())
+            # each candidate with its own nodes at the paths the pair checks read
+            paths = [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
+            candidate_lists.append(
+                [
+                    (entry, {path: _peek(entry.tree, path) for path in paths})
+                    for entry in candidates
+                    if not any(_clash(node, _peek(entry.tree, path)) for path, node in wanted)
+                ]
+            )
         if not all(candidate_lists):
             continue
         for combo in product(*candidate_lists):
-            trees = {label: entry.tree for label, entry in zip(rule.rhs, combo)}
+            if any(_clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in checks):
+                continue
+            trees = {label: entry.tree for label, (entry, _) in zip(rule.rhs, combo)}
             trees[rule.lhs] = EMPTY_TREE
             result = _execute(rule, trees)
             if result is None:
@@ -334,5 +429,5 @@ def generate(
                 continue
             if unify(tree, constraints) is None:
                 continue
-            surfaces.add("".join(entry.surface for entry in combo))
+            surfaces.add("".join(entry.surface for entry, _ in combo))
     return sorted(surfaces)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .diagnostics import WARNING, Diagnostic
-from .feature_tree import FeatureTree, ValueSet
+from .feature_tree import FeatureTree, PathThroughLeaf, ValueSet, is_symbol_text
 from .source import SourceSyntaxError, parse_equation, term_node
 
 MAGIC = "LEXIFORGE-OBJDICT"
@@ -130,14 +130,33 @@ class ObjectDictionary:
         return DictStats(len(self.entries), surfaces, len(self.lemma_index), homographs)
 
 
+def _check_quoting(entry: ObjectEntry) -> None:
+    """Refuse a leaf whose values include one that must be written
+    quoted among others: a quoted string must be the only value of its
+    leaf, so `load` could not read the line back."""
+    for path, values in entry.tree.leaves():
+        if len(values) > 1 and not all(is_symbol_text(v.text) for v in values):
+            raise ValueError(
+                "leaf '%s' of %r holds a value that needs quotes among others"
+                % (" ".join(path), entry.surface)
+            )
+
+
 def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
-    """Write the canonical on-disk form (byte deterministic)."""
+    """Write the canonical on-disk form (byte deterministic).
+
+    Raises ValueError, before anything is written, for a dictionary the
+    format cannot carry back unchanged.
+    """
     rows = []
     for entry in dictionary.entries:
         surface = entry.surface
         if not surface or surface[0].isspace() or "\n" in surface or "\r" in surface:
             raise ValueError("surface %r is not serializable" % surface)
-        rows.append((surface, entry.tree.canonical_form()))
+        canon = entry.tree.canonical_form()
+        if '"' in canon:  # labels never hold '"'; only quoted values do
+            _check_quoting(entry)
+        rows.append((surface, canon))
     rows.sort()
     out = io.StringIO()
     out.write(HEADER + "\n")
@@ -209,7 +228,7 @@ def load(
             paths.add(eq.path)
             try:
                 tree = tree.set(eq.path, node)
-            except Exception as exc:
+            except (PathThroughLeaf, ValueError) as exc:
                 raise FormatError(str(exc), line=line_no)
             continue
         if line[0].isspace():

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .feature_tree import FeatureTree, ValueSet
+from .feature_tree import FeatureTree, PathThroughLeaf, ValueSet
 from .inheritance import ResolvedEntry
 from .source import CLOSED, OPEN, RuleCall, SelfRef, SourceBase, TypeDecl
 
@@ -107,7 +107,7 @@ def check_base(
     for cls in base.classes.values():
         try:
             body = cls.tree()
-        except Exception:
+        except (PathThroughLeaf, ValueError):
             continue  # the resolver reports unbuildable bodies
         out.extend(check_tree(body, base.data_dict, entry=cls.name))
     return out

@@ -2,17 +2,19 @@
 
 Each oracle recomputes an expected result by a different method than
 the production code: string rewriting by explicit split enumeration,
-inheritance by a per-path nearest-definer scan, and word analysis by
-trying every entry combination without any index.  They are slow on
-purpose; correctness over speed.
+inheritance by a per-path nearest-definer scan, and word analysis and
+generation by trying every entry combination without any index, with
+equation semantics of their own.  They are slow on purpose;
+correctness over speed.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 from itertools import product
 
-from lexiforge.feature_tree import EMPTY_TREE, Atom
+from lexiforge.feature_tree import Atom, FeatureTree
 from lexiforge.source import AloRule, Entry, Equation
 
 
@@ -158,25 +160,167 @@ def random_hierarchy(rng, max_classes=10, max_parents=4, max_depth=3):
     return entry, classes
 
 
-# -- analysis -------------------------------------------------------------------
+# -- word formation ---------------------------------------------------------------
+#
+# Equation semantics of its own, over plain nested values: an interior
+# node is a dict from label to node, a leaf a tuple of atoms.  Every
+# node stored is a fresh copy, and each equation walks its paths
+# again; no trick of the engine's (skipped writes, shared nodes,
+# candidate indexes or pruning) is reproduced here.
 
-def all_pairs_analyses(surface, dictionary, rules, execute):
+_THROUGH_LEAF = object()
+
+
+def _plain(node):
+    if isinstance(node, FeatureTree):
+        return {label: _plain(child) for label, child in node.children.items()}
+    return tuple(node)
+
+
+def _walk(tree, path):
+    """Node at path, None when absent, _THROUGH_LEAF below a leaf."""
+    node = tree
+    for label in path:
+        if not isinstance(node, dict):
+            return _THROUGH_LEAF
+        if label not in node:
+            return None
+        node = node[label]
+    return node
+
+
+def _store(tree, path, node):
+    for label in path[:-1]:
+        tree = tree.setdefault(label, {})
+    tree[path[-1]] = copy.deepcopy(node)
+
+
+def _meet(x, y):
+    """Unification of two plain nodes, keeping x's atoms; None on failure."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        out = copy.deepcopy(x)
+        for label, ynode in y.items():
+            if label in out:
+                out[label] = _meet(out[label], ynode)
+                if out[label] is None:
+                    return None
+            else:
+                out[label] = copy.deepcopy(ynode)
+        return out
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return tuple(a for a in x if a in y) or None
+    return None
+
+
+def run_equations(rule, trees):
+    """Plain trees after every equation of the rule, or None when one
+    fails.  `Ci p = Cj q` needs both paths clear of leaves; when both
+    nodes are present they must unify, and the result replaces both;
+    one present node is copied to the other side.  `Ci p = values`
+    needs a leaf or nothing at p and leaves their intersection."""
+    for eq in rule.equations:
+        if hasattr(eq, "values"):
+            node = _walk(trees[eq.root], eq.path)
+            if node is _THROUGH_LEAF or isinstance(node, dict):
+                return None
+            value = tuple(eq.values) if node is None else _meet(node, tuple(eq.values))
+            if value is None:
+                return None
+            _store(trees[eq.root], eq.path, value)
+            continue
+        left = _walk(trees[eq.left_root], eq.left_path)
+        right = _walk(trees[eq.right_root], eq.right_path)
+        if left is _THROUGH_LEAF or right is _THROUGH_LEAF:
+            return None
+        if left is None and right is None:
+            continue
+        if left is None:
+            value = right
+        elif right is None:
+            value = left
+        else:
+            value = _meet(left, right)
+        if value is None:
+            return None
+        _store(trees[eq.left_root], eq.left_path, value)
+        _store(trees[eq.right_root], eq.right_path, value)
+    return trees
+
+
+def _canonical(tree) -> str:
+    """Canonical text of a plain tree: sorted paths, sorted values."""
+    leaves = []
+
+    def visit(node, prefix):
+        for label, child in node.items():
+            if isinstance(child, dict):
+                visit(child, prefix + (label,))
+            else:
+                leaves.append((prefix + (label,), child))
+
+    visit(tree, ())
+    return "".join(
+        "%s = %s\n"
+        % (" ".join(path), " ".join(a.rendered() for a in sorted(atoms, key=lambda a: a.text)))
+        for path, atoms in sorted(leaves, key=lambda item: item[0])
+    )
+
+
+def _derivations(rule, combos):
+    """(entry tuple, plain result tree) for each tuple of entries the
+    rule's equations accept."""
+    for combo in combos:
+        trees = {label: _plain(entry.tree) for label, entry in zip(rule.rhs, combo)}
+        trees[rule.lhs] = {}
+        result = run_equations(rule, trees)
+        if result is not None:
+            yield combo, result[rule.lhs]
+
+
+def all_pairs_analyses(surface, dictionary, rules):
     """Analyses of a surface found by brute force: every rule, every
     combination of whole entries whose concatenation spells the
-    surface, filtered by the shared equation executor.
+    surface, filtered by the oracle's own equation semantics.
 
     Returns the set of (rule lhs, canonical form) pairs."""
     entries = list(dictionary.entries)
     found = set()
     for rule in rules:
-        n = len(rule.rhs)
-        for combo in product(entries, repeat=n):
-            if "".join(e.surface for e in combo) != surface:
-                continue
-            trees = {label: entry.tree for label, entry in zip(rule.rhs, combo)}
-            trees[rule.lhs] = EMPTY_TREE
-            result = execute(rule, trees)
-            if result is None:
-                continue
-            found.add((rule.lhs, result[rule.lhs].canonical_form()))
+        spelled = (
+            combo
+            for combo in product(entries, repeat=len(rule.rhs))
+            if "".join(e.surface for e in combo) == surface
+        )
+        for _, tree in _derivations(rule, spelled):
+            found.add((rule.lhs, _canonical(tree)))
     return found
+
+
+def all_pairs_generation(dictionary, rules):
+    """Generation by brute force.  Every rule runs over every tuple of
+    entries, with no index, once; the returned function keeps the
+    derivations whose result's lemma feature holds the lemma and whose
+    result unifies with the constraints, as sorted distinct surfaces."""
+    lex = (dictionary.lex_feature,)
+    derived = [
+        ("".join(e.surface for e in combo), tree)
+        for rule in rules
+        for combo, tree in _derivations(
+            rule, product(dictionary.entries, repeat=len(rule.rhs))
+        )
+    ]
+
+    def generate(lemma, constraints):
+        wanted = _plain(constraints)
+        found = set()
+        for surface, tree in derived:
+            lemmas = _walk(tree, lex)
+            if (
+                isinstance(lemmas, tuple)
+                and lemma in {a.text for a in lemmas}
+                and _meet(tree, wanted) is not None
+            ):
+                found.add(surface)
+        return sorted(found)
+
+    return generate

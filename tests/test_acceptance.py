@@ -24,7 +24,7 @@ from lexiforge.feature_tree import (
     leaf,
     unify,
 )
-from lexiforge.morph_engine import _execute, analyze, generate, parse_wf_rules
+from lexiforge.morph_engine import analyze, generate, parse_wf_rules
 from lexiforge.object_dict import ObjectDictionary, ObjectEntry, load, save
 from lexiforge.source import SourceBase, parse_source, parse_source_text
 from lexiforge.inheritance import linearize, resolve
@@ -259,7 +259,7 @@ def test_analysis_matches_all_pairs_filter(capsys):
 
         for s, analyses in results.items():
             got = {(a.category, a.tree.canonical_form()) for a in analyses}
-            expected = all_pairs_analyses(s, dictionary, rules, _execute)
+            expected = all_pairs_analyses(s, dictionary, rules)
             assert got == expected, s
 
 

@@ -1,8 +1,11 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexiforge.feature_tree import EMPTY_TREE, leaf
+from lexiforge.feature_tree import EMPTY_TREE, PathThroughLeaf, leaf, unify
 from lexiforge.morph_engine import (
     PathEquation,
     UnknownConstituent,
@@ -11,7 +14,10 @@ from lexiforge.morph_engine import (
     generate,
     parse_wf_rules,
 )
-from lexiforge.source import SourceSyntaxError
+from lexiforge.object_dict import ObjectDictionary, ObjectEntry
+from lexiforge.source import SourceSyntaxError, parse_tree
+
+from oracles import all_pairs_generation
 
 
 RULES = """\
@@ -237,3 +243,205 @@ def test_generated_forms_analyze_back_to_the_lemma(spanish_dict, wf_rules):
         for surface in generate(lemma, EMPTY_TREE, spanish_dict, wf_rules):
             lemmas = {a.lemma for a in analyze(surface, spanish_dict, wf_rules)}
             assert lemma in lemmas, (lemma, surface)
+
+
+# -- generation against the brute-force oracle -------------------------------------
+
+@pytest.fixture(scope="module")
+def spanish_oracle(spanish_dict, wf_rules):
+    return all_pairs_generation(spanish_dict, wf_rules)
+
+
+def imperfect_cells():
+    return [
+        EMPTY_TREE.set(("vinfo", "tense"), leaf("impf"))
+        .set(("agr", "pers"), leaf(pers))
+        .set(("agr", "num"), leaf(num))
+        for pers, num in product(("1", "2", "3"), ("sing", "plu"))
+    ]
+
+
+def test_generation_equals_the_oracle_on_the_fixture(spanish_dict, wf_rules, spanish_oracle):
+    checked = 0
+    for lemma in sorted(spanish_dict.lemma_index):
+        for constraints in [EMPTY_TREE] + imperfect_cells():
+            expected = spanish_oracle(lemma, constraints)
+            assert generate(lemma, constraints, spanish_dict, wf_rules) == expected, lemma
+            checked += bool(expected)
+    assert checked >= 70
+
+
+def small_base(entries, *equations):
+    """Generation of lemma 'ka' by a stem + ending rule over hand-written
+    entries, checked against the oracle on every call."""
+    dictionary = ObjectDictionary.build(
+        [ObjectEntry(surface, parse_tree(text)) for surface, text in entries]
+    )
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem Ending\n  Stem concat = vl\n  Ending concat = vm\n"
+        "  Word lex = Stem lex\n" + "".join("  %s\n" % eq for eq in equations)
+    )
+    oracle = all_pairs_generation(dictionary, rules)
+
+    def run(constraints):
+        got = generate("ka", constraints, dictionary, rules)
+        assert got == oracle("ka", constraints)
+        return got
+
+    return run
+
+
+STEM = ("ka", "lex = ka\nconcat = vl")
+
+
+@pytest.mark.parametrize(
+    "equation,constrained,unconstrained",
+    [
+        # the constraints' leaf sits above the result path: nothing is
+        # pruned, and the ending without agr still satisfies them ('u'
+        # fails the equation itself, its agr being a leaf)
+        ("Word agr pers = Ending agr pers", ["kao"], ["kaa", "kao"]),
+        # the constraints' leaf sits at the result path: the ending with
+        # an agr subtree is pruned, the one without agr is kept
+        ("Word agr = Ending agr", ["kao", "kau"], ["kaa", "kao", "kau"]),
+    ],
+)
+def test_constraint_leaf_above_or_at_an_equated_result_path(
+    equation, constrained, unconstrained
+):
+    run = small_base(
+        [
+            STEM,
+            ("a", "concat = vm\nagr pers = 1"),
+            ("o", "concat = vm"),
+            ("u", "concat = vm\nagr = x"),
+        ],
+        equation,
+    )
+    assert run(EMPTY_TREE.set(("agr",), leaf("x"))) == constrained
+    assert run(EMPTY_TREE) == unconstrained
+
+
+def test_candidate_leaf_above_an_agreement_path():
+    run = small_base(
+        [
+            ("ka", "lex = ka\nconcat = vl\nagr = x"),
+            ("ke", "lex = ka\nconcat = vl\nagr pers = 1"),
+            ("a", "concat = vm\nagr pers = 1"),
+            ("o", "concat = vm\nagr pers = 2"),
+        ],
+        "Stem agr pers = Ending agr pers",
+    )
+    # 'ka' cannot reach 'agr pers', so every pair with it fails
+    assert run(EMPTY_TREE) == ["kea"]
+
+
+def test_candidate_leaf_above_a_constrained_result_path():
+    run = small_base(
+        [STEM, ("a", "concat = vm\nagr pers = 1"), ("u", "concat = vm\nagr = x")],
+        "Word agr pers = Ending agr pers",
+    )
+    assert run(EMPTY_TREE.set(("agr", "pers"), leaf("1"))) == ["kaa"]
+    assert run(EMPTY_TREE) == ["kaa"]
+
+
+def test_subtree_against_leaf():
+    endings = [("a", "concat = vm\nagr = 1"), ("o", "concat = vm\nagr pers = 1")]
+    pair = small_base([("ka", "lex = ka\nconcat = vl\nagr pers = 1")] + endings,
+                      "Stem agr = Ending agr")
+    assert pair(EMPTY_TREE) == ["kao"]
+    to_result = small_base([STEM] + endings, "Word agr = Ending agr")
+    assert to_result(EMPTY_TREE.set(("agr", "pers"), leaf("1"))) == ["kao"]
+    assert to_result(EMPTY_TREE.set(("agr",), leaf("1"))) == ["kaa"]
+
+
+def test_path_absent_on_one_side():
+    endings = [
+        ("a", "concat = vm\nagr pers = 1"),
+        ("o", "concat = vm\nagr pers = 2"),
+        ("e", "concat = vm"),
+    ]
+    pair = small_base([STEM] + endings, "Stem agr pers = Ending agr pers")
+    assert pair(EMPTY_TREE) == ["kaa", "kae", "kao"]
+    to_result = small_base([STEM] + endings, "Word agr pers = Ending agr pers")
+    # 'e' lacks the path, so its result lacks it and the constraint holds
+    assert to_result(EMPTY_TREE.set(("agr", "pers"), leaf("1"))) == ["kaa", "kae"]
+
+
+@pytest.mark.parametrize(
+    "stem,ending,equations,path",
+    [
+        # the pair equation narrows the stem, which then feeds the result
+        (
+            "lex = ka\nconcat = vl\nagr pers = 1 2",
+            "concat = vm\nagr pers = 1",
+            ("Stem agr pers = Ending agr pers", "Word agr = Stem agr"),
+            ("agr", "pers"),
+        ),
+        # the value equation narrows the ending, which then feeds the result
+        (
+            "lex = ka\nconcat = vl",
+            "concat = vm\nmood = 1 2",
+            ("Ending mood = 1", "Word mood = Ending mood"),
+            ("mood",),
+        ),
+    ],
+)
+def test_narrowed_nodes_reach_the_result(stem, ending, equations, path):
+    run = small_base([("ka", stem), ("a", ending)], *equations)
+    assert run(EMPTY_TREE.set(path, leaf("1"))) == ["kaa"]
+    assert run(EMPTY_TREE.set(path, leaf("2"))) == []
+
+
+def test_constraints_on_the_lemma_feature(spanish_dict, wf_rules, spanish_oracle):
+    paradigm = generate("pedir", EMPTY_TREE, spanish_dict, wf_rules)
+    impf = EMPTY_TREE.set(("vinfo", "tense"), leaf("impf"))
+    for lex, expected in [
+        (leaf("pedir"), paradigm),
+        (leaf("pedir", "amar"), paradigm),
+        (leaf("amar"), []),
+    ]:
+        constraints = EMPTY_TREE.set(("lex",), lex)
+        assert generate("pedir", constraints, spanish_dict, wf_rules) == expected
+        assert spanish_oracle("pedir", constraints) == expected
+        narrowed = unify(constraints, impf)
+        assert generate("pedir", narrowed, spanish_dict, wf_rules) == spanish_oracle(
+            "pedir", narrowed
+        )
+
+
+def _fixture_values(dictionary):
+    """Every leaf path of the dictionary and every proper prefix of one,
+    each with the values seen at or below it."""
+    values: dict[tuple[str, ...], set[str]] = {}
+    for entry in dictionary.entries:
+        for path, node in entry.tree.leaves():
+            for end in range(1, len(path) + 1):
+                values.setdefault(path[:end], set()).update(node.texts())
+    return {path: sorted(texts) for path, texts in values.items()}
+
+
+@pytest.fixture(scope="module")
+def fixture_values(spanish_dict):
+    return _fixture_values(spanish_dict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generation_equals_the_oracle_for_drawn_constraints(
+    spanish_dict, wf_rules, spanish_oracle, fixture_values, data
+):
+    lemma = data.draw(st.sampled_from(sorted(spanish_dict.lemma_index) + ["correr"]))
+    paths = data.draw(st.lists(st.sampled_from(sorted(fixture_values)), max_size=4, unique=True))
+    constraints = EMPTY_TREE
+    for path in sorted(paths):
+        texts = data.draw(
+            st.lists(st.sampled_from(fixture_values[path]), min_size=1, max_size=3, unique=True)
+        )
+        try:
+            constraints = constraints.set(path, leaf(*texts))
+        except PathThroughLeaf:
+            pass  # a leaf drawn above this path already
+    assert generate(lemma, constraints, spanish_dict, wf_rules) == spanish_oracle(
+        lemma, constraints
+    )

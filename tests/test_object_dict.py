@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiforge.feature_tree import EMPTY_TREE, FeatureTree, leaf
+from lexiforge.feature_tree import EMPTY_TREE, Atom, FeatureTree, ValueSet, is_symbol_text, leaf
 from lexiforge.object_dict import (
     FormatError,
     ObjectDictionary,
@@ -192,20 +192,35 @@ def _utf8(text):
     return True
 
 
+# A quoted string alone, or unquoted values that may need quotes: a
+# leaf holding such a value among others cannot be written.
+_leaves = st.one_of(
+    _quoted_values.map(lambda text: leaf(text, quoted=True)),
+    st.lists(st.sampled_from(["a", "b", "a b"]) | _quoted_values, min_size=1, max_size=3).map(
+        lambda texts: ValueSet([Atom(text) for text in texts])
+    ),
+)
+
+
 @settings(max_examples=300)
 @given(
     _surfaces,
-    st.dictionaries(st.sampled_from(["gloss", "lex", "note"]), _quoted_values, max_size=3),
+    st.dictionaries(st.sampled_from(["gloss", "lex", "note"]), _leaves, max_size=3),
 )
-def test_whatever_save_accepts_loads_back_equal(surface, values):
-    tree = FeatureTree({label: leaf(text, quoted=True) for label, text in values.items()})
+def test_whatever_save_accepts_loads_back_equal(surface, leaves):
+    tree = FeatureTree(leaves)
     original = ObjectEntry(surface, tree)
+    texts = [atom.text for values in leaves.values() for atom in values]
     saveable = (
         surface != ""
         and not surface[0].isspace()
         and "\n" not in surface
         and "\r" not in surface
-        and all(_utf8(text) for text in (surface, *values.values()))
+        and all(_utf8(text) for text in (surface, *texts))
+        and all(
+            len(values) == 1 or all(is_symbol_text(atom.text) for atom in values)
+            for values in leaves.values()
+        )
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.dic")
@@ -259,6 +274,20 @@ def test_load_rejects_duplicate_paths():
         load(io.StringIO(text))
     assert "duplicate feature path 'a'" in str(exc.value)
     assert exc.value.line == 4
+
+
+def test_load_reports_paths_through_leaves_and_lets_bugs_through(monkeypatch):
+    text = "LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  a b = 2\n\n"
+    with pytest.raises(FormatError) as exc:
+        load(io.StringIO(text))
+    assert exc.value.line == 4
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(FeatureTree, "set", broken)
+    with pytest.raises(TypeError):
+        load(io.StringIO("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n\n"))
 
 
 def test_load_rejects_placeholder_values():

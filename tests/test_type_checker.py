@@ -1,6 +1,8 @@
+import pytest
+
 from lexiforge.diagnostics import ERROR, WARNING, has_errors
 from lexiforge.inheritance import resolve_all
-from lexiforge.source import parse_source, parse_source_text, parse_tree
+from lexiforge.source import Entry, parse_source, parse_source_text, parse_tree
 from lexiforge.type_checker import check_base, check_tree
 
 
@@ -140,6 +142,20 @@ def test_check_base_skips_placeholders_in_class_bodies():
     resolved, diagnostics = resolve_all(result.base)
     assert diagnostics == []
     assert check_base(result.base, resolved) == []
+
+
+def test_check_base_lets_programming_errors_through(monkeypatch):
+    # an unbuildable class body is the resolver's to report; a bug is not
+    result = parse_source_text("#CLASSES\n\nC\npers = 1\n\n#LEXEMES\n\nd (C)\n\n" + DECLS)
+    assert result.ok
+    resolved, _ = resolve_all(result.base)
+
+    def broken(self):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(Entry, "tree", broken)
+    with pytest.raises(TypeError):
+        check_base(result.base, resolved)
 
 
 def test_spanish_fixture_is_clean(fixtures_dir, spanish_base):
