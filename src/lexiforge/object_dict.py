@@ -12,6 +12,7 @@ Saving the same dictionary twice yields identical bytes.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -93,23 +94,27 @@ class ObjectDictionary:
     ) -> "ObjectDictionary":
         """Deduplicate and index.  Exact duplicates (same surface and
         canonical tree) collapse to the first occurrence, each with a
-        warning."""
+        warning.  Only entries whose surface occurs more than once can
+        be duplicates, so only their canonical forms are computed."""
+        entries = list(entries)
+        homographs = Counter(entry.surface for entry in entries)
         kept: list[ObjectEntry] = []
         warnings: list[Diagnostic] = []
         seen: set[tuple[str, str]] = set()
         for entry in entries:
-            key = (entry.surface, entry.tree.canonical_form())
-            if key in seen:
-                warnings.append(
-                    Diagnostic(
-                        WARNING,
-                        "duplicate object entry '%s' collapsed (from '%s')"
-                        % (entry.surface, entry.source_name or entry.surface),
-                        entry=entry.source_name or entry.surface,
+            if homographs[entry.surface] > 1:
+                key = (entry.surface, entry.tree.canonical_form())
+                if key in seen:
+                    warnings.append(
+                        Diagnostic(
+                            WARNING,
+                            "duplicate object entry '%s' collapsed (from '%s')"
+                            % (entry.surface, entry.source_name or entry.surface),
+                            entry=entry.source_name or entry.surface,
+                        )
                     )
-                )
-                continue
-            seen.add(key)
+                    continue
+                seen.add(key)
             kept.append(entry)
         return cls(kept, lex_feature, concat_feature, warnings)
 
@@ -183,7 +188,16 @@ def load(
     lex_feature: str = "lex",
     concat_feature: str = "concat",
 ) -> ObjectDictionary:
-    """Read the on-disk form back; indexes are rebuilt from scratch."""
+    """Read the on-disk form back; indexes are rebuilt from scratch.
+
+    Each distinct equation line is parsed once per call, and every
+    entry holding that line shares the one (immutable) leaf it yields.
+    Each entry's tree is built once, when its block ends, with children
+    in the order of its lines.  Raises FormatError, with the line
+    number, for anything `save` would not write: a malformed line, a
+    placeholder value, a path given twice, and a path that runs through
+    a leaf or ends above features already given.
+    """
     if isinstance(src, str):
         with open(src, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -197,43 +211,69 @@ def load(
         raise FormatError("missing dictionary header", line=1)
 
     entries: list[ObjectEntry] = []
+    # Local to this call: a cache that outlived it would make later
+    # loads in the same process cheaper than the first.
+    parsed: dict[str, tuple[tuple[str, ...], ValueSet]] = {}
     surface: str | None = None
-    tree = FeatureTree()
-    paths: set[tuple[str, ...]] = set()
+    root: dict[str, dict | ValueSet] = {}
 
-    def close_entry():
-        nonlocal surface, tree, paths
-        if surface is not None:
-            entries.append(ObjectEntry(surface, tree))
-            surface, tree, paths = None, FeatureTree(), set()
-
+    lines.append("")  # ends the last entry
     for line_no, line in enumerate(lines[1:], start=2):
-        if line == "":
-            close_entry()
-            continue
         if line.startswith("  "):
             if surface is None:
                 raise FormatError("indented line outside an entry", line=line_no)
-            try:
-                eq = parse_equation(line[2:], line=line_no)
-            except SourceSyntaxError as exc:
-                raise FormatError(exc.message, line=line_no)
-            node = term_node(eq.values)
-            if not isinstance(node, ValueSet):
-                raise FormatError("placeholders are not dictionary values", line=line_no)
-            if eq.path in paths:
-                raise FormatError(
-                    "duplicate feature path '%s'" % " ".join(eq.path), line=line_no
-                )
-            paths.add(eq.path)
-            try:
-                tree = tree.set(eq.path, node)
-            except (PathThroughLeaf, ValueError) as exc:
-                raise FormatError(str(exc), line=line_no)
+            equation = parsed.get(line)
+            if equation is None:
+                equation = parsed[line] = _parse_line(line[2:], line_no)
+            _insert(root, *equation, line_no)
             continue
-        if line[0].isspace():
+        if line and line[0].isspace():
             raise FormatError("bad indentation", line=line_no)
-        close_entry()
-        surface = line
-    close_entry()
+        if surface is not None:
+            entries.append(ObjectEntry(surface, _tree(root)))
+        # A blank line ends the entry; any other line starts the next.
+        surface, root = line or None, {}
     return ObjectDictionary.build(entries, lex_feature, concat_feature)
+
+
+def _parse_line(text: str, line_no: int) -> tuple[tuple[str, ...], ValueSet]:
+    try:
+        equation = parse_equation(text, line=line_no)
+    except SourceSyntaxError as exc:
+        raise FormatError(exc.message, line=line_no)
+    node = term_node(equation.values)
+    if not isinstance(node, ValueSet):
+        raise FormatError("placeholders are not dictionary values", line=line_no)
+    return equation.path, node
+
+
+def _insert(root: dict, path: tuple[str, ...], values: ValueSet, line_no: int) -> None:
+    """Put values at path in an entry's nested dicts, refusing any line
+    that would replace or hide what earlier lines gave."""
+    node = root
+    for depth, label in enumerate(path[:-1], start=1):
+        child = node.get(label)
+        if child is None:
+            child = node[label] = {}
+        elif not isinstance(child, dict):
+            raise FormatError(str(PathThroughLeaf(path, depth)), line=line_no)
+        node = child
+    held = node.get(path[-1])
+    if isinstance(held, dict):
+        raise FormatError(
+            "leaf '%s' would replace the features below it" % " ".join(path),
+            line=line_no,
+        )
+    if held is not None:
+        raise FormatError("duplicate feature path '%s'" % " ".join(path), line=line_no)
+    node[path[-1]] = values
+
+
+def _tree(children: dict) -> FeatureTree:
+    """One FeatureTree per interior node of an entry's nested dicts."""
+    return FeatureTree(
+        {
+            label: _tree(node) if isinstance(node, dict) else node
+            for label, node in children.items()
+        }
+    )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexiforge import object_dict
 from lexiforge.feature_tree import EMPTY_TREE, Atom, FeatureTree, ValueSet, is_symbol_text, leaf
 from lexiforge.object_dict import (
     FormatError,
@@ -68,18 +69,33 @@ def test_interior_index_feature_is_not_indexed():
     assert d.lookup_by_lemma("a") == []
 
 
-def test_duplicates_collapse_to_the_first_with_warnings():
-    d = ObjectDictionary.build(
-        [
-            entry("ped", "stt = 1", source_name="pedir"),
-            entry("ped", "stt = 1", source_name="pedal"),
-            entry("ped", "stt = 2"),
-        ]
-    )
-    assert len(d.entries) == 2
-    assert len(d.warnings) == 1
-    assert "duplicate object entry 'ped'" in d.warnings[0].message
-    assert "(from 'pedal')" in d.warnings[0].message
+def test_duplicates_collapse_to_the_first_with_warnings(monkeypatch):
+    rendered = []
+    canonical_form = FeatureTree.canonical_form
+
+    def counted(tree):
+        rendered.append(tree)
+        return canonical_form(tree)
+
+    monkeypatch.setattr(FeatureTree, "canonical_form", counted)
+    unique = entry("aba", "stt = 1")
+    entries = [
+        entry("ped", "stt = 1", source_name="pedir"),
+        unique,
+        entry("ped", "stt = 1", source_name="pedal"),
+        entry("ped", "stt = 2"),
+        entry("ped", "stt = 1", source_name="pedo"),
+    ]
+    d = ObjectDictionary.build(entries)
+    assert d.entries == (entries[0], unique, entries[3])
+    assert d.entries[0].source_name == "pedir"
+    assert [w.message for w in d.warnings] == [
+        "duplicate object entry 'ped' collapsed (from 'pedal')",
+        "duplicate object entry 'ped' collapsed (from 'pedo')",
+    ]
+    # only the homographs' trees are rendered, each once
+    assert len(rendered) == 4
+    assert all(tree is not unique.tree for tree in rendered)
 
 
 def test_stats_counts():
@@ -235,6 +251,46 @@ def test_whatever_save_accepts_loads_back_equal(surface, leaves):
     assert loaded.entries[0].tree.canonical_form() == tree.canonical_form()
 
 
+MULTI = (
+    "LEXIFORGE-OBJDICT 1\n"
+    "a\n  agr num = sing\n  concat = vm\n  sut = reg\n\n"
+    "ped\n  concat = vl\n  lex = pedal\n  sut = reg\n\n"
+    "ped\n  concat = vl\n  lex = pedir\n  sut = reg\n\n"
+    "pid\n  agr num = sing\n  lex = pedir\n  sut = reg\n\n"
+)
+
+
+def test_load_parses_each_distinct_line_once_per_call(monkeypatch, fixtures_dir):
+    calls = []
+    parse_equation = object_dict.parse_equation
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return parse_equation(text, *args, **kwargs)
+
+    monkeypatch.setattr(object_dict, "parse_equation", counted)
+    golden = (fixtures_dir.parent / "tests" / "golden" / "pedir_minimal.dic").read_text(
+        encoding="utf-8"
+    )
+    for text in (MULTI, golden):
+        distinct = {line for line in text.split("\n") if line.startswith("  ")}
+        calls.clear()
+        d = load(io.StringIO(text))
+        assert sorted(calls) == sorted(line[2:] for line in distinct)
+        # no cache outlives a call
+        load(io.StringIO(text))
+        assert len(calls) == 2 * len(distinct)
+        out = io.StringIO()
+        save(d, out)
+        assert out.getvalue() == text
+
+    d = load(io.StringIO(MULTI))
+    trees = [e.tree for e in d.entries]
+    assert all(t.get(("sut",)) is trees[0].get(("sut",)) for t in trees)
+    assert trees[1].get(("lex",)) is not trees[2].get(("lex",))
+    assert trees[2].get(("lex",)) is trees[3].get(("lex",))
+
+
 def test_golden_file_loads(fixtures_dir):
     d = load(str(fixtures_dir.parent / "tests" / "golden" / "pedir_minimal.dic"))
     assert {e.surface for e in d.entries} == {"'abamos", "ped", "pid"}
@@ -285,9 +341,25 @@ def test_load_reports_paths_through_leaves_and_lets_bugs_through(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(FeatureTree, "set", broken)
+    monkeypatch.setattr(FeatureTree, "__init__", broken)
     with pytest.raises(TypeError):
         load(io.StringIO("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n\n"))
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("a = x", "a b = y", "path 'a b' descends through the leaf at 'a'"),
+        ("a b = y", "a = x", "leaf 'a' would replace the features below it"),
+        ("a b c = y", "a b = x", "leaf 'a b' would replace the features below it"),
+    ],
+)
+def test_load_refuses_a_leaf_above_or_below_given_features(first, second, message):
+    text = "LEXIFORGE-OBJDICT 1\nx\n  %s\n  %s\n\n" % (first, second)
+    with pytest.raises(FormatError) as exc:
+        load(io.StringIO(text))
+    assert exc.value.line == 4
+    assert message in str(exc.value)
 
 
 def test_load_rejects_placeholder_values():
