@@ -10,6 +10,12 @@ assignments overriding earlier ones.  An equation whose right side
 reads an absent path is a no-op, so one rule per allomorph slot simply
 does not fire for entries lacking that slot: the rule emits an entry
 only when something gave `$$` a value.
+
+Most rules name no entry for a given source entry (a lexeme fills few
+of its allomorph slots), so a rule first only reads the source paths
+its equations name.  Nothing is built unless `$$` gets a value or one
+of the writes could fail; then the writes run in equation order, and
+a rule that names nothing still reports its first failing write.
 """
 
 from __future__ import annotations
@@ -21,13 +27,14 @@ from .feature_tree import (
     Atom,
     EMPTY_TREE,
     FeatureTree,
+    Node,
     PathThroughLeaf,
     ValueSet,
     is_symbol_text,
 )
 from .inheritance import resolve_all
 from .object_dict import ObjectDictionary, ObjectEntry
-from .source import DictRule, SourceBase
+from .source import DictEquation, DictRule, SourceBase
 from .type_checker import check_base
 
 
@@ -53,19 +60,43 @@ def apply_dict_rule(
     Returns None when the rule never assigned `$$` (the normal skip).
     Raises NonAtomicName or DictRuleError on lexicographer errors, and
     lets PathThroughLeaf from target assignment propagate.
+
+    The equations are read first, without building anything.  When no
+    present equation assigns `$$` and no write could fail, the rule
+    returns None right away.  A write could fail when its target path
+    has two or more labels (a leaf may sit above it) or when it puts a
+    leaf at the whole entry.  Otherwise every present equation runs in
+    order, so the first error raised is the first in equation order.
     """
-    name_node = None
-    target = EMPTY_TREE
+    writes: list[tuple[DictEquation, Node | None]] = []
+    named = could_fail = False
     for eq in rule.equations:
         if eq.source is None:
-            node = ValueSet([Atom(source_name, quoted=not is_symbol_text(source_name))])
+            node = None  # the name leaf, built below when needed
         else:
             node = source_tree.get(eq.source)
             if node is None:
                 continue
-            if isinstance(node, FeatureTree):
-                for dpath in eq.deletions:
-                    node = node.delete(dpath)
+        writes.append((eq, node))
+        if eq.target is None:
+            named = True
+        elif len(eq.target) > 1 or (not eq.target and not isinstance(node, FeatureTree)):
+            could_fail = True
+    if not named and not could_fail:
+        return None
+
+    name_leaf = name_node = None
+    target = EMPTY_TREE
+    for eq, node in writes:
+        if eq.source is None:
+            if name_leaf is None:
+                name_leaf = ValueSet(
+                    [Atom(source_name, quoted=not is_symbol_text(source_name))]
+                )
+            node = name_leaf
+        elif isinstance(node, FeatureTree):
+            for dpath in eq.deletions:
+                node = node.delete(dpath)
         if eq.target is None:
             name_node = node
         elif eq.target == ():

@@ -88,7 +88,7 @@ class ValueSet:
     the only member.
     """
 
-    __slots__ = ("values", "_texts")
+    __slots__ = ("values", "_texts", "_rendered")
 
     def __init__(self, values: Iterable[Atom]):
         vals: list[Atom] = []
@@ -103,6 +103,7 @@ class ValueSet:
             raise ValueError("a string value must be the only value of its leaf")
         self.values = tuple(vals)
         self._texts = frozenset(texts)
+        self._rendered: str | None = None
 
     def texts(self) -> frozenset[str]:
         return self._texts
@@ -137,8 +138,21 @@ class ValueSet:
         return "ValueSet(%s)" % " ".join(v.rendered() for v in self.values)
 
     def rendered(self) -> str:
-        """Values in canonical (sorted) order, space separated."""
-        return " ".join(v.rendered() for v in sorted(self.values, key=lambda a: a.text))
+        """Values in canonical (sorted) order, space separated.
+
+        Computed on the first call and kept: a leaf is immutable, and
+        one leaf object is often shared by many entries (inheritance
+        when compiling, repeated lines when loading), so each rendering
+        is made once per object.  The text belongs to the object, not
+        to its value: equal leaves spelled differently (`a` and `"a"`)
+        keep their own renderings.
+        """
+        text = self._rendered
+        if text is None:
+            text = self._rendered = " ".join(
+                v.rendered() for v in sorted(self.values, key=lambda a: a.text)
+            )
+        return text
 
 
 def leaf(*texts: str, quoted: bool = False) -> ValueSet:

@@ -398,7 +398,10 @@ def generate(
             else:
                 category = _concat_category(rule, label, dictionary.concat_feature)
                 if category is not None:
-                    candidates = dictionary.lookup_by_concat(category)
+                    # an entry lacking the feature gets it from the equation
+                    candidates = (
+                        dictionary.lookup_by_concat(category) + dictionary.lacking_concat()
+                    )
                 else:
                     candidates = list(dictionary.entries)
             wanted = filters.get(label, ())

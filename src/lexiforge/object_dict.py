@@ -74,6 +74,8 @@ class ObjectDictionary:
         self.surface_index: dict[str, list[int]] = {}
         self.lemma_index: dict[str, list[int]] = {}
         self.concat_index: dict[str, list[int]] = {}
+        # entries an equation `C concat = v` would give the category v
+        self.concat_absent: list[int] = []
         for i, entry in enumerate(self.entries):
             self.surface_index.setdefault(entry.surface, []).append(i)
             for index, feature in (
@@ -84,6 +86,8 @@ class ObjectDictionary:
                 if isinstance(node, ValueSet):
                     for atom in node:
                         index.setdefault(atom.text, []).append(i)
+            if concat_feature not in entry.tree.children:
+                self.concat_absent.append(i)
 
     @classmethod
     def build(
@@ -128,6 +132,10 @@ class ObjectDictionary:
 
     def lookup_by_concat(self, category: str) -> list[ObjectEntry]:
         return [self.entries[i] for i in self.concat_index.get(category, ())]
+
+    def lacking_concat(self) -> list[ObjectEntry]:
+        """Entries with no node at the concatenation-category feature."""
+        return [self.entries[i] for i in self.concat_absent]
 
     def stats(self) -> DictStats:
         surfaces = len(self.surface_index)
@@ -194,15 +202,22 @@ def load(
     entry holding that line shares the one (immutable) leaf it yields.
     Each entry's tree is built once, when its block ends, with children
     in the order of its lines.  Raises FormatError, with the line
-    number, for anything `save` would not write: a malformed line, a
-    placeholder value, a path given twice, and a path that runs through
-    a leaf or ends above features already given.
+    number, for anything `save` would not write: a carriage return, a
+    malformed line, a placeholder value, a path given twice, and a path
+    that runs through a leaf or ends above features already given.
     """
     if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as handle:
+        # newline="": read "\r" as written, as a stream would give it
+        with open(src, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     else:
         text = src.read()
+    cr = text.find("\r")
+    if cr >= 0:
+        raise FormatError(
+            "carriage return (lines end with '\\n' alone)",
+            line=text.count("\n", 0, cr) + 1,
+        )
     lines = text.split("\n")
     if not lines or lines[0] != HEADER:
         head = lines[0] if lines else ""

@@ -7,7 +7,8 @@ from lexiforge.dict_compiler import (
     apply_dict_rule,
     compile_base,
 )
-from lexiforge.feature_tree import leaf
+from lexiforge.diagnostics import ERROR
+from lexiforge.feature_tree import FeatureTree, PathThroughLeaf, ValueSet, leaf
 from lexiforge.source import parse_dict_rules, parse_source_text, parse_tree
 
 
@@ -138,6 +139,84 @@ def test_empty_surface_is_rejected():
     with pytest.raises(DictRuleError) as exc:
         apply_dict_rule(rules[0], "pedir", parse_tree('stem = ""'))
     assert "came out empty" in str(exc.value)
+
+
+# -- rules that name no entry ------------------------------------------------------
+
+def rule(text):
+    (only,) = parse_dict_rules("LEXEMES\n\n" + text).for_section("lexemes")
+    return only
+
+
+def count_constructions(monkeypatch):
+    """Count FeatureTree and ValueSet constructions from here on."""
+    counts = {"FeatureTree": 0, "ValueSet": 0}
+    for cls in (FeatureTree, ValueSet):
+        original = cls.__init__
+
+        def counted(self, *args, _original=original, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_a_rule_whose_name_source_is_absent_builds_nothing(monkeypatch):
+    tree = parse_tree(PEDIR_RESOLVED).delete(("alo", "2"))
+    counts = count_constructions(monkeypatch)
+    assert apply_dict_rule(lexeme_rules()[1], "pedir", tree) is None
+    assert counts == {"FeatureTree": 0, "ValueSet": 0}
+    # the counter does see what a firing rule builds
+    assert apply_dict_rule(lexeme_rules()[0], "pedir", tree) is not None
+    assert counts["FeatureTree"] > 0 and counts["ValueSet"] == 1
+
+
+def test_an_unnamed_rule_still_refuses_a_leaf_for_the_whole_entry():
+    with pytest.raises(DictRuleError) as exc:
+        apply_dict_rule(rule("$$ = @ absent\n@ = @ p\n"), "d", parse_tree("p = 1"))
+    assert "cannot assign an atomic value to the whole entry" in str(exc.value)
+
+
+def test_an_unnamed_rule_still_reports_a_path_below_a_leaf():
+    tree = parse_tree("x = 1\ny = 2")
+    with pytest.raises(PathThroughLeaf) as exc:
+        apply_dict_rule(rule("$$ = @ absent\n@ a = @ x\n@ a b = @ y\n"), "d", tree)
+    assert (exc.value.path, exc.value.depth) == (("a", "b"), 1)
+
+
+@pytest.mark.parametrize(
+    "writes, error",
+    [
+        ("@ a = @ x\n@ a b = @ y\n@ = @ x\n", PathThroughLeaf),
+        ("@ = @ x\n@ a = @ x\n@ a b = @ y\n", DictRuleError),
+    ],
+)
+def test_the_first_failing_write_in_equation_order_is_reported(writes, error):
+    tree = parse_tree("x = 1\ny = 2")
+    for name in ("$$ = @ absent\n", "$$ = $$\n"):
+        with pytest.raises(error):
+            apply_dict_rule(rule(name + writes), "d", tree)
+
+
+def test_deletions_still_apply_to_the_name_and_to_writes():
+    tree = parse_tree("x y = 1\nx z = 2\nn = d")
+    with pytest.raises(NonAtomicName):
+        apply_dict_rule(rule("$$ = @ x (- y)\n@ = @\n"), "d", tree)
+    entry = apply_dict_rule(rule("$$ = @ n\n@ = @ x (- y)\n@ w = @ x (- z)\n"), "d", tree)
+    assert entry.tree.canonical_form() == "w y = 1\nz = 2\n"
+
+
+def test_compile_reports_a_failing_write_of_a_rule_that_names_nothing():
+    text = BASE + "\n$$ = @ alo 9 stem\n@ = @ alo 1 stem\n"
+    result = compile_base(parse_source_text(text, name="base.lex").base)
+    assert not result.ok
+    errors = [d for d in result.diagnostics if d.severity == ERROR]
+    assert [(d.message, d.file, d.entry) for d in errors] == [
+        ("rule 3: cannot assign an atomic value to the whole entry", "base.lex", name)
+        for name in ("pedir", "amar")
+    ]
+    assert len({d.line for d in errors}) == 1
 
 
 # -- whole-base compilation --------------------------------------------------------

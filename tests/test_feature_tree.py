@@ -86,6 +86,35 @@ def test_value_set_rendering_sorts():
     assert leaf("2", "1", "11").rendered() == "1 11 2"
 
 
+def test_value_set_rendering_is_made_once_per_object():
+    v = leaf("2", "1", "11")
+    first = v.rendered()
+    assert v.rendered() is first
+    assert v.rendered() == "1 11 2"
+    # the intersection is a new object with its own rendering
+    assert v.intersect(leaf("2", "11")).rendered() == "11 2"
+
+
+def test_equal_leaves_keep_their_own_spelling():
+    bare, quoted = leaf("a"), ValueSet([Atom("a", quoted=True)])
+    assert bare == quoted and hash(bare) == hash(quoted)
+    for _ in range(2):
+        assert bare.rendered() == "a"
+        assert quoted.rendered() == '"a"'
+    tree = EMPTY_TREE.set(("x",), bare).set(("y",), quoted)
+    assert tree.canonical_form() == 'x = a\ny = "a"\n'
+
+
+def test_canonical_form_of_shared_multi_value_and_quoted_leaves():
+    many, spaced, quoted = leaf("2", "1", "11"), leaf("x y"), leaf("q", quoted=True)
+    first = FeatureTree({"b": many, "a": FeatureTree({"s": spaced}), "c": quoted})
+    second = FeatureTree({"c": many, "b": quoted})
+    expected = 'a s = "x y"\nb = 1 11 2\nc = "q"\n'
+    assert first.canonical_form() == expected
+    assert second.canonical_form() == 'b = "q"\nc = 1 11 2\n'
+    assert first.canonical_form() == expected
+
+
 # -- tree structure ----------------------------------------------------------
 
 def tree_ab():

@@ -271,16 +271,23 @@ def test_generation_equals_the_oracle_on_the_fixture(spanish_dict, wf_rules, spa
     assert checked >= 70
 
 
+STEM_ENDING = (
+    "#WF-RULES\n\nWord -> Stem Ending\n  Stem concat = vl\n  Ending concat = vm\n"
+    "  Word lex = Stem lex\n"
+)
+
+
+def small_dictionary(entries):
+    return ObjectDictionary.build(
+        [ObjectEntry(surface, parse_tree(text)) for surface, text in entries]
+    )
+
+
 def small_base(entries, *equations):
     """Generation of lemma 'ka' by a stem + ending rule over hand-written
     entries, checked against the oracle on every call."""
-    dictionary = ObjectDictionary.build(
-        [ObjectEntry(surface, parse_tree(text)) for surface, text in entries]
-    )
-    rules = parse_wf_rules(
-        "#WF-RULES\n\nWord -> Stem Ending\n  Stem concat = vl\n  Ending concat = vm\n"
-        "  Word lex = Stem lex\n" + "".join("  %s\n" % eq for eq in equations)
-    )
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(STEM_ENDING + "".join("  %s\n" % eq for eq in equations))
     oracle = all_pairs_generation(dictionary, rules)
 
     def run(constraints):
@@ -320,6 +327,17 @@ def test_constraint_leaf_above_or_at_an_equated_result_path(
     )
     assert run(EMPTY_TREE.set(("agr",), leaf("x"))) == constrained
     assert run(EMPTY_TREE) == unconstrained
+
+
+def test_generation_tries_entries_lacking_the_concat_feature():
+    # the ending has no concat node; `Ending concat = vm` fills it in
+    entries = [STEM, ("a", "agr = 1")]
+    run = small_base(entries)
+    assert run(EMPTY_TREE) == ["kaa"]
+    assert run(EMPTY_TREE.set(("agr",), leaf("1"))) == ["kaa"]
+    # and analysis reads the same surface back
+    readings = analyze("kaa", small_dictionary(entries), parse_wf_rules(STEM_ENDING))
+    assert [a.lemma for a in readings] == ["ka"]
 
 
 def test_candidate_leaf_above_an_agreement_path():

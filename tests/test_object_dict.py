@@ -69,6 +69,19 @@ def test_interior_index_feature_is_not_indexed():
     assert d.lookup_by_lemma("a") == []
 
 
+def test_entries_lacking_the_concat_feature_are_listed():
+    d = ObjectDictionary.build(
+        [
+            entry("a", "concat = vm"),
+            entry("b", "stt = 1"),
+            entry("c", "concat sub = x"),
+            entry("d", "lex = d"),
+        ]
+    )
+    # an interior node at the feature is present, so 'c' is not listed
+    assert [e.surface for e in d.lacking_concat()] == ["b", "d"]
+
+
 def test_duplicates_collapse_to_the_first_with_warnings(monkeypatch):
     rendered = []
     canonical_form = FeatureTree.canonical_form
@@ -360,6 +373,38 @@ def test_load_refuses_a_leaf_above_or_below_given_features(first, second, messag
         load(io.StringIO(text))
     assert exc.value.line == 4
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a quoted value used to escape as a bare ValueError from Atom
+        ('LEXIFORGE-OBJDICT 1\nx\n  a = "p\rq"\n\n', 3),
+        # an unquoted one used to load as the two values p and q
+        ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  b = p\rq\n\n", 4),
+        # a surface line used to load as the surface "x\r"
+        ("LEXIFORGE-OBJDICT 1\ny\n  a = 1\n\nx\r\n  a = 1\n\n", 5),
+    ],
+)
+def test_load_refuses_carriage_returns_at_their_line(text, line):
+    with pytest.raises(FormatError) as exc:
+        load(io.StringIO(text))
+    assert exc.value.line == line
+    assert "carriage return" in str(exc.value)
+
+
+def test_a_file_with_crlf_line_ends_is_refused_like_a_stream(tmp_path):
+    out = io.StringIO()
+    save(ObjectDictionary.build(SAMPLE), out)
+    text = out.getvalue().replace("\n", "\r\n")
+    path = tmp_path / "crlf.dic"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(FormatError) as from_file:
+        load(str(path))
+    with pytest.raises(FormatError) as from_stream:
+        load(io.StringIO(text))
+    assert from_file.value.line == from_stream.value.line == 1
+    assert str(from_file.value) == str(from_stream.value)
 
 
 def test_load_rejects_placeholder_values():
