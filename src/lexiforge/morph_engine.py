@@ -7,10 +7,15 @@ unifies two constituent subtrees (copying when one side is absent,
 since these trees cannot share nodes), and `Ci path = v1 v2 ...`
 unifies a constituent subtree with a literal value set.
 
-Analysis tries, for every rule, every split of the surface into as
-many non-empty parts as the rule has constituents, looks each part up
-in the object dictionary, and runs the equations over each combination
-of entries; a combination survives when every equation unifies.
+Analysis splits the surface, for every rule, into as many non-empty
+parts as the rule has constituents, each part stored in the object
+dictionary, and runs the equations over each combination of entries;
+a combination survives when every equation unifies.  Splits are
+walked left to right: for a surface of length L and a rule of n
+constituents, the first part is looked up at each of the L-n+1 first
+cuts that leave room for the rest, only a stored first part of length
+c opens its at most C(L-c-1, n-2) tails, and each tail's parts are
+looked up left to right until the first miss.
 Generation runs the same engine over candidate entries drawn from the
 lemma and concatenation-category indexes and keeps the candidates
 whose result tree unifies with the caller's constraints.  Before any
@@ -253,10 +258,31 @@ def _lemma_of(tree: FeatureTree, lex_feature: str) -> str | None:
 
 # -- analysis ----------------------------------------------------------------
 
-def _splits(surface: str, n: int):
-    for cuts in combinations(range(1, len(surface)), n - 1):
-        bounds = (0,) + cuts + (len(surface),)
-        yield tuple(surface[bounds[i] : bounds[i + 1]] for i in range(n))
+def _stored_splits(surface: str, n: int, dictionary: ObjectDictionary):
+    """Each split of the surface into n non-empty stored parts, as
+    (parts, entry lists) in ascending order of cut positions; only a
+    stored first part opens its tails, and a tail stops at its first
+    missing part."""
+    lookup = dictionary.lookup
+    end = len(surface)
+    for first_cut in range(1, end - n + 2):
+        first = lookup(surface[:first_cut])
+        if not first:
+            continue
+        for cuts in combinations(range(first_cut + 1, end), n - 2):
+            parts = [surface[:first_cut]]
+            entry_lists = [first]
+            start = first_cut
+            for cut in cuts + (end,):
+                part = surface[start:cut]
+                entries = lookup(part)
+                if not entries:
+                    break
+                parts.append(part)
+                entry_lists.append(entries)
+                start = cut
+            else:
+                yield parts, entry_lists
 
 
 def analyze(
@@ -267,17 +293,17 @@ def analyze(
     """Every reading of the surface as a rule-governed concatenation.
 
     Exact string match only: each part must be a dictionary surface as
-    written.  Results are deduplicated by category and canonical form,
-    ordered by rule, then split position, then entry order.
+    written.  Per rule of n constituents and a surface of length L it
+    makes at most L-n+1 first-part lookups; a stored first part of
+    length c adds at most C(L-c-1, n-2) tails, each looked up left to
+    right until its first missing part.  Results are deduplicated by
+    category and canonical form, ordered by rule, then cut positions,
+    then the entry order of each part's lookup.
     """
     out: list[Analysis] = []
     seen: set[tuple[str, str]] = set()
     for rule in rules:
-        n = len(rule.rhs)
-        for parts in _splits(surface, n):
-            candidate_lists = [dictionary.lookup(p) for p in parts]
-            if not all(candidate_lists):
-                continue
+        for parts, candidate_lists in _stored_splits(surface, len(rule.rhs), dictionary):
             for combo in product(*candidate_lists):
                 trees = {label: entry.tree for label, entry in zip(rule.rhs, combo)}
                 trees[rule.lhs] = EMPTY_TREE

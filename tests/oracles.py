@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import re
-from itertools import product
+from itertools import accumulate, product
 
 from lexiforge.feature_tree import Atom, FeatureTree
 from lexiforge.source import AloRule, Entry, Equation
@@ -293,6 +293,42 @@ def all_pairs_analyses(surface, dictionary, rules):
         )
         for _, tree in _derivations(rule, spelled):
             found.add((rule.lhs, _canonical(tree)))
+    return found
+
+
+def ordered_analyses(surface, dictionary, rules):
+    """The analyses of a surface in the order the analyzer documents,
+    found by sorting rather than by walking splits in order.
+
+    Every derivation `all_pairs_analyses` would find is keyed by (rule
+    index, cut positions, each entry's position among the dictionary's
+    entries of its surface), the keys are sorted, and the first of each
+    (rule lhs, canonical form) is kept.  Returns (lhs, canonical form,
+    entry tuple) triples."""
+    entries = list(dictionary.entries)
+    rank = {}
+    per_surface: dict[str, int] = {}
+    for entry in entries:
+        rank[id(entry)] = per_surface.get(entry.surface, 0)
+        per_surface[entry.surface] = rank[id(entry)] + 1
+    keyed = []
+    for index, rule in enumerate(rules):
+        spelled = (
+            combo
+            for combo in product(entries, repeat=len(rule.rhs))
+            if "".join(e.surface for e in combo) == surface
+        )
+        for combo, tree in _derivations(rule, spelled):
+            cuts = tuple(accumulate(len(e.surface) for e in combo[:-1]))
+            key = (index, cuts, tuple(rank[id(e)] for e in combo))
+            keyed.append((key, rule.lhs, _canonical(tree), combo))
+    keyed.sort(key=lambda item: item[0])
+    found = []
+    seen = set()
+    for _, lhs, canonical, combo in keyed:
+        if (lhs, canonical) not in seen:
+            seen.add((lhs, canonical))
+            found.append((lhs, canonical, combo))
     return found
 
 

@@ -17,7 +17,7 @@ from lexiforge.morph_engine import (
 from lexiforge.object_dict import ObjectDictionary, ObjectEntry
 from lexiforge.source import SourceSyntaxError, parse_tree
 
-from oracles import all_pairs_generation
+from oracles import all_pairs_analyses, all_pairs_generation, ordered_analyses
 
 
 RULES = """\
@@ -463,3 +463,159 @@ def test_generation_equals_the_oracle_for_drawn_constraints(
     assert generate(lemma, constraints, spanish_dict, wf_rules) == spanish_oracle(
         lemma, constraints
     )
+
+
+# -- splitting -----------------------------------------------------------------
+#
+# A two-letter alphabet with many homographs and surfaces that are
+# prefixes of one another, under a three-constituent rule with a
+# cross-constituent equation next to a two-constituent rule.
+
+SPLIT_ENTRIES = [
+    ("a", "lex = a\ncat = s m\nagr = 1"),
+    ("a", "lex = a2\ncat = s\nagr = 2"),
+    ("a", "cat = e\nagr = 1"),
+    ("ab", "lex = ab\ncat = s\nagr = 1 2"),
+    ("ab", "cat = m e\nagr = 2"),
+    ("aba", "lex = aba\ncat = s\nagr = 2"),
+    ("b", "cat = m e\nagr = 1"),
+    ("b", "cat = e\nagr = 2"),
+    ("ba", "cat = m"),
+    ("bb", "cat = e\nagr = 1"),
+    ("abb", "lex = abb\ncat = s"),
+]
+
+SPLIT_RULES = """\
+#WF-RULES
+
+W -> A B C
+  A cat = s
+  B cat = m
+  C cat = e
+  A agr = C agr
+  W lex = A lex
+  W agr = C agr
+
+V -> S E
+  S cat = s
+  E cat = e
+  S agr = E agr
+  V lex = S lex
+"""
+
+
+def _corruptions(word):
+    for pos in range(len(word) + 1):
+        for letter in "ab":
+            yield word[:pos] + letter + word[pos:]
+            if pos < len(word):
+                yield word[:pos] + letter + word[pos + 1 :]
+        if pos < len(word):
+            yield word[:pos] + word[pos + 1 :]
+
+
+def test_three_constituent_analysis_equals_the_oracle():
+    dictionary = small_dictionary(SPLIT_ENTRIES)
+    rules = parse_wf_rules(SPLIT_RULES)
+    surfaces = sorted(dictionary.surface_index)
+    words = set()
+    for count in (1, 2, 3):
+        for parts in product(surfaces, repeat=count):
+            words.add("".join(parts))
+    words |= {bad for word in list(words) for bad in _corruptions(word)}
+    readings = {"W": 0, "V": 0}
+    for word in sorted(words):
+        got = analyze(word, dictionary, rules)
+        assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
+            word, dictionary, rules
+        ), word
+        for a in got:
+            assert "".join(part for part, _ in a.segmentation) == word
+            assert all(
+                any(entry is stored for stored in dictionary.lookup(part))
+                for part, entry in a.segmentation
+            )
+            readings[a.category] += 1
+    assert readings["W"] >= 50 and readings["V"] >= 10, readings
+
+
+_TREE_TEXTS = [
+    "\n".join(lines)
+    for lines in product(
+        ["", "lex = x", "lex = y"],
+        ["", "cat = s", "cat = m", "cat = e", "cat = s m", "cat = m e", "cat = s m e"],
+        ["", "agr = 1", "agr = 2", "agr = 1 2"],
+        ["", "id = 1", "id = 2", "id = 3"],
+    )
+]
+
+# Results copy the parts' ids, so most splits read differently; two
+# rules share a result category, so deduplication also runs across rules.
+_DRAWN_RULES = [
+    "W -> A B C\n  A cat = s\n  A agr = C agr\n  W lex = A lex\n  W mid = B id\n"
+    "  W end = C id\n",
+    "W -> S E\n  S cat = s\n  E cat = e\n  W lex = S lex\n  W end = E id\n",
+    "V -> S E\n  S cat = s m\n  E cat = e\n  S agr = E agr\n  V agr = E agr\n",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_readings_come_in_the_documented_order(data):
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_TREE_TEXTS)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    # readings come by rule, then cut positions, then each part's entry
+    # order; the oracle finds them by sorting, not by walking splits
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules("#WF-RULES\n\n" + "\n".join(data.draw(st.permutations(_DRAWN_RULES))))
+    spelled = st.lists(st.sampled_from([s for s, _ in entries]), max_size=4).map("".join)
+    surface = data.draw(st.one_of(spelled, st.text("ab", max_size=6)))
+    got = [
+        (a.category, a.tree.canonical_form(), tuple(p for p, _ in a.segmentation),
+         tuple(id(e) for _, e in a.segmentation))
+        for a in analyze(surface, dictionary, rules)
+    ]
+    expected = [
+        (lhs, canonical, tuple(e.surface for e in combo), tuple(id(e) for e in combo))
+        for lhs, canonical, combo in ordered_analyses(surface, dictionary, rules)
+    ]
+    assert got == expected
+
+
+def _counting_lookups(monkeypatch):
+    calls = []
+    lookup = ObjectDictionary.lookup
+
+    def counted(self, surface):
+        calls.append(surface)
+        return lookup(self, surface)
+
+    monkeypatch.setattr(ObjectDictionary, "lookup", counted)
+    return calls
+
+
+@pytest.mark.parametrize("length", [2, 5, 12])
+def test_a_word_with_no_stored_prefix_costs_one_lookup_per_first_cut(monkeypatch, length):
+    dictionary = small_dictionary([STEM, ("a", "concat = vm"), ("ba", "concat = vm")])
+    rules = parse_wf_rules(STEM_ENDING)
+    calls = _counting_lookups(monkeypatch)
+    word = "x" * length
+    assert analyze(word, dictionary, rules) == []
+    assert calls == [word[:c] for c in range(1, length)]
+
+
+def test_words_shorter_than_the_rule_need_no_lookup(monkeypatch):
+    dictionary = small_dictionary([STEM, ("a", "concat = vm")])
+    rules = parse_wf_rules(STEM_ENDING + "\nW -> A B C\n  W lex = A lex\n")
+    calls = _counting_lookups(monkeypatch)
+    assert analyze("", dictionary, rules) == []
+    assert analyze("a", dictionary, rules) == []
+    assert calls == []
+    # two letters reach the two-constituent rule only
+    assert analyze("aa", dictionary, rules) == []
+    assert calls == ["a", "a"]
