@@ -87,6 +87,8 @@ def _parse_constraints(tokens) -> FeatureTree:
             raise CliError(
                 "bad constraint %r, expected path.to.feature=value[,value...]" % token
             )
+        if tree.get(path) is not None:
+            raise CliError("bad constraint %r: path given twice" % token)
         try:
             tree = tree.set(path, leaf(*values))
         except (ValueError, PathThroughLeaf) as err:

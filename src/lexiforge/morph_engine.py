@@ -3,29 +3,34 @@
 A rule file starts with `#WF-RULES` and holds blank-line separated
 rules: a header `LHS -> C1 C2 ...` naming the result category and at
 least two constituents, then indented equations.  `Ci path = Cj path`
-unifies two constituent subtrees (copying when one side is absent,
-since these trees cannot share nodes), and `Ci path = v1 v2 ...`
-unifies a constituent subtree with a literal value set.
+equates two constituent nodes and `Ci path = v1 v2 ...` equates a
+constituent node with a literal value set.
+
+Every equation is one meet step, `_meet`, over the nodes at its two
+sides: an absent side takes the other side's node (these trees cannot
+share nodes, so it is copied), two leaves intersect, two subtrees
+unify, and a path through a leaf, a leaf meeting a subtree or an empty
+result fails the candidate.  The outcome replaces both sides.
 
 Analysis splits the surface, for every rule, into as many non-empty
 parts as the rule has constituents, each part stored in the object
 dictionary, and runs the equations over each combination of entries;
-a combination survives when every equation unifies.  Splits are
-walked left to right: for a surface of length L and a rule of n
-constituents, the first part is looked up at each of the L-n+1 first
-cuts that leave room for the rest, only a stored first part of length
-c opens its at most C(L-c-1, n-2) tails, and each tail's parts are
-looked up left to right until the first miss.
+a combination survives when no meet fails.  Splits are walked left to
+right: for a surface of length L and a rule of n constituents, the
+first part is looked up at each of the L-n+1 first cuts that leave
+room for the rest, only a stored first part of length c opens its at
+most C(L-c-1, n-2) tails, and each tail's parts are looked up left to
+right until the first miss.
 Generation runs the same engine over candidate entries drawn from the
 lemma and concatenation-category indexes and keeps the candidates
 whose result tree unifies with the caller's constraints.  Before any
-equation runs it drops candidates that must fail: an entry whose node
-clashes with the constraints' node through an equation `LHS p = Ci q`,
-and a pair of entries whose nodes clash at the two paths of an
-equation `Ci p = Cj q`.  Running the equations only narrows a node
+equation runs it drops candidates that must fail, by testing the meet
+on the entries' original nodes: an entry against the constraints'
+node through an equation `LHS p = Ci q`, and a pair of entries at the
+two paths of an equation `Ci p = Cj q`.  A meet only narrows a node
 that is present (a leaf stays a leaf, a subtree a subtree, a path
-below a leaf stays blocked), so a clash seen on the entries' original
-nodes would fail the same candidate later; pruning never changes an
+below a leaf stays blocked), so a meet that fails on the original
+nodes fails the same candidate later; pruning never changes an
 answer.  Analysis does no such pruning: its candidates are exact
 surface matches and mostly succeed.
 """
@@ -179,47 +184,50 @@ def _peek(tree: FeatureTree, path: tuple[str, ...]):
     return node
 
 
+def _meet(a, b):
+    """What equating two `_peek` results leaves at both places.
+
+    An absent side gives the other side (None when both are absent),
+    two leaves intersect and two subtrees unify.  A path through a
+    leaf, a leaf meeting a subtree or an empty result gives _BLOCKED.
+    An operand left unchanged is returned itself.
+    """
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if isinstance(a, ValueSet) and isinstance(b, ValueSet):
+        merged = a.intersect(b)
+    elif isinstance(a, FeatureTree) and isinstance(b, FeatureTree):
+        merged = unify(a, b)
+    else:
+        return _BLOCKED
+    return _BLOCKED if merged is None else merged
+
+
 def _execute(rule: WFRule, trees: dict[str, FeatureTree]) -> dict[str, FeatureTree] | None:
     """Run the equations; None when the candidate fails.
 
-    Equation order never changes success or failure, only which
-    intermediate trees exist along the way.  A node that unification
-    leaves unchanged is not written back.
+    Each equation is one `_meet` of the nodes at its sides, a value
+    equation's right side being its value set; the outcome is written
+    back only where it differs from the node already there.  Nodes are
+    copied, not shared: a later equation that fills or narrows one side
+    does not reach the other, so where an equation meets an absent
+    node, equation order can change the result and whether it fails.
     """
     for eq in rule.equations:
         if isinstance(eq, ValueEquation):
-            tree = trees[eq.root]
-            node = _peek(tree, eq.path)
-            if node is _BLOCKED or isinstance(node, FeatureTree):
-                return None
-            if node is None:
-                trees[eq.root] = tree.set(eq.path, eq.values)
-                continue
-            merged = node.intersect(eq.values)
-            if merged is None:
+            node = _peek(trees[eq.root], eq.path)
+            merged = _meet(node, eq.values)
+            if merged is _BLOCKED:
                 return None
             if merged is not node:
-                trees[eq.root] = tree.set(eq.path, merged)
+                trees[eq.root] = trees[eq.root].set(eq.path, merged)
             continue
         left = _peek(trees[eq.left_root], eq.left_path)
         right = _peek(trees[eq.right_root], eq.right_path)
-        if left is _BLOCKED or right is _BLOCKED:
-            return None
-        if left is None and right is None:
-            continue
-        if left is None:
-            trees[eq.left_root] = trees[eq.left_root].set(eq.left_path, right)
-            continue
-        if right is None:
-            trees[eq.right_root] = trees[eq.right_root].set(eq.right_path, left)
-            continue
-        if isinstance(left, FeatureTree) != isinstance(right, FeatureTree):
-            return None
-        if isinstance(left, FeatureTree):
-            merged = unify(left, right)
-        else:
-            merged = left.intersect(right)
-        if merged is None:
+        merged = _meet(left, right)
+        if merged is _BLOCKED:
             return None
         if merged is not left:
             trees[eq.left_root] = trees[eq.left_root].set(eq.left_path, merged)
@@ -229,31 +237,12 @@ def _execute(rule: WFRule, trees: dict[str, FeatureTree]) -> dict[str, FeatureTr
 
 
 def _clash(a, b) -> bool:
-    """True when two `_peek` results can never be equated.
-
-    That is when either path runs through a leaf, a leaf meets a
-    subtree, two leaves share no value or two subtrees do not unify;
-    an absent side never clashes.  `_execute` only narrows a node that
-    is present (a leaf stays a leaf, a subtree a subtree, a blocked
-    path blocked), so a clash between two entries' original nodes is
-    still there when the equation linking them runs.
-    """
+    """True when two `_peek` results can never be equated, that is when
+    their meet is _BLOCKED.  Two leaves are tested without building
+    their intersection."""
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
         return a.texts().isdisjoint(b.texts())
-    if a is _BLOCKED or b is _BLOCKED:
-        return True
-    if a is None or b is None:
-        return False
-    if isinstance(a, FeatureTree) and isinstance(b, FeatureTree):
-        return unify(a, b) is None
-    return True  # a leaf meets a subtree
-
-
-def _lemma_of(tree: FeatureTree, lex_feature: str) -> str | None:
-    node = tree.get((lex_feature,))
-    if isinstance(node, ValueSet) and len(node) == 1:
-        return node.values[0].text
-    return None
+    return _meet(a, b) is _BLOCKED
 
 
 # -- analysis ----------------------------------------------------------------
@@ -315,86 +304,13 @@ def analyze(
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(
-                    Analysis(
-                        surface,
-                        _lemma_of(tree, dictionary.lex_feature),
-                        rule.lhs,
-                        tree,
-                        tuple(zip(parts, combo)),
-                    )
-                )
+                lex = tree.get((dictionary.lex_feature,))
+                lemma = lex.values[0].text if isinstance(lex, ValueSet) and len(lex) == 1 else None
+                out.append(Analysis(surface, lemma, rule.lhs, tree, tuple(zip(parts, combo))))
     return out
 
 
 # -- generation ---------------------------------------------------------------
-
-def _lemma_linked(rule: WFRule, lex_feature: str) -> set[str]:
-    """Constituents the rule equates with the result's lemma feature."""
-    linked: set[str] = set()
-    for eq in rule.equations:
-        if not isinstance(eq, PathEquation):
-            continue
-        if eq.left_root == rule.lhs and eq.left_path == (lex_feature,):
-            if eq.right_root != rule.lhs:
-                linked.add(eq.right_root)
-        elif eq.right_root == rule.lhs and eq.right_path == (lex_feature,):
-            if eq.left_root != rule.lhs:
-                linked.add(eq.left_root)
-    return linked
-
-
-def _concat_category(rule: WFRule, label: str, concat_feature: str) -> str | None:
-    for eq in rule.equations:
-        if (
-            isinstance(eq, ValueEquation)
-            and eq.root == label
-            and eq.path == (concat_feature,)
-            and len(eq.values) == 1
-        ):
-            return eq.values.values[0].text
-    return None
-
-
-def _constraint_filters(
-    rule: WFRule, constraints: FeatureTree
-) -> dict[str, list[tuple[tuple[str, ...], object]]]:
-    """For each constituent, the (path, constraint node) pairs its
-    candidates must not clash with.
-
-    An equation `LHS p = C q` (either way round) puts C's node at q
-    into the result at p, only ever narrowed, so when that node clashes
-    with the constraints' node at p the result cannot unify with the
-    constraints.  Nothing is pruned when the constraints have no node
-    at p, or a leaf above it: there a candidate lacking q still yields
-    a result the constraints accept.
-    """
-    filters: dict[str, list] = {}
-    for eq in rule.equations:
-        if not isinstance(eq, PathEquation):
-            continue
-        for root, path, label, label_path in (
-            (eq.left_root, eq.left_path, eq.right_root, eq.right_path),
-            (eq.right_root, eq.right_path, eq.left_root, eq.left_path),
-        ):
-            if root != rule.lhs or label == rule.lhs:
-                continue
-            node = _peek(constraints, path)
-            if node is not None and node is not _BLOCKED:
-                filters.setdefault(label, []).append((label_path, node))
-    return filters
-
-
-def _pair_checks(rule: WFRule) -> list[tuple[int, tuple[str, ...], int, tuple[str, ...]]]:
-    """Equations `Ci p = Cj q` linking two right-hand constituents, as
-    (i, p, j, q) with constituent positions."""
-    rhs = rule.rhs
-    return [
-        (rhs.index(eq.left_root), eq.left_path, rhs.index(eq.right_root), eq.right_path)
-        for eq in rule.equations
-        if isinstance(eq, PathEquation) and eq.left_root in rhs and eq.right_root in rhs
-    ]
-
 
 def generate(
     lemma: str,
@@ -405,32 +321,63 @@ def generate(
     """Surfaces derivable for the lemma whose result tree unifies with
     the constraints, deduplicated and sorted.
 
-    Candidates that must fail are dropped before their equations run:
-    those clashing with the constraints through an equation with the
-    result (`_constraint_filters`), and pairs clashing at the paths an
-    equation links (`_pair_checks`).  Both tests look at the entries'
-    original nodes, which the equations only narrow, so they never
-    drop a candidate that would have succeeded.
+    One pass over a rule's equations finds each constituent's
+    candidates: the lemma index for a constituent equated with the
+    result's lemma feature, else the concatenation-category index
+    (plus the entries lacking that feature) for its first `C concat =
+    v` equation, else every dictionary entry.  Each constituent of the
+    last kind multiplies the work by |D|, the dictionary size.
+
+    Candidates that must fail are dropped before their equations run,
+    by `_clash` on the entries' original nodes, which the equations
+    only narrow.  An equation `LHS p = C q` (either way round) puts C's
+    node at q into the result at p, so a C whose node clashes with the
+    constraints' node at p is dropped; nothing is dropped when the
+    constraints have no node at p, or a leaf above it, since there a
+    candidate lacking q still yields a result the constraints accept.
+    A combination is dropped when two of its entries clash at the paths
+    of an equation `Ci p = Cj q`.
     """
+    lex_path = (dictionary.lex_feature,)
+    concat_path = (dictionary.concat_feature,)
     surfaces: set[str] = set()
     for rule in rules:
-        linked = _lemma_linked(rule, dictionary.lex_feature)
-        filters = _constraint_filters(rule, constraints)
-        checks = _pair_checks(rule)
+        rhs = rule.rhs
+        linked: set[str] = set()
+        categories: dict[str, str] = {}
+        filters: dict[str, list] = {label: [] for label in rhs}
+        checks = []  # (i, p, j, q) for `Ci p = Cj q`, by constituent position
+        for eq in rule.equations:
+            if isinstance(eq, ValueEquation):
+                if eq.path == concat_path and len(eq.values) == 1:
+                    categories.setdefault(eq.root, eq.values.values[0].text)
+            elif eq.left_root in rhs and eq.right_root in rhs:
+                i, j = rhs.index(eq.left_root), rhs.index(eq.right_root)
+                checks.append((i, eq.left_path, j, eq.right_path))
+            else:
+                for root, path, label, label_path in (
+                    (eq.left_root, eq.left_path, eq.right_root, eq.right_path),
+                    (eq.right_root, eq.right_path, eq.left_root, eq.left_path),
+                ):
+                    if root != rule.lhs or label == rule.lhs:
+                        continue
+                    if path == lex_path:
+                        linked.add(label)
+                    node = _peek(constraints, path)
+                    if node is not None and node is not _BLOCKED:
+                        filters[label].append((label_path, node))
         candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
-        for k, label in enumerate(rule.rhs):
+        for k, label in enumerate(rhs):
             if label in linked:
                 candidates = dictionary.lookup_by_lemma(lemma)
+            elif label in categories:
+                # an entry lacking the feature gets it from the equation
+                candidates = (
+                    dictionary.lookup_by_concat(categories[label]) + dictionary.lacking_concat()
+                )
             else:
-                category = _concat_category(rule, label, dictionary.concat_feature)
-                if category is not None:
-                    # an entry lacking the feature gets it from the equation
-                    candidates = (
-                        dictionary.lookup_by_concat(category) + dictionary.lacking_concat()
-                    )
-                else:
-                    candidates = list(dictionary.entries)
-            wanted = filters.get(label, ())
+                candidates = dictionary.entries
+            wanted = filters[label]
             # each candidate with its own nodes at the paths the pair checks read
             paths = [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
             candidate_lists.append(
@@ -445,16 +392,14 @@ def generate(
         for combo in product(*candidate_lists):
             if any(_clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in checks):
                 continue
-            trees = {label: entry.tree for label, (entry, _) in zip(rule.rhs, combo)}
+            trees = {label: entry.tree for label, (entry, _) in zip(rhs, combo)}
             trees[rule.lhs] = EMPTY_TREE
             result = _execute(rule, trees)
             if result is None:
                 continue
             tree = result[rule.lhs]
-            lex = tree.get((dictionary.lex_feature,))
-            if not isinstance(lex, ValueSet) or lemma not in {
-                a.text for a in lex.values
-            }:
+            lex = tree.get(lex_path)
+            if not isinstance(lex, ValueSet) or lemma not in lex.texts():
                 continue
             if unify(tree, constraints) is None:
                 continue

@@ -210,7 +210,10 @@ def test_generate_no_answer(dic_path, rules_path, capsys):
 
 @pytest.mark.parametrize(
     "constraint",
-    ["vinfo.tense", "=impf", "vinfo.tense=", "lex=a lex.sub=b", "vinfo.$x=impf"],
+    [
+        "vinfo.tense", "=impf", "vinfo.tense=", "lex=a lex.sub=b", "vinfo.$x=impf",
+        "vinfo.tense=impf vinfo.tense=pres", "agr.pers=1 agr.num=plu agr=x",
+    ],
 )
 def test_generate_rejects_bad_constraints(dic_path, rules_path, capsys, constraint):
     code = main(

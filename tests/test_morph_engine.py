@@ -587,6 +587,67 @@ def test_readings_come_in_the_documented_order(data):
     assert got == expected
 
 
+# Generation over drawn dictionaries: entries with and without a
+# concat leaf, under rules that between them link the lemma both ways
+# round, name a concatenation category, leave a constituent with
+# neither (it takes every entry), give a two-valued `concat` equation
+# (no category) and equate positions 0 and 2 of a three-constituent rule.
+_GEN_TREE_TEXTS = [
+    "\n".join(lines)
+    for lines in product(
+        ["", "lex = x", "lex = y", "lex = x y"],
+        ["", "concat = s", "concat = e", "concat = s e"],
+        ["", "agr = 1", "agr = 2", "agr = 1 2", "agr pers = 1"],
+        ["", "id = 1", "id = 2"],
+    )
+]
+
+_GEN_RULES = [
+    "W -> A B C\n  W lex = A lex\n  A concat = s\n  C concat = e\n  A agr = C agr\n"
+    "  W agr = C agr\n  W mid = B id\n",
+    "W -> S E\n  S concat = s\n  E concat = e\n  W lex = S lex\n  S agr = E agr\n"
+    "  W end = E id\n",
+    "V -> P Q\n  P concat = s e\n  Q lex = V lex\n  V agr pers = P agr pers\n  Q id = 1\n",
+]
+
+_GEN_CONSTRAINTS = {
+    ("lex",): ["x", "y"],
+    ("agr",): ["1", "2"],
+    ("agr", "pers"): ["1", "2"],
+    ("mid",): ["1", "2"],
+    ("end",): ["1", "2"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generation_equals_the_oracle_for_drawn_dictionaries(data):
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_GEN_TREE_TEXTS)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(
+        "#WF-RULES\n\n"
+        + "\n".join(data.draw(st.lists(st.sampled_from(_GEN_RULES), min_size=1, unique=True)))
+    )
+    lemma = data.draw(st.sampled_from(["x", "y", "z"]))
+    constraints = EMPTY_TREE
+    for path in data.draw(st.lists(st.sampled_from(sorted(_GEN_CONSTRAINTS)), unique=True)):
+        texts = data.draw(
+            st.lists(st.sampled_from(_GEN_CONSTRAINTS[path]), min_size=1, unique=True)
+        )
+        try:
+            constraints = constraints.set(path, leaf(*texts))
+        except PathThroughLeaf:
+            pass  # a leaf drawn above this path already
+    expected = all_pairs_generation(dictionary, rules)(lemma, constraints)
+    assert generate(lemma, constraints, dictionary, rules) == expected
+
+
 def _counting_lookups(monkeypatch):
     calls = []
     lookup = ObjectDictionary.lookup

@@ -1,10 +1,13 @@
-"""Every name the benchmark's tracer hooks still exists in lexiforge.
+"""Every name the benchmark's tracer hooks still exists in lexiforge,
+and the engine's hooks are still called.
 
 `perfbench/tracer.py` wraps module and class attributes by name and
-stops a traced run with `MissingHook` when one is gone.  Checking the
-same names here makes a change that drops one fail the test suite
-instead of a later traced benchmark run.  The tracer is loaded from
-its file and only read.
+stops a traced run with `MissingHook` when one is gone; `run.py`
+fails a traced run when a layer reads 0 on a workload that runs it,
+or not 0 on one that does not.  Checking the same here makes a change
+that drops a name, or routes around it, fail the test suite instead
+of a later traced benchmark run.  The tracer is loaded from its file
+and only read.
 """
 
 import importlib
@@ -13,6 +16,9 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from lexiforge import morph_engine
+from lexiforge.feature_tree import EMPTY_TREE, leaf
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -47,3 +53,37 @@ def test_every_hooked_name_resolves(module, path):
     for part in parents:
         owner = inspect.getattr_static(owner, part)
     inspect.getattr_static(owner, attr)  # raises AttributeError when the name is gone
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Calls of each name the tracer hooks in morph_engine, counted."""
+    calls = {"unify": 0, "product": 0, "combinations": 0}
+    for name in calls:
+        original = getattr(morph_engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(morph_engine, name, counted)
+    return calls
+
+
+def test_analyze_calls_the_split_and_combination_hooks(spanish_dict, wf_rules, engine_calls):
+    for surface in ("pedíamos", "pido", "amaba", "pedo"):
+        morph_engine.analyze(surface, spanish_dict, wf_rules)
+    assert engine_calls["combinations"] > 0
+    assert engine_calls["product"] > 0
+    assert engine_calls["unify"] == 0
+
+
+def test_generate_calls_the_combination_and_unify_hooks(spanish_dict, wf_rules, engine_calls):
+    constraints = (
+        EMPTY_TREE.set(("vinfo", "tense"), leaf("impf"))
+        .set(("agr", "pers"), leaf("1"))
+        .set(("agr", "num"), leaf("plu"))
+    )
+    assert morph_engine.generate("pedir", constraints, spanish_dict, wf_rules) == ["pedíamos"]
+    assert engine_calls["product"] > 0
+    assert engine_calls["unify"] > 0
