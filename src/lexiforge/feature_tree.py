@@ -19,15 +19,18 @@ from typing import Iterable, Iterator, Mapping, Union
 # Characters that can never appear in a bare symbol or feature label.
 RESERVED_CHARS = frozenset('=$()#;"\\')
 
-# For str patterns `\s` matches exactly the characters for which
-# str.isspace() is true, so one search finds any character that is
-# whitespace or reserved.
-_NOT_SYMBOL = re.compile("[\\s%s]" % re.escape("".join(sorted(RESERVED_CHARS))))
+# The regular-expression class of symbol characters, the one place
+# that decides them; the source scanner builds its tokens from it.  For
+# str patterns `\s` matches exactly the characters for which
+# str.isspace() is true, so the class holds every character that is
+# neither whitespace nor reserved.
+SYMBOL_CHAR = "[^\\s%s]" % re.escape("".join(sorted(RESERVED_CHARS)))
+_SYMBOL = re.compile(SYMBOL_CHAR + "+")
 
 
 def is_symbol_text(text: str) -> bool:
     """True if text can stand as a bare (unquoted) symbol token."""
-    return bool(text) and _NOT_SYMBOL.search(text) is None
+    return _SYMBOL.fullmatch(text) is not None
 
 
 class PathThroughLeaf(Exception):

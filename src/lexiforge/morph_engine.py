@@ -322,10 +322,12 @@ def generate(
     the constraints, deduplicated and sorted.
 
     One pass over a rule's equations finds each constituent's
-    candidates: the lemma index for a constituent equated with the
-    result's lemma feature, else the concatenation-category index
-    (plus the entries lacking that feature) for its first `C concat =
-    v` equation, else every dictionary entry.  Each constituent of the
+    candidates: the lemma index for a constituent whose lemma path is
+    equated with the result's (`W lex = C lex`; a link from the
+    result's lemma to another path of C does not count), else the
+    concatenation-category index (plus the entries lacking that
+    feature) for its first `C concat = v` equation, else every
+    dictionary entry.  Each constituent of the
     last kind multiplies the work by |D|, the dictionary size.
 
     Candidates that must fail are dropped before their equations run,
@@ -361,7 +363,7 @@ def generate(
                 ):
                     if root != rule.lhs or label == rule.lhs:
                         continue
-                    if path == lex_path:
+                    if path == lex_path and label_path == lex_path:
                         linked.add(label)
                     node = _peek(constraints, path)
                     if node is not None and node is not _BLOCKED:

@@ -1,4 +1,4 @@
-"""The source lexical base: data types, parser and pretty printer.
+r"""The source lexical base: data types, parser and pretty printer.
 
 A source base is a sectioned text format.  `#MORPHEMES`, `#WORDS`,
 `#CLASSES` and `#LEXEMES` hold blank-line separated entries (a name
@@ -12,6 +12,14 @@ Section headers start at column 0.  `;` starts a comment (except inside
 quoted strings), a trailing backslash joins the next physical line
 before tokenizing, and blank lines separate entries and rules.
 
+One string pattern decides where a quoted string ends, for comments
+and for tokens alike: inside quotes `\"` and `\\` are escapes, any
+other backslash is literal, and `;` is text.  A line that ends inside
+an unterminated string is not joined to the next by a trailing
+backslash (tokenizing it then reports the unterminated string).  One
+symbol character class, `feature_tree.SYMBOL_CHAR`, decides what a bare
+symbol may hold, for the scanner and for `is_symbol_text` alike.
+
 Parses are total: any input produces a ParseResult whose diagnostics
 carry file and line positions.  The strict helpers (parse_equation,
 parse_alo_rule, parse_dict_rules, parse_tree) raise SourceSyntaxError
@@ -21,15 +29,16 @@ instead.
 from __future__ import annotations
 
 import posixpath
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .diagnostics import ERROR, Diagnostic, has_errors
 from .feature_tree import (
     EMPTY_TREE,
     Atom,
     FeatureTree,
-    RESERVED_CHARS,
+    SYMBOL_CHAR,
     ValueSet,
 )
 
@@ -212,44 +221,39 @@ class Token(NamedTuple):
     text: str
 
 
-def _strip_comment(text: str) -> tuple[str, bool]:
-    """Drop a ';' comment, honoring quoted strings; also report whether
-    the line ends inside an unterminated string."""
-    out = []
-    in_str = False
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if in_str:
-            if c == "\\" and i + 1 < len(text):
-                out.append(c)
-                out.append(text[i + 1])
-                i += 2
-                continue
-            if c == '"':
-                in_str = False
-            out.append(c)
-        else:
-            if c == ";":
-                break
-            if c == '"':
-                in_str = True
-            out.append(c)
-        i += 1
-    return "".join(out), in_str
+# A quoted string.  `\"` and `\\` are escapes; any other backslash is
+# literal, but it still takes the next character with it, so it can
+# never end the string.  Comments and tokens both find strings with
+# this one pattern, so they always agree on where a string ends.
+_STRING = r'"(?:[^"\\]|\\.)*"'
+
+# The code part of a physical line: it stops at a `;` comment, or at a
+# `"` that opens no closed string (the line then ends inside it).
+_CODE = re.compile(r'(?s)(?:[^";]+|%s)*' % _STRING)
+
+# One token, or a lone `$`, `#`, `;` or `\` that starts none.  A `"`
+# that opens no closed string takes the rest of the text, so that no
+# later `"` is tried again and the scan stays linear.
+_TOKEN = re.compile(r'(?s)%s|".*|[=()]|\$\$|\$%s*|%s+|\S' % (_STRING, SYMBOL_CHAR, SYMBOL_CHAR))
+_CLOSED = re.compile("(?s)" + _STRING)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _logical_lines(text: str) -> list[tuple[int, str]]:
     """Comment-stripped lines with backslash continuations joined.
 
-    Each result keeps the line number of its first physical line.
+    Each result keeps the line number of its first physical line.  A
+    line that ends inside an unterminated string is kept whole, and a
+    backslash at its end does not join the next line.
     """
     out: list[tuple[int, str]] = []
     pending: str | None = None
     pending_line = 0
     for i, raw in enumerate(text.split("\n"), start=1):
         raw = raw.rstrip("\r")
-        stripped, open_quote = _strip_comment(raw)
+        code = _CODE.match(raw).end()
+        open_quote = raw.startswith('"', code)
+        stripped = raw if open_quote else raw[:code]
         body = stripped.rstrip()
         if body.endswith("\\") and not open_quote:
             piece = body[:-1]
@@ -269,58 +273,26 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 
 def tokenize(text: str, file: str | None = None, line: int | None = None) -> list[Token]:
+    """Tokens of a logical line; the first character that starts no
+    token raises SourceSyntaxError at file:line."""
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
+    for tok in _TOKEN.findall(text):
+        c = tok[0]
         if c == '"':
-            j = i + 1
-            buf: list[str] = []
-            closed = False
-            while j < n:
-                ch = text[j]
-                if ch == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    buf.append(text[j + 1])
-                    j += 2
-                    continue
-                if ch == '"':
-                    closed = True
-                    break
-                buf.append(ch)
-                j += 1
-            if not closed:
+            if _CLOSED.fullmatch(tok) is None:
                 raise SourceSyntaxError("unterminated string", file, line)
-            tokens.append(Token("str", "".join(buf)))
-            i = j + 1
-            continue
-        if c in "=()":
+            body = tok[1:-1]
+            tokens.append(Token("str", _ESCAPE.sub(r"\1", body) if "\\" in body else body))
+        elif c in "=()":
             tokens.append(Token(c, c))
-            i += 1
-            continue
-        if c == "$":
-            if i + 1 < n and text[i + 1] == "$":
-                tokens.append(Token("self", "$$"))
-                i += 2
-                continue
-            j = i + 1
-            while j < n and not text[j].isspace() and text[j] not in RESERVED_CHARS:
-                j += 1
-            name = text[i + 1 : j]
-            if not name:
+        elif c == "$":
+            if len(tok) == 1:
                 raise SourceSyntaxError("expected a rule name after '$'", file, line)
-            tokens.append(Token("call", name))
-            i = j
-            continue
-        if c in "#;\\":
+            tokens.append(Token("self", tok) if tok == "$$" else Token("call", tok[1:]))
+        elif c in "#;\\":
             raise SourceSyntaxError("unexpected character %r" % c, file, line)
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in RESERVED_CHARS:
-            j += 1
-        tokens.append(Token("sym", text[i:j]))
-        i = j
+        else:
+            tokens.append(Token("sym", tok))
     return tokens
 
 
@@ -621,44 +593,14 @@ class _State:
     def syntax_error(self, exc: SourceSyntaxError):
         self.diagnostics.append(exc.to_diagnostic())
 
-    # -- registration ----------------------------------------------------
-
-    def add_entry(self, entry: Entry):
-        table = self.base.entries_in(entry.section)
-        old = table.get(entry.name)
-        if old is not None:
-            self.error(
-                "duplicate entry '%s' in #%s (first defined at %s:%s)"
-                % (entry.name, entry.section.upper(), old.file, old.line),
-                file=entry.file,
-                line=entry.line,
-            )
-            return
-        table[entry.name] = entry
-
-    def add_alo_rule(self, rule: AloRule):
-        old = self.base.alo_rules.get(rule.name)
-        if old is not None:
-            self.error(
-                "duplicate rule '%s' (first defined at %s:%s)"
-                % (rule.name, old.file, old.line),
-                file=rule.file,
-                line=rule.line,
-            )
-            return
-        self.base.alo_rules[rule.name] = rule
-
-    def add_decl(self, decl: TypeDecl):
-        old = self.base.data_dict.get(decl.label)
-        if old is not None:
-            self.error(
-                "feature '%s' redeclared (first declared at %s:%s)"
-                % (decl.label, old.file, old.line),
-                file=decl.file,
-                line=decl.line,
-            )
-            return
-        self.base.data_dict[decl.label] = decl
+    def register(self, table: dict, key: str, item, message: str, *more: str):
+        """Store item under key unless the key is taken.  A second
+        definition is dropped and reported at its own place: `message`
+        is formatted with the key, `more`, and the first definition's
+        file and line."""
+        old = table.setdefault(key, item)
+        if old is not item:
+            self.error(message % (key, *more, old.file, old.line), file=item.file, line=item.line)
 
     # -- file parsing ------------------------------------------------
 
@@ -753,13 +695,21 @@ class _State:
             self._entry_block(file, section, block)
         elif section == "alo-rules":
             try:
-                self.add_alo_rule(_parse_alo_block(block, file))
+                rule = _parse_alo_block(block, file)
+                self.register(
+                    self.base.alo_rules, rule.name, rule,
+                    "duplicate rule '%s' (first defined at %s:%s)",
+                )
             except SourceSyntaxError as exc:
                 self.syntax_error(exc)
         elif section == "data-dict":
             for line_no, text in block:
                 try:
-                    self.add_decl(_parse_decl(text, file, line_no))
+                    decl = _parse_decl(text, file, line_no)
+                    self.register(
+                        self.base.data_dict, decl.label, decl,
+                        "feature '%s' redeclared (first declared at %s:%s)",
+                    )
                 except SourceSyntaxError as exc:
                     self.syntax_error(exc)
         elif section == "dict-rules":
@@ -807,7 +757,11 @@ class _State:
                 equations.append(parse_equation(text, file, line_no))
             except SourceSyntaxError as exc:
                 self.syntax_error(exc)
-        self.add_entry(Entry(name, parents, tuple(equations), section, file, first_line))
+        self.register(
+            self.base.entries_in(section), name,
+            Entry(name, parents, tuple(equations), section, file, first_line),
+            "duplicate entry '%s' in #%s (first defined at %s:%s)", section.upper(),
+        )
 
     def result(self) -> ParseResult:
         self.base.dict_rules = DictRuleSet(

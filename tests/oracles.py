@@ -1,8 +1,9 @@
 """Independent reference implementations the tests compare against.
 
 Each oracle recomputes an expected result by a different method than
-the production code: string rewriting by explicit split enumeration,
-inheritance by a per-path nearest-definer scan, and word analysis and
+the production code: source text by a character-by-character scan,
+string rewriting by explicit split enumeration, inheritance by a
+per-path nearest-definer scan, and word analysis and
 generation by trying every entry combination without any index, with
 equation semantics of their own.  They are slow on purpose;
 correctness over speed.
@@ -16,6 +17,127 @@ from itertools import accumulate, product
 
 from lexiforge.feature_tree import Atom, FeatureTree
 from lexiforge.source import AloRule, Entry, Equation
+
+
+# -- source scanner -----------------------------------------------------------
+#
+# The character-by-character loops that `lexiforge.source` once used to
+# strip comments, join continuation lines and cut tokens, kept as the
+# reference for its compiled scanner.  The reserved characters are
+# spelled out here rather than imported.  Tokens are (kind, text)
+# pairs; errors are ValueErrors carrying the scanner's message.
+
+_RESERVED = frozenset('=$()#;"\\')
+
+
+def reference_strip_comment(text: str) -> tuple[str, bool]:
+    """Drop a ';' comment, honoring quoted strings; also report whether
+    the line ends inside an unterminated string."""
+    out = []
+    in_str = False
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if in_str:
+            if c == "\\" and i + 1 < len(text):
+                out.append(c)
+                out.append(text[i + 1])
+                i += 2
+                continue
+            if c == '"':
+                in_str = False
+            out.append(c)
+        else:
+            if c == ";":
+                break
+            if c == '"':
+                in_str = True
+            out.append(c)
+        i += 1
+    return "".join(out), in_str
+
+
+def reference_logical_lines(text: str) -> list[tuple[int, str]]:
+    """Comment-stripped lines with backslash continuations joined, each
+    with the line number of its first physical line."""
+    out: list[tuple[int, str]] = []
+    pending: str | None = None
+    pending_line = 0
+    for i, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.rstrip("\r")
+        stripped, open_quote = reference_strip_comment(raw)
+        body = stripped.rstrip()
+        if body.endswith("\\") and not open_quote:
+            piece = body[:-1]
+            if pending is None:
+                pending, pending_line = piece, i
+            else:
+                pending += piece
+            continue
+        if pending is not None:
+            out.append((pending_line, pending + stripped))
+            pending = None
+        else:
+            out.append((i, stripped))
+    if pending is not None:
+        out.append((pending_line, pending))
+    return out
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str]]:
+    tokens: list[tuple[str, str]] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == '"':
+            j = i + 1
+            buf: list[str] = []
+            closed = False
+            while j < n:
+                ch = text[j]
+                if ch == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
+                    buf.append(text[j + 1])
+                    j += 2
+                    continue
+                if ch == '"':
+                    closed = True
+                    break
+                buf.append(ch)
+                j += 1
+            if not closed:
+                raise ValueError("unterminated string")
+            tokens.append(("str", "".join(buf)))
+            i = j + 1
+            continue
+        if c in "=()":
+            tokens.append((c, c))
+            i += 1
+            continue
+        if c == "$":
+            if i + 1 < n and text[i + 1] == "$":
+                tokens.append(("self", "$$"))
+                i += 2
+                continue
+            j = i + 1
+            while j < n and not text[j].isspace() and text[j] not in _RESERVED:
+                j += 1
+            name = text[i + 1 : j]
+            if not name:
+                raise ValueError("expected a rule name after '$'")
+            tokens.append(("call", name))
+            i = j
+            continue
+        if c in "#;\\":
+            raise ValueError("unexpected character %r" % c)
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _RESERVED:
+            j += 1
+        tokens.append(("sym", text[i:j]))
+        i = j
+    return tokens
 
 
 # -- allomorphy ---------------------------------------------------------------

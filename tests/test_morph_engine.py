@@ -161,6 +161,26 @@ def test_equation_order_never_changes_the_outcome(spanish_dict, wf_rules):
             assert got == baseline[s], s
 
 
+def test_equation_order_can_change_a_reading_when_a_link_meets_an_absent_node():
+    # a link copies a node, it does not share it: `V lex = A lex` run
+    # while both sides are absent links nothing, so V can later take
+    # C's lemma; run after `A lex = B lex`, it copies x into V, which
+    # then clashes with C's y
+    dictionary = small_dictionary([("a", "cat = s"), ("b", "lex = x"), ("c", "lex = y")])
+    for equations, lemmas in (
+        (("V lex = A lex", "A lex = B lex", "V lex = C lex"), ["y"]),
+        (("A lex = B lex", "V lex = A lex", "V lex = C lex"), []),
+    ):
+        rules = parse_wf_rules(
+            "#WF-RULES\n\nV -> A B C\n" + "".join("  %s\n" % eq for eq in equations)
+        )
+        got = analyze("abc", dictionary, rules)
+        assert [a.lemma for a in got] == lemmas
+        assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
+            "abc", dictionary, rules
+        )
+
+
 def test_path_through_a_leaf_fails_the_candidate(spanish_dict):
     rules = parse_wf_rules(
         "#WF-RULES\n\nWord -> Stem Ending\n  Stem concat subpart = vl\n"
@@ -591,7 +611,8 @@ def test_readings_come_in_the_documented_order(data):
 # concat leaf, under rules that between them link the lemma both ways
 # round, name a concatenation category, leave a constituent with
 # neither (it takes every entry), give a two-valued `concat` equation
-# (no category) and equate positions 0 and 2 of a three-constituent rule.
+# (no category), equate positions 0 and 2 of a three-constituent rule,
+# and take the lemma from a constituent's `id` (lemma "1"), not its `lex`.
 _GEN_TREE_TEXTS = [
     "\n".join(lines)
     for lines in product(
@@ -608,6 +629,7 @@ _GEN_RULES = [
     "W -> S E\n  S concat = s\n  E concat = e\n  W lex = S lex\n  S agr = E agr\n"
     "  W end = E id\n",
     "V -> P Q\n  P concat = s e\n  Q lex = V lex\n  V agr pers = P agr pers\n  Q id = 1\n",
+    "U -> S E\n  S concat = s\n  E concat = e\n  U lex = S id\n  U end = E id\n",
 ]
 
 _GEN_CONSTRAINTS = {
@@ -634,7 +656,7 @@ def test_generation_equals_the_oracle_for_drawn_dictionaries(data):
         "#WF-RULES\n\n"
         + "\n".join(data.draw(st.lists(st.sampled_from(_GEN_RULES), min_size=1, unique=True)))
     )
-    lemma = data.draw(st.sampled_from(["x", "y", "z"]))
+    lemma = data.draw(st.sampled_from(["x", "y", "z", "1"]))
     constraints = EMPTY_TREE
     for path in data.draw(st.lists(st.sampled_from(sorted(_GEN_CONSTRAINTS)), unique=True)):
         texts = data.draw(

@@ -1,5 +1,5 @@
 """Every name the benchmark's tracer hooks still exists in lexiforge,
-and the engine's hooks are still called.
+and the engine's and the loader's hooks are still called.
 
 `perfbench/tracer.py` wraps module and class attributes by name and
 stops a traced run with `MissingHook` when one is gone; `run.py`
@@ -13,14 +13,16 @@ and only read.
 import importlib
 import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import pytest
 
-from lexiforge import morph_engine
+from lexiforge import morph_engine, object_dict
 from lexiforge.feature_tree import EMPTY_TREE, leaf
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "pedir_minimal.dic"
 
 
 def _load_tracer():
@@ -87,3 +89,18 @@ def test_generate_calls_the_combination_and_unify_hooks(spanish_dict, wf_rules, 
     assert morph_engine.generate("pedir", constraints, spanish_dict, wf_rules) == ["pedíamos"]
     assert engine_calls["product"] > 0
     assert engine_calls["unify"] > 0
+
+
+def test_load_calls_the_parse_equation_hook(monkeypatch):
+    calls = []
+    original = object_dict.parse_equation
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(object_dict, "parse_equation", counted)
+    text = GOLDEN.read_text(encoding="utf-8")
+    object_dict.load(io.StringIO(text))
+    distinct = {line for line in text.split("\n") if line.startswith("  ")}
+    assert 0 < len(calls) <= len(distinct)

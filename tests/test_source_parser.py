@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from lexiforge.feature_tree import Atom, ValueSet, leaf
 from lexiforge.source import (
+    _logical_lines,
     Entry,
     RuleCall,
     SelfRef,
@@ -17,6 +18,8 @@ from lexiforge.source import (
     term_node,
     tokenize,
 )
+
+from oracles import reference_logical_lines, reference_tokenize
 
 
 # -- tokens and equations ----------------------------------------------------
@@ -107,6 +110,47 @@ def test_continuation_reports_first_physical_line():
     result = parse_source_text("#MORPHEMES\n\nped\nstt 11 \\\n 12\n")
     assert not result.ok
     assert result.diagnostics[0].line == 4
+
+
+def test_backslash_in_quotes_escapes_only_a_quote_or_a_backslash():
+    (tok,) = tokenize(r'"a\x \" \\ \;"')
+    assert tok == ("str", 'a\\x " \\ \\;')
+
+
+def test_a_line_ending_inside_an_open_string_is_not_joined():
+    text = 'x = "a ; b \\\ny = 1 ; c\n'
+    assert _logical_lines(text) == [(1, 'x = "a ; b \\'), (2, "y = 1 "), (3, "")]
+
+
+# Pieces dense in what the scanner decides: quotes, escapes, comments,
+# rule calls, reserved characters, and whitespace that str.isspace()
+# accepts beyond ASCII (\x0b, \x85, no-break and ideographic spaces).
+_SCANNER_PIECES = (
+    list('"\\;$=()#@- \t\x0b\x85\xa0\u3000\r\nai')
+    + ["$$", '\\"', "\\\\", '"x"', "$ab", "\\\n"]
+)
+
+
+def _scanned(tokens, error, text):
+    """Tokens as (kind, text) pairs, or the message of the error raised."""
+    try:
+        return [tuple(t) for t in tokens(text)]
+    except error as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_SCANNER_PIECES), max_size=24).map("".join))
+def test_scanner_agrees_with_the_reference(text):
+    assert _scanned(tokenize, SourceSyntaxError, text) == _scanned(
+        reference_tokenize, ValueError, text
+    )
+    assert _logical_lines(text) == reference_logical_lines(text)
+    for line_no, line in _logical_lines(text):
+        try:
+            tokenize(line, "f.lex", line_no)
+        except SourceSyntaxError as exc:
+            assert (exc.file, exc.line) == ("f.lex", line_no)
 
 
 # -- sections and entries -----------------------------------------------------
@@ -214,6 +258,16 @@ def test_include_takes_one_quoted_path():
 
 
 # -- allomorphy rule blocks ------------------------------------------------------
+
+def test_duplicate_alo_rule_reports_first_site():
+    text = "#ALO-RULES\n\nrv0\n{X = .+}\n$Xar -> $X\n\nrv0\n{X = .+}\n$Xer -> $X\n"
+    result = parse_source_text(text, name="dup.lex")
+    assert [(d.message, d.file, d.line) for d in result.diagnostics] == [
+        ("duplicate rule 'rv0' (first defined at dup.lex:3)", "dup.lex", 7)
+    ]
+    # first definition survives
+    assert result.base.alo_rules["rv0"].productions[0].lhs == (("var", "X"), ("lit", "ar"))
+
 
 def test_parse_alo_rule_structure():
     rule = parse_alo_rule("rv0\n{X = .+}\n$Xar -> $X\n$Xer -> $X\n")
