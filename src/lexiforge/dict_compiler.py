@@ -33,7 +33,7 @@ from .feature_tree import (
     is_symbol_text,
 )
 from .inheritance import resolve_all
-from .object_dict import ObjectDictionary, ObjectEntry
+from .object_dict import ObjectDictionary, ObjectEntry, storable_surface
 from .source import DictEquation, DictRule, SourceBase
 from .type_checker import check_base
 
@@ -115,6 +115,8 @@ def apply_dict_rule(
     surface = name_node.values[0].text
     if not surface:
         raise DictRuleError("the entry name came out empty")
+    if not storable_surface(surface):
+        raise DictRuleError("the entry name %r cannot be stored" % surface)
     return ObjectEntry(surface, target, section, source_name, rule_index)
 
 

@@ -2,9 +2,13 @@
 
 This is the vocabulary every other module speaks: immutable trees whose
 interior nodes map labels to children and whose leaves hold non-empty
-sets of atomic values.  A leaf with several values is a disjunction;
-unifying two leaves intersects their value sets, and an empty
-intersection means the whole unification fails.
+sets of atomic values.  A leaf with several values is a disjunction.
+
+`meet` is the one place that decides what equating two nodes leaves:
+two leaves intersect their value sets, two trees meet label by label,
+and an empty intersection anywhere gives BLOCKED.  `unify` is `meet`
+on two trees with BLOCKED given as None; the word-formation engine
+calls `meet` on the nodes at an equation's two sides.
 
 All operations are functional: they return new trees and never mutate
 their operands, so trees can be shared freely across entries, indexes
@@ -333,39 +337,48 @@ _EMPTY = FeatureTree()
 EMPTY_TREE = _EMPTY
 
 
-def unify(a: FeatureTree, b: FeatureTree) -> FeatureTree | None:
-    """Most general tree compatible with both operands, or None.
+# What `meet` gives when two nodes cannot be equated.
+BLOCKED = object()
 
-    Labels present on one side only are copied; shared interior nodes
-    unify recursively; shared leaves intersect their value sets.  Any
-    empty intersection or leaf/interior clash fails the whole
-    unification.  Commutative up to canonical form, idempotent, and
-    the empty tree is its unit.  When one operand is empty the other is
-    returned as it is.
+
+def meet(a: "Node | None", b: "Node | None"):
+    """What equating two nodes leaves: the only node-level meet.
+
+    An absent side (None) gives the other side.  Two leaves intersect.
+    Two trees meet label by label over a copy of `a`'s children, so
+    `b`'s own labels follow `a`'s; an empty tree gives the other
+    operand itself, and two non-empty trees always give a new tree.
+    Anything else (a leaf against a tree, a placeholder, BLOCKED), or
+    an empty intersection anywhere below, gives BLOCKED.
     """
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if isinstance(a, ValueSet) and isinstance(b, ValueSet):
+        merged = a.intersect(b)
+        return BLOCKED if merged is None else merged
+    if not isinstance(a, FeatureTree) or not isinstance(b, FeatureTree):
+        return BLOCKED
     if not b.children:
         return a
     if not a.children:
         return b
-    children: dict[str, Node] = {}
-    for label, anode in a.children.items():
-        bnode = b.children.get(label)
-        if bnode is None:
-            children[label] = anode
-            continue
-        merged = _unify_nodes(anode, bnode)
-        if merged is None:
-            return None
-        children[label] = merged
+    children = dict(a.children)
     for label, bnode in b.children.items():
-        if label not in a.children:
-            children[label] = bnode
+        merged = meet(children.get(label), bnode)
+        if merged is BLOCKED:
+            return BLOCKED
+        children[label] = merged
     return FeatureTree(children)
 
 
-def _unify_nodes(x: Node, y: Node) -> Node | None:
-    if isinstance(x, FeatureTree) and isinstance(y, FeatureTree):
-        return unify(x, y)
-    if isinstance(x, ValueSet) and isinstance(y, ValueSet):
-        return x.intersect(y)
-    return None
+def unify(a: FeatureTree, b: FeatureTree) -> FeatureTree | None:
+    """Most general tree compatible with both operands, or None.
+
+    `meet` with BLOCKED given as None.  Commutative up to canonical
+    form, idempotent, and the empty tree is its unit: when one operand
+    is empty the other is returned as it is.
+    """
+    merged = meet(a, b)
+    return None if merged is BLOCKED else merged

@@ -6,11 +6,12 @@ least two constituents, then indented equations.  `Ci path = Cj path`
 equates two constituent nodes and `Ci path = v1 v2 ...` equates a
 constituent node with a literal value set.
 
-Every equation is one meet step, `_meet`, over the nodes at its two
+Every equation is one `feature_tree.meet` of the nodes at its two
 sides: an absent side takes the other side's node (these trees cannot
-share nodes, so it is copied), two leaves intersect, two subtrees
-unify, and a path through a leaf, a leaf meeting a subtree or an empty
-result fails the candidate.  The outcome replaces both sides.
+share nodes, so it is copied), two leaves intersect, two subtrees meet
+label by label, and a path through a leaf, a leaf meeting a subtree or
+an empty result is BLOCKED and fails the candidate.  The outcome
+replaces both sides.
 
 Analysis splits the surface, for every rule, into as many non-empty
 parts as the rule has constituents, each part stored in the object
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable
 
-from .feature_tree import EMPTY_TREE, FeatureTree, ValueSet, unify
+from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, ValueSet, meet, unify
 from .object_dict import ObjectDictionary, ObjectEntry
 from .source import (
     SourceSyntaxError,
@@ -168,15 +169,12 @@ def parse_wf_rules(text: str, file: str | None = None) -> list[WFRule]:
 
 # -- the equation engine ----------------------------------------------------
 
-_BLOCKED = object()
-
-
 def _peek(tree: FeatureTree, path: tuple[str, ...]):
-    """Node at path, None when absent, _BLOCKED when below a leaf."""
+    """Node at path, None when absent, BLOCKED when below a leaf."""
     node = tree
     for label in path:
         if not isinstance(node, FeatureTree):
-            return _BLOCKED
+            return BLOCKED
         nxt = node.children.get(label)
         if nxt is None:
             return None
@@ -184,65 +182,47 @@ def _peek(tree: FeatureTree, path: tuple[str, ...]):
     return node
 
 
-def _meet(a, b):
-    """What equating two `_peek` results leaves at both places.
+def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None:
+    """The rule's result tree over one entry per constituent, or None
+    when the candidate fails.
 
-    An absent side gives the other side (None when both are absent),
-    two leaves intersect and two subtrees unify.  A path through a
-    leaf, a leaf meeting a subtree or an empty result gives _BLOCKED.
-    An operand left unchanged is returned itself.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if isinstance(a, ValueSet) and isinstance(b, ValueSet):
-        merged = a.intersect(b)
-    elif isinstance(a, FeatureTree) and isinstance(b, FeatureTree):
-        merged = unify(a, b)
-    else:
-        return _BLOCKED
-    return _BLOCKED if merged is None else merged
-
-
-def _execute(rule: WFRule, trees: dict[str, FeatureTree]) -> dict[str, FeatureTree] | None:
-    """Run the equations; None when the candidate fails.
-
-    Each equation is one `_meet` of the nodes at its sides, a value
+    Each equation is one `meet` of the nodes at its sides, a value
     equation's right side being its value set; the outcome is written
     back only where it differs from the node already there.  Nodes are
     copied, not shared: a later equation that fills or narrows one side
     does not reach the other, so where an equation meets an absent
     node, equation order can change the result and whether it fails.
     """
+    trees = {label: entry.tree for label, entry in zip(rule.rhs, entries)}
+    trees[rule.lhs] = EMPTY_TREE
     for eq in rule.equations:
         if isinstance(eq, ValueEquation):
             node = _peek(trees[eq.root], eq.path)
-            merged = _meet(node, eq.values)
-            if merged is _BLOCKED:
+            merged = meet(node, eq.values)
+            if merged is BLOCKED:
                 return None
             if merged is not node:
                 trees[eq.root] = trees[eq.root].set(eq.path, merged)
             continue
         left = _peek(trees[eq.left_root], eq.left_path)
         right = _peek(trees[eq.right_root], eq.right_path)
-        merged = _meet(left, right)
-        if merged is _BLOCKED:
+        merged = meet(left, right)
+        if merged is BLOCKED:
             return None
         if merged is not left:
             trees[eq.left_root] = trees[eq.left_root].set(eq.left_path, merged)
         if merged is not right:
             trees[eq.right_root] = trees[eq.right_root].set(eq.right_path, merged)
-    return trees
+    return trees[rule.lhs]
 
 
 def _clash(a, b) -> bool:
     """True when two `_peek` results can never be equated, that is when
-    their meet is _BLOCKED.  Two leaves are tested without building
+    their meet is BLOCKED.  Two leaves are tested without building
     their intersection."""
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
         return a.texts().isdisjoint(b.texts())
-    return _meet(a, b) is _BLOCKED
+    return meet(a, b) is BLOCKED
 
 
 # -- analysis ----------------------------------------------------------------
@@ -294,12 +274,9 @@ def analyze(
     for rule in rules:
         for parts, candidate_lists in _stored_splits(surface, len(rule.rhs), dictionary):
             for combo in product(*candidate_lists):
-                trees = {label: entry.tree for label, entry in zip(rule.rhs, combo)}
-                trees[rule.lhs] = EMPTY_TREE
-                result = _execute(rule, trees)
-                if result is None:
+                tree = _execute(rule, combo)
+                if tree is None:
                     continue
-                tree = result[rule.lhs]
                 key = (rule.lhs, tree.canonical_form())
                 if key in seen:
                     continue
@@ -323,12 +300,14 @@ def generate(
 
     One pass over a rule's equations finds each constituent's
     candidates: the lemma index for a constituent whose lemma path is
-    equated with the result's (`W lex = C lex`; a link from the
-    result's lemma to another path of C does not count), else the
-    concatenation-category index (plus the entries lacking that
-    feature) for its first `C concat = v` equation, else every
-    dictionary entry.  Each constituent of the
-    last kind multiplies the work by |D|, the dictionary size.
+    equated with the result's (`W lex = C lex`) by the only equation
+    side at either path (a link from the result's lemma to another
+    path of C does not count, nor does one where another equation
+    could give W or C the lemma), else the concatenation-category
+    index (plus the entries lacking that feature) for its first
+    `C concat = v` equation, else every dictionary entry.  Each
+    constituent of the last kind multiplies the work by |D|, the
+    dictionary size.
 
     Candidates that must fail are dropped before their equations run,
     by `_clash` on the entries' original nodes, which the equations
@@ -349,11 +328,19 @@ def generate(
         categories: dict[str, str] = {}
         filters: dict[str, list] = {label: [] for label in rhs}
         checks = []  # (i, p, j, q) for `Ci p = Cj q`, by constituent position
+        lemma_sides = []  # the root of each equation side at the lemma path
         for eq in rule.equations:
             if isinstance(eq, ValueEquation):
+                if eq.path == lex_path:
+                    lemma_sides.append(eq.root)
                 if eq.path == concat_path and len(eq.values) == 1:
                     categories.setdefault(eq.root, eq.values.values[0].text)
-            elif eq.left_root in rhs and eq.right_root in rhs:
+                continue
+            if eq.left_path == lex_path:
+                lemma_sides.append(eq.left_root)
+            if eq.right_path == lex_path:
+                lemma_sides.append(eq.right_root)
+            if eq.left_root in rhs and eq.right_root in rhs:
                 i, j = rhs.index(eq.left_root), rhs.index(eq.right_root)
                 checks.append((i, eq.left_path, j, eq.right_path))
             else:
@@ -366,11 +353,12 @@ def generate(
                     if path == lex_path and label_path == lex_path:
                         linked.add(label)
                     node = _peek(constraints, path)
-                    if node is not None and node is not _BLOCKED:
+                    if node is not None and node is not BLOCKED:
                         filters[label].append((label_path, node))
         candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
         for k, label in enumerate(rhs):
-            if label in linked:
+            # only a link that alone names both lemma paths makes C hold the lemma
+            if label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1:
                 candidates = dictionary.lookup_by_lemma(lemma)
             elif label in categories:
                 # an entry lacking the feature gets it from the equation
@@ -394,12 +382,9 @@ def generate(
         for combo in product(*candidate_lists):
             if any(_clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in checks):
                 continue
-            trees = {label: entry.tree for label, (entry, _) in zip(rhs, combo)}
-            trees[rule.lhs] = EMPTY_TREE
-            result = _execute(rule, trees)
-            if result is None:
+            tree = _execute(rule, [entry for entry, _ in combo])
+            if tree is None:
                 continue
-            tree = result[rule.lhs]
             lex = tree.get(lex_path)
             if not isinstance(lex, ValueSet) or lemma not in lex.texts():
                 continue

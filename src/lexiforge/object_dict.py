@@ -143,6 +143,15 @@ class ObjectDictionary:
         return DictStats(len(self.entries), surfaces, len(self.lemma_index), homographs)
 
 
+def storable_surface(surface: str) -> bool:
+    """True when `save` can write the surface as an entry line that
+    `load` reads back: not empty, not starting with whitespace (an
+    indented line is a feature line), no line break."""
+    return bool(surface) and not surface[0].isspace() and not (
+        "\n" in surface or "\r" in surface
+    )
+
+
 def _check_quoting(entry: ObjectEntry) -> None:
     """Refuse a leaf whose values include one that must be written
     quoted among others: a quoted string must be the only value of its
@@ -164,7 +173,7 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     rows = []
     for entry in dictionary.entries:
         surface = entry.surface
-        if not surface or surface[0].isspace() or "\n" in surface or "\r" in surface:
+        if not storable_surface(surface):
             raise ValueError("surface %r is not serializable" % surface)
         canon = entry.tree.canonical_form()
         if '"' in canon:  # labels never hold '"'; only quoted values do

@@ -555,16 +555,21 @@ def _parse_dict_rule(block: list[tuple[int, str]], file: str | None) -> DictRule
 
 def parse_dict_rules(text: str, file: str | None = None) -> DictRuleSet:
     """The body of a `#DICT-RULES` section (strict: raises on errors)."""
-    result = parse_source_text("#DICT-RULES\n" + text, name=file or "<dict-rules>")
-    for d in result.diagnostics:
+    state = _State(_no_files)
+    state._parse_lines(file or "<dict-rules>", [(0, "#DICT-RULES")] + _logical_lines(text))
+    for d in state.diagnostics:
         if d.severity == ERROR:
             raise SourceSyntaxError(d.message, d.file, d.line)
-    return result.base.dict_rules
+    return state.result().base.dict_rules
 
 
 # -- the file-level parser -----------------------------------------------
 
 Loader = Callable[[str], str]
+
+
+def _no_files(path: str) -> str:
+    raise FileNotFoundError(path)
 
 
 def _fs_loader(path: str) -> str:

@@ -108,6 +108,34 @@ def test_check_prints_diagnostics_to_stdout(tmp_path, capsys):
     assert any("feature 'wild' is not declared" in line for line in lines)
 
 
+UNSTORABLE_NAME = (
+    '#DATA-DICT\n\nstem =\nlex =\n\n#LEXEMES\n\namar\nstem = " am"\n\n'
+    "#DICT-RULES\n\nLEXEMES\n\n$$ = @ stem\n@ lex = $$\n"
+)
+
+
+def test_compile_refuses_an_entry_name_the_dictionary_cannot_store(tmp_path, capsys):
+    src = tmp_path / "base.lex"
+    src.write_text(UNSTORABLE_NAME, encoding="utf-8")
+    code = main(["compile", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "%s:15: error amar: rule 1: the entry name ' am' cannot be stored" % src in captured.err
+    assert not (tmp_path / "base.dic").exists()
+
+
+def test_check_counts_an_entry_name_the_dictionary_cannot_store(tmp_path, capsys):
+    src = tmp_path / "base.lex"
+    src.write_text(UNSTORABLE_NAME, encoding="utf-8")
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert "%s:15: error amar: rule 1: the entry name ' am' cannot be stored" % src in lines
+    assert lines[-1] == "1 errors, 1 warnings"
+
+
 # -- lookup ---------------------------------------------------------------------
 
 def test_lookup_prints_indented_canonical_form(dic_path, capsys):

@@ -14,6 +14,7 @@ from lexiforge.feature_tree import (
     unify,
 )
 from lexiforge.source import parse_tree
+from oracles import _canonical, _meet, _plain
 
 
 # -- atoms and value sets ---------------------------------------------------
@@ -311,6 +312,18 @@ def test_empty_tree_is_a_unit(a):
     # trees are immutable, so the unchanged operand itself comes back
     assert a.merge(EMPTY_TREE) is a
     assert unify(a, EMPTY_TREE) is a
+
+
+@settings(max_examples=500)
+@given(trees, trees)
+def test_unify_agrees_with_the_reference_meet(a, b):
+    expected = _meet(_plain(a), _plain(b))
+    got = unify(a, b)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got.canonical_form() == _canonical(expected)
 
 
 @settings(max_examples=300)

@@ -612,7 +612,9 @@ def test_readings_come_in_the_documented_order(data):
 # round, name a concatenation category, leave a constituent with
 # neither (it takes every entry), give a two-valued `concat` equation
 # (no category), equate positions 0 and 2 of a three-constituent rule,
-# and take the lemma from a constituent's `id` (lemma "1"), not its `lex`.
+# take the lemma from a constituent's `id` (lemma "1"), not its `lex`,
+# and link the result's lemma to a constituent whose lemma can come
+# from another constituent (`T` links both, `R` chains them).
 _GEN_TREE_TEXTS = [
     "\n".join(lines)
     for lines in product(
@@ -630,6 +632,8 @@ _GEN_RULES = [
     "  W end = E id\n",
     "V -> P Q\n  P concat = s e\n  Q lex = V lex\n  V agr pers = P agr pers\n  Q id = 1\n",
     "U -> S E\n  S concat = s\n  E concat = e\n  U lex = S id\n  U end = E id\n",
+    "T -> S E\n  S concat = s\n  E concat = e\n  T lex = S lex\n  T lex = E lex\n",
+    "R -> S E\n  S concat = s\n  E concat = e\n  S lex = E lex\n  R lex = S lex\n",
 ]
 
 _GEN_CONSTRAINTS = {

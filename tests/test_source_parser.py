@@ -375,6 +375,15 @@ def test_dict_rule_must_assign_both_name_and_tree():
         parse_dict_rules("LEXEMES\n\n$$ = @ stem\n")
 
 
+def test_parse_dict_rules_reports_the_lines_of_its_text():
+    (rule,) = parse_dict_rules("LEXEMES\n\n$$ = $$\n@ = @\n", "r.txt").for_section("lexemes")
+    assert (rule.file, rule.line) == ("r.txt", 3)
+    assert [(eq.file, eq.line) for eq in rule.equations] == [("r.txt", 3), ("r.txt", 4)]
+    with pytest.raises(SourceSyntaxError) as err:
+        parse_dict_rules("LEXEMES\n\n@ = @\nstem = @\n$$ = $$\n", "r.txt")
+    assert (err.value.file, err.value.line) == ("r.txt", 4)
+
+
 def test_dict_rules_need_a_subsection():
     result = parse_source_text("#DICT-RULES\n\n@ = @\n$$ = $$\n")
     assert not result.ok
