@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when the work itself fails (a source with
-errors, a query with no answer), 2 when an input cannot be used at all
-(missing file, bad encoding, malformed dictionary or rule file).
+any error, parse errors included, or a query with no answer), 2 when an
+input cannot be used at all (a missing, unreadable or non-UTF-8 source
+root, dictionary or rule file, or a malformed dictionary or rule file).
 
 Machine-readable output: `--porcelain` prints one tab-separated record
 per line, with backslash, tab and newline escaped as \\\\, \\t and \\n
@@ -13,13 +14,15 @@ whose whole point is printing them.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
+from .diagnostics import has_errors
 from .dict_compiler import compile_base
 from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf, leaf
 from .morph_engine import analyze, generate, parse_wf_rules
-from .object_dict import FormatError, ObjectDictionary, VersionError, load, save
+from .object_dict import FormatError, ObjectDictionary, load, save
 from .source import SourceSyntaxError, parse_source
 
 UNKNOWN = "*UNKNOWN*"
@@ -40,10 +43,6 @@ def _record(*fields: str) -> str:
     return "\t".join(_escape(f) for f in fields)
 
 
-def _canon_field(tree) -> str:
-    return tree.canonical_form().rstrip("\n")
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
@@ -54,19 +53,14 @@ def _read_text(path: str) -> str:
         raise CliError("cannot read %s: %s" % (path, err.strerror or err))
 
 
-def _load_dictionary(args) -> ObjectDictionary:
+def _load_dictionary(path: str, **features: str) -> ObjectDictionary:
+    """The dictionary at `path`, indexed by the given index features
+    (`load`'s defaults otherwise): the .dic does not record them."""
+    text = _read_text(path)
     try:
-        return load(
-            args.dictionary,
-            lex_feature=args.lex_feature,
-            concat_feature=args.concat_feature,
-        )
-    except (FormatError, VersionError) as err:
-        raise CliError("%s: %s" % (args.dictionary, err))
-    except UnicodeDecodeError as err:
-        raise CliError("%s: invalid UTF-8 at byte %d" % (args.dictionary, err.start))
-    except OSError as err:
-        raise CliError("cannot read %s: %s" % (args.dictionary, err.strerror or err))
+        return load(io.StringIO(text), **features)
+    except FormatError as err:
+        raise CliError("%s: %s" % (path, err))
 
 
 def _load_rules(args):
@@ -97,15 +91,13 @@ def _parse_constraints(tokens) -> FeatureTree:
 
 
 def _run_pipeline(args):
-    if not os.path.exists(args.source):
-        raise CliError("cannot read %s: no such file" % args.source)
+    """The compiled dictionary, or None when any diagnostic, parse
+    diagnostics included, is an error; and every diagnostic."""
+    _read_text(args.source)  # an unusable root is exit 2, not a diagnostic
     parsed = parse_source(args.source)
-    compiled = compile_base(
-        parsed.base,
-        lex_feature=args.lex_feature,
-        concat_feature=args.concat_feature,
-    )
-    return compiled.dictionary, list(parsed.diagnostics) + list(compiled.diagnostics)
+    compiled = compile_base(parsed.base)
+    diagnostics = list(parsed.diagnostics) + compiled.diagnostics
+    return (None if has_errors(diagnostics) else compiled.dictionary), diagnostics
 
 
 def cmd_compile(args) -> int:
@@ -130,68 +122,58 @@ def cmd_check(args) -> int:
     for diag in diagnostics:
         print(diag.render())
     print("%d errors, %d warnings" % (errors, len(diagnostics) - errors))
-    return 1 if dictionary is None or errors else 0
+    return 1 if dictionary is None else 0
+
+
+def _print_answers(args, answers_for) -> int:
+    """Print each surface's answers, (fields, tree) pairs from
+    `answers_for(surface)`, or *UNKNOWN*; 1 when some surface had none."""
+    missed = False
+    for surface in args.surfaces:
+        answers = list(answers_for(surface))
+        if not answers:
+            missed = True
+            if args.porcelain:
+                print(_record(surface, UNKNOWN))
+            else:
+                print("%s: %s" % (surface, UNKNOWN))
+        for fields, tree in answers:
+            canon = tree.canonical_form()
+            if args.porcelain:
+                print(_record(surface, *fields, canon.rstrip("\n")))
+            else:
+                print(" ".join((surface + ":",) + fields))
+                for line in canon.splitlines():
+                    print("  " + line)
+                print()
+    return 1 if missed else 0
 
 
 def cmd_lookup(args) -> int:
-    dictionary = _load_dictionary(args)
-    missed = False
-    for surface in args.surfaces:
-        entries = dictionary.lookup(surface)
-        if not entries:
-            missed = True
-            if args.porcelain:
-                print(_record(surface, UNKNOWN))
-            else:
-                print("%s: %s" % (surface, UNKNOWN))
-            continue
-        for entry in entries:
-            if args.porcelain:
-                print(_record(surface, _canon_field(entry.tree)))
-            else:
-                print("%s:" % surface)
-                for line in entry.tree.canonical_form().splitlines():
-                    print("  " + line)
-                print()
-    return 1 if missed else 0
+    dictionary = _load_dictionary(args.dictionary)
+    return _print_answers(
+        args, lambda surface: (((), entry.tree) for entry in dictionary.lookup(surface))
+    )
 
 
 def cmd_analyze(args) -> int:
-    dictionary = _load_dictionary(args)
+    dictionary = _load_dictionary(args.dictionary, lex_feature=args.lex_feature)
     rules = _load_rules(args)
-    missed = False
-    for surface in args.surfaces:
-        readings = analyze(surface, dictionary, rules)
-        if not readings:
-            missed = True
-            if args.porcelain:
-                print(_record(surface, UNKNOWN))
-            else:
-                print("%s: %s" % (surface, UNKNOWN))
-            continue
-        for reading in readings:
-            lemma = reading.lemma or "-"
+
+    def readings(surface):
+        for reading in analyze(surface, dictionary, rules):
             parts = "+".join(part for part, _ in reading.segmentation)
-            if args.porcelain:
-                print(
-                    _record(
-                        surface,
-                        reading.category,
-                        lemma,
-                        parts,
-                        _canon_field(reading.tree),
-                    )
-                )
-            else:
-                print("%s: %s %s %s" % (surface, reading.category, lemma, parts))
-                for line in reading.tree.canonical_form().splitlines():
-                    print("  " + line)
-                print()
-    return 1 if missed else 0
+            yield (reading.category, reading.lemma or "-", parts), reading.tree
+
+    return _print_answers(args, readings)
 
 
 def cmd_generate(args) -> int:
-    dictionary = _load_dictionary(args)
+    dictionary = _load_dictionary(
+        args.dictionary,
+        lex_feature=args.lex_feature,
+        concat_feature=args.concat_feature,
+    )
     rules = _load_rules(args)
     constraints = _parse_constraints(args.constraints)
     surfaces = generate(args.lemma, constraints, dictionary, rules)
@@ -204,13 +186,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    dictionary = _load_dictionary(args)
+    dictionary = _load_dictionary(args.dictionary)
     save(dictionary, sys.stdout)
     return 0
 
 
 def cmd_stats(args) -> int:
-    stats = _load_dictionary(args).stats()
+    stats = _load_dictionary(args.dictionary, lex_feature=args.lex_feature).stats()
     print("entries: %d" % stats.entries)
     print("surfaces: %d" % stats.surfaces)
     print("lemmas: %d" % stats.lemmas)
@@ -218,16 +200,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _add_feature_options(parser):
+def _add_lex_feature_option(parser):
     parser.add_argument(
         "--lex-feature",
         default="lex",
         help="feature naming the lemma an entry belongs to (default: lex)",
-    )
-    parser.add_argument(
-        "--concat-feature",
-        default="concat",
-        help="feature naming the concatenation category (default: concat)",
     )
 
 
@@ -241,19 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a source base into a dictionary")
     p.add_argument("source")
     p.add_argument("-o", "--output", help="output path (default: source with .dic)")
-    _add_feature_options(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("check", help="run all checks, print every diagnostic")
     p.add_argument("source")
-    _add_feature_options(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lookup", help="print the entries stored for a surface")
     p.add_argument("dictionary")
     p.add_argument("surfaces", nargs="+", metavar="surface")
     p.add_argument("--porcelain", action="store_true")
-    _add_feature_options(p)
     p.set_defaults(func=cmd_lookup)
 
     p = sub.add_parser("analyze", help="analyze surfaces against word formation rules")
@@ -261,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rules")
     p.add_argument("surfaces", nargs="+", metavar="surface")
     p.add_argument("--porcelain", action="store_true")
-    _add_feature_options(p)
+    _add_lex_feature_option(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="generate surfaces for a lemma")
@@ -274,17 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="constraint",
         help="feature constraints, e.g. vinfo.tense=impf agr.pers=1,3",
     )
-    _add_feature_options(p)
+    _add_lex_feature_option(p)
+    p.add_argument(
+        "--concat-feature",
+        default="concat",
+        help="feature naming the concatenation category (default: concat)",
+    )
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dump", help="print a dictionary in its storage format")
     p.add_argument("dictionary")
-    _add_feature_options(p)
     p.set_defaults(func=cmd_dump)
 
     p = sub.add_parser("stats", help="print dictionary summary counts")
     p.add_argument("dictionary")
-    _add_feature_options(p)
+    _add_lex_feature_option(p)
     p.set_defaults(func=cmd_stats)
 
     return parser

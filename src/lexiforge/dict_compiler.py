@@ -130,15 +130,14 @@ class CompileResult:
         return self.dictionary is not None
 
 
-def compile_base(
-    base: SourceBase,
-    lex_feature: str = "lex",
-    concat_feature: str = "concat",
-) -> CompileResult:
+def compile_base(base: SourceBase) -> CompileResult:
     """Full pipeline: resolve, type-check, apply dictionary rules, index.
 
     Diagnostics from every stage are aggregated.  Any error-severity
-    diagnostic suppresses the dictionary; warnings never do.
+    diagnostic suppresses the dictionary; warnings never do.  A lexeme
+    no rule emits an entry for is warned about only when no rule
+    failed on it, so one fault gives one report.  The dictionary is
+    indexed by `lex` and `concat`; `load` takes other index features.
     """
     resolved, diagnostics = resolve_all(base)
     diagnostics.extend(check_base(base, resolved))
@@ -156,13 +155,14 @@ def compile_base(
                 )
             )
         for item in items:
-            emitted = False
+            emitted = failed = False
             for index, rule in enumerate(rules):
                 try:
                     entry = apply_dict_rule(
                         rule, item.name, item.tree, section, index
                     )
-                except (DictRuleError, PathThroughLeaf, ValueError) as exc:
+                except (DictRuleError, PathThroughLeaf) as exc:
+                    failed = True
                     diagnostics.append(
                         Diagnostic(
                             ERROR,
@@ -176,7 +176,7 @@ def compile_base(
                 if entry is not None:
                     entries.append(entry)
                     emitted = True
-            if section == "lexemes" and rules and not emitted:
+            if section == "lexemes" and rules and not emitted and not failed:
                 diagnostics.append(
                     Diagnostic(
                         WARNING,
@@ -187,6 +187,6 @@ def compile_base(
 
     if has_errors(diagnostics):
         return CompileResult(None, diagnostics)
-    dictionary = ObjectDictionary.build(entries, lex_feature, concat_feature)
+    dictionary = ObjectDictionary.build(entries)
     diagnostics.extend(dictionary.warnings)
     return CompileResult(dictionary, diagnostics)

@@ -171,7 +171,7 @@ def resolve_all(
     for name, cls in base.classes.items():
         try:
             class_trees[name] = cls.tree()
-        except (PathThroughLeaf, ValueError) as exc:
+        except PathThroughLeaf as exc:
             diagnostics.append(
                 Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
             )
@@ -181,7 +181,7 @@ def resolve_all(
         for entry in base.entries_in(section).values():
             try:
                 out.append(resolve(entry, base, compiled, class_trees))
-            except (ResolveError, PathThroughLeaf, ValueError) as exc:
+            except (ResolveError, PathThroughLeaf) as exc:
                 diagnostics.append(
                     Diagnostic(
                         ERROR,

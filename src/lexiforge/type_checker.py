@@ -95,8 +95,10 @@ def check_base(
 ) -> list[Diagnostic]:
     """Every resolved entry plus every class body, grouped by entry.
 
-    Class bodies are checked before resolution so a broken class is
-    reported once, at its own name, rather than through its heirs.
+    A broken class is reported at its own name and again at every
+    heir, whose resolved tree carries the same fault.  A class body
+    that cannot be built is left to the resolver, which reports it
+    the same way: at the class and at each heir.
     """
     if "data-dict" not in base.sections_seen:
         return []
@@ -107,7 +109,7 @@ def check_base(
     for cls in base.classes.values():
         try:
             body = cls.tree()
-        except (PathThroughLeaf, ValueError):
+        except PathThroughLeaf:
             continue  # the resolver reports unbuildable bodies
         out.extend(check_tree(body, base.data_dict, entry=cls.name))
     return out

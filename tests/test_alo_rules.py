@@ -108,7 +108,7 @@ def test_patterns_outside_the_dialect_are_rejected(pattern, fragment):
 
 
 @pytest.mark.parametrize(
-    "pattern", [r"a\\", r"a\.", "[]]", "[^]]", "a|b", "(ab)+", "..?"]
+    "pattern", [r"a\\", r"a\.", "[]]", "[^]]", "a|b", "(ab)+", "..?", r"[\.a]"]
 )
 def test_dialect_accepts_the_documented_constructs(pattern):
     compiled("r\n{X = %s}\n$Xa -> $X\n" % pattern)

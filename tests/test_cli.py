@@ -133,7 +133,74 @@ def test_check_counts_an_entry_name_the_dictionary_cannot_store(tmp_path, capsys
     assert code == 1
     lines = captured.out.splitlines()
     assert "%s:15: error amar: rule 1: the entry name ' am' cannot be stored" % src in lines
-    assert lines[-1] == "1 errors, 1 warnings"
+    assert lines[-1] == "1 errors, 0 warnings"
+
+
+def test_check_reports_a_failed_rule_once(tmp_path, capsys):
+    # no "lemma produced no object entries" on top of the rule's error
+    src = tmp_path / "base.lex"
+    src.write_text(UNSTORABLE_NAME.replace('" am"', "a b"), encoding="utf-8")
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "%s:15: error amar: rule 1: '$$' must come out as a single atomic value" % src,
+        "1 errors, 0 warnings",
+    ]
+
+
+def test_compile_writes_nothing_for_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "base.lex"
+    src.write_text(
+        "#LEXEMES\n\namar\nstem = am\nno equal sign\n\n"
+        "#DICT-RULES\n\nLEXEMES\n\n$$ = @ stem\n@ lex = $$\n",
+        encoding="utf-8",
+    )
+    code = main(["compile", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "%s:5: error: an equation needs exactly one '='\n" % src
+    assert not (tmp_path / "base.dic").exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "check"])
+def test_undecodable_source_is_unusable_input(tmp_path, capsys, command):
+    src = tmp_path / "base.lex"
+    src.write_bytes(b"#LEXEMES\n\nam\xe9\n")
+    code = main([command, str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid UTF-8 at byte 12" in captured.err
+    assert not (tmp_path / "base.dic").exists()
+
+
+def test_check_of_a_directory_is_unusable_input(tmp_path, capsys):
+    code = main(["check", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot read %s" % tmp_path in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "base.lex", "--lex-feature", "x"],
+        ["check", "base.lex", "--concat-feature", "x"],
+        ["lookup", "base.dic", "era", "--lex-feature", "x"],
+        ["dump", "base.dic", "--lex-feature", "x"],
+        ["analyze", "base.dic", "wf.rules", "era", "--concat-feature", "x"],
+        ["stats", "base.dic", "--concat-feature", "x"],
+    ],
+    ids=lambda argv: "%s%s" % (argv[0], argv[-2]),
+)
+def test_index_flags_only_where_an_index_is_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s x" % argv[-2] in capsys.readouterr().err
 
 
 # -- lookup ---------------------------------------------------------------------
@@ -194,6 +261,15 @@ def test_analyze_miss(dic_path, rules_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "pedo: *UNKNOWN*\n"
+
+
+def test_analyze_porcelain_miss(dic_path, rules_path, capsys):
+    code = main(["analyze", "--porcelain", dic_path, rules_path, "pedo", "pido"])
+    captured = capsys.readouterr()
+    assert code == 1
+    miss, hit = captured.out.splitlines()
+    assert miss == "pedo\t*UNKNOWN*"
+    assert hit.startswith("pido\tWord\tpedir\tpid+o\t")
 
 
 # -- generate --------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import io
+
 import pytest
 
-from lexiforge import dict_compiler
+from lexiforge import dict_compiler, inheritance
 from lexiforge.dict_compiler import (
     DictRuleError,
     NonAtomicName,
@@ -9,7 +11,8 @@ from lexiforge.dict_compiler import (
 )
 from lexiforge.diagnostics import ERROR
 from lexiforge.feature_tree import FeatureTree, PathThroughLeaf, ValueSet, leaf
-from lexiforge.source import parse_dict_rules, parse_source_text, parse_tree
+from lexiforge.object_dict import load, save
+from lexiforge.source import Entry, parse_dict_rules, parse_source_text, parse_tree
 
 
 PEDIR_RESOLVED = """\
@@ -320,6 +323,21 @@ def test_programming_errors_escape_the_rule_loop(monkeypatch):
         compile_base(parse_source_text(BASE).base)
 
 
+@pytest.mark.parametrize(
+    "owner,name",
+    [(inheritance, "_evaluate"), (Entry, "tree"), (dict_compiler, "apply_dict_rule")],
+    ids=["evaluate", "class-body", "dict-rule"],
+)
+def test_a_value_error_is_a_bug_not_a_diagnostic(monkeypatch, owner, name):
+    # parsed input cannot raise ValueError in resolution or rule application
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(ValueError):
+        compile_base(parse_source_text(BASE).base)
+
+
 def test_compile_reports_type_errors():
     text = BASE + "\n#DATA-DICT\n\nstt = 11 12\n"
     result = compile_base(parse_source_text(text).base)
@@ -359,7 +377,11 @@ $$ = @ alo 1 stem
 
 
 def test_custom_index_features_flow_through():
+    # the .dic does not record index features; the loader is told them
     text = BASE.replace("@ lex = $$", "@ lemma = $$")
-    result = compile_base(parse_source_text(text).base, lex_feature="lemma")
+    result = compile_base(parse_source_text(text).base)
     assert result.ok
-    assert result.dictionary.lookup_by_lemma("pedir")
+    out = io.StringIO()
+    save(result.dictionary, out)
+    dictionary = load(io.StringIO(out.getvalue()), lex_feature="lemma")
+    assert dictionary.lookup_by_lemma("pedir")

@@ -198,6 +198,18 @@ def test_malformed_parent_list_is_reported():
     assert "(parents)" in result.diagnostics[0].message
 
 
+@pytest.mark.parametrize(
+    "text,message,line",
+    [
+        ('#LEXEMES\n\nped (a "b")\nx = 1\n', "parent lists hold bare names only", 3),
+        ('#INCLUDE "open\n', "unterminated string", 1),
+    ],
+)
+def test_malformed_header_lines_are_reported(text, message, line):
+    result = parse_source_text(text)
+    assert [(d.message, d.line) for d in result.diagnostics] == [(message, line)]
+
+
 def test_bad_equation_is_isolated_to_its_line():
     result = parse_source_text("#MORPHEMES\n\nped\nbad line\nstt = 11\n")
     assert not result.ok
@@ -301,6 +313,12 @@ def test_alo_rule_mixed_segments():
         ("rv\n{X = .+}\n$Xar $X\n", "pattern -> replacement"),
         ("rv\n{X = }\n$Xar -> $X\n", "empty pattern"),
         ("rv\n{X = .+}\na b -> c\n", "spaces"),
+        ("rv\n{X = .+}\n$1ar -> $X\n", "expected a variable letter"),
+        ("rv\n{X = .+\n$Xar -> $X\n", "unterminated variable declaration"),
+        ("rv\n{X .+}\n$Xar -> $X\n", "expected '=' in variable declaration"),
+        ("rv\n{X = .+}\n-> $X\n", "empty pattern"),
+        ("rv\n{X = .+}\n$Xar ->\n", "empty replacement"),
+        ("\n\n", "empty rule block"),
     ],
 )
 def test_alo_rule_rejects(text, fragment):
@@ -312,7 +330,10 @@ def test_alo_rule_rejects(text, fragment):
 # -- data dictionary declarations -------------------------------------------------
 
 def test_data_dict_kinds():
-    text = "#DATA-DICT\n\nstem =\npers = 1 2 3\nagr = @(gen num) @(num pers)\n"
+    text = (
+        "#DATA-DICT\n\nstem =\npers = 1 2 3\nagr = @(gen num) @(num pers)\n"
+        'gloss = "a b"\n'
+    )
     result = parse_source_text(text)
     assert result.ok
     dd = result.base.data_dict
@@ -321,6 +342,7 @@ def test_data_dict_kinds():
     assert dd["pers"].values == leaf("1", "2", "3")
     assert dd["agr"].kind == "structured"
     assert dd["agr"].alternatives == (("gen", "num"), ("num", "pers"))
+    assert dd["gloss"].values == ValueSet([Atom("a b", quoted=True)])
 
 
 def test_data_dict_redeclaration_is_an_error():
@@ -399,6 +421,9 @@ def test_dict_rules_need_a_subsection():
         "@ = @ alo (stem)",  # deletions need '-'
         "@ = @ (- )",  # empty deletion path
         "@ = @ (- x) y",  # trailing tokens
+        "@ lex $$",  # needs exactly one '='
+        '@ "x" = $$',  # target paths hold bare labels only
+        "@ = @ a $$",  # '$$' cannot follow a source path
     ],
 )
 def test_dict_rules_reject_malformed_equations(line):

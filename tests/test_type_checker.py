@@ -132,6 +132,27 @@ def test_check_base_reports_resolved_entries_and_class_bodies():
     ]
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("pers = 9", "value 9 not in closed set {1,2,3}"),
+        ("a = 1\na b = 2", "path 'a b' descends through the leaf at 'a'"),
+    ],
+    ids=["bad-value", "unbuildable"],
+)
+def test_a_broken_class_is_reported_at_the_class_and_every_heir(body, message):
+    text = "#CLASSES\n\nK\n%s\n\n#LEXEMES\n\namar (K)\n\ntemer (K)\n\n" % body
+    result = parse_source_text(text + DECLS)
+    assert result.ok
+    resolved, diagnostics = resolve_all(result.base)
+    diagnostics += check_base(result.base, resolved)
+    assert sorted((d.severity, d.entry, d.message) for d in diagnostics) == [
+        (ERROR, "K", message),
+        (ERROR, "amar", message),
+        (ERROR, "temer", message),
+    ]
+
+
 def test_check_base_skips_placeholders_in_class_bodies():
     text = (
         "#CLASSES\n\nC\nstem = $rv0\n\n#LEXEMES\n\namar (C)\n\n"
