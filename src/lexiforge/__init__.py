@@ -34,7 +34,6 @@ from .source import (
     ParseResult,
     SourceBase,
     SourceSyntaxError,
-    format_source,
     parse_source,
     parse_source_text,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "check_tree",
     "compile_alo_rule",
     "compile_base",
-    "format_source",
     "generate",
     "has_errors",
     "leaf",

@@ -18,7 +18,6 @@ import io
 import os
 import sys
 
-from .diagnostics import has_errors
 from .dict_compiler import compile_base
 from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf, leaf
 from .morph_engine import analyze, generate, parse_wf_rules
@@ -92,12 +91,12 @@ def _parse_constraints(tokens) -> FeatureTree:
 
 def _run_pipeline(args):
     """The compiled dictionary, or None when any diagnostic, parse
-    diagnostics included, is an error; and every diagnostic."""
+    diagnostics included, is an error (`compile_base` decides); and
+    every diagnostic."""
     _read_text(args.source)  # an unusable root is exit 2, not a diagnostic
     parsed = parse_source(args.source)
-    compiled = compile_base(parsed.base)
-    diagnostics = list(parsed.diagnostics) + compiled.diagnostics
-    return (None if has_errors(diagnostics) else compiled.dictionary), diagnostics
+    compiled = compile_base(parsed.base, parsed.diagnostics)
+    return compiled.dictionary, compiled.diagnostics
 
 
 def cmd_compile(args) -> int:

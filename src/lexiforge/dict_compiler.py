@@ -130,17 +130,20 @@ class CompileResult:
         return self.dictionary is not None
 
 
-def compile_base(base: SourceBase) -> CompileResult:
+def compile_base(
+    base: SourceBase, diagnostics: list[Diagnostic] | None = None
+) -> CompileResult:
     """Full pipeline: resolve, type-check, apply dictionary rules, index.
 
-    Diagnostics from every stage are aggregated.  Any error-severity
-    diagnostic suppresses the dictionary; warnings never do.  A lexeme
-    no rule emits an entry for is warned about only when no rule
-    failed on it, so one fault gives one report.  The dictionary is
-    indexed by `lex` and `concat`; `load` takes other index features.
+    Diagnostics from every stage follow `diagnostics`, the parser's.
+    Any error-severity diagnostic, the parser's included, suppresses
+    the build and the dictionary; warnings never do.  A lexeme no rule
+    emits an entry for is warned about only when no rule failed on it,
+    so one fault gives one report.  The dictionary is indexed by `lex`
+    and `concat`; `load` takes other index features.
     """
-    resolved, diagnostics = resolve_all(base)
-    diagnostics.extend(check_base(base, resolved))
+    resolved, found = resolve_all(base)
+    diagnostics = [*(diagnostics or ()), *found, *check_base(base, resolved)]
 
     entries: list[ObjectEntry] = []
     for section in ("morphemes", "words", "lexemes"):

@@ -52,10 +52,6 @@ from .source import (
 )
 
 
-class UnknownConstituent(SourceSyntaxError):
-    pass
-
-
 @dataclass
 class PathEquation:
     left_root: str
@@ -98,7 +94,7 @@ def _parse_wf_equation(text: str, rule: WFRule, file, line):
     roots = {rule.lhs, *rule.rhs}
     left_root, *left_path = eq.path
     if left_root not in roots:
-        raise UnknownConstituent(
+        raise SourceSyntaxError(
             "unknown constituent '%s'" % left_root, file, line
         )
     if not left_path:

@@ -1,4 +1,4 @@
-r"""The source lexical base: data types, parser and pretty printer.
+r"""The source lexical base: data types and parser.
 
 A source base is a sectioned text format.  `#MORPHEMES`, `#WORDS`,
 `#CLASSES` and `#LEXEMES` hold blank-line separated entries (a name
@@ -21,9 +21,9 @@ symbol character class, `feature_tree.SYMBOL_CHAR`, decides what a bare
 symbol may hold, for the scanner and for `is_symbol_text` alike.
 
 Parses are total: any input produces a ParseResult whose diagnostics
-carry file and line positions.  The strict helpers (parse_equation,
-parse_alo_rule, parse_dict_rules, parse_tree) raise SourceSyntaxError
-instead.
+carry file and line positions.  `parse_equation`, the one reader that
+`object_dict.load` and `morph_engine.parse_wf_rules` share with the
+source parser, raises SourceSyntaxError instead.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ class SourceSyntaxError(Exception):
 
     def to_diagnostic(self) -> Diagnostic:
         return Diagnostic(ERROR, self.message, file=self.file, line=self.line)
-
-
-class UndeclaredVariable(SourceSyntaxError):
-    """A production references a pattern variable with no declaration."""
-
-
-class MissingTarget(SourceSyntaxError):
-    """A dictionary rule fails to assign the entry name or the tree."""
 
 
 # -- value terms ---------------------------------------------------------
@@ -336,20 +328,6 @@ def parse_equation(text: str, file: str | None = None, line: int | None = None) 
     return Equation(tuple(t.text for t in lhs), tuple(values), file, line)
 
 
-def parse_tree(text: str, file: str | None = None) -> FeatureTree:
-    """Equation lines folded into a tree; placeholders are rejected."""
-    t = EMPTY_TREE
-    for line_no, line_text in _logical_lines(text):
-        if not line_text.strip():
-            continue
-        eq = parse_equation(line_text, file, line_no)
-        node = term_node(eq.values)
-        if not isinstance(node, ValueSet):
-            raise SourceSyntaxError("rule calls are not allowed here", file, line_no)
-        t = t.set(eq.path, node)
-    return t
-
-
 # -- allomorphy rule blocks ----------------------------------------------
 
 def _scan_segments(
@@ -365,7 +343,7 @@ def _scan_segments(
                 raise SourceSyntaxError("expected a variable letter after '$'", file, line)
             v = s[i + 1]
             if v not in variables:
-                raise UndeclaredVariable("undeclared variable '$%s'" % v, file, line)
+                raise SourceSyntaxError("undeclared variable '$%s'" % v, file, line)
             if lit:
                 segs.append(("lit", "".join(lit)))
                 lit = []
@@ -438,14 +416,6 @@ def _parse_alo_block(block: list[tuple[int, str]], file: str | None) -> AloRule:
     if not productions:
         raise SourceSyntaxError("rule '%s' has no productions" % name, file, first_line)
     return AloRule(name, variables, tuple(productions), file, first_line)
-
-
-def parse_alo_rule(text: str, file: str | None = None) -> AloRule:
-    """One rule block: name line, `{V = regexp}` lines, productions."""
-    block = [(n, t) for n, t in _logical_lines(text) if t.strip()]
-    if not block:
-        raise SourceSyntaxError("empty rule block", file, None)
-    return _parse_alo_block(block, file)
 
 
 # -- data dictionary declarations ----------------------------------------
@@ -547,29 +517,15 @@ def _parse_dict_equation(text: str, file: str | None, line: int | None) -> DictE
 def _parse_dict_rule(block: list[tuple[int, str]], file: str | None) -> DictRule:
     equations = [_parse_dict_equation(t, file, n) for n, t in block]
     if not any(eq.target is None for eq in equations):
-        raise MissingTarget("a rule must assign '$$'", file, block[0][0])
+        raise SourceSyntaxError("a rule must assign '$$'", file, block[0][0])
     if not any(eq.target is not None for eq in equations):
-        raise MissingTarget("a rule must assign '@'", file, block[0][0])
+        raise SourceSyntaxError("a rule must assign '@'", file, block[0][0])
     return DictRule(tuple(equations), file, block[0][0])
-
-
-def parse_dict_rules(text: str, file: str | None = None) -> DictRuleSet:
-    """The body of a `#DICT-RULES` section (strict: raises on errors)."""
-    state = _State(_no_files)
-    state._parse_lines(file or "<dict-rules>", [(0, "#DICT-RULES")] + _logical_lines(text))
-    for d in state.diagnostics:
-        if d.severity == ERROR:
-            raise SourceSyntaxError(d.message, d.file, d.line)
-    return state.result().base.dict_rules
 
 
 # -- the file-level parser -----------------------------------------------
 
 Loader = Callable[[str], str]
-
-
-def _no_files(path: str) -> str:
-    raise FileNotFoundError(path)
 
 
 def _fs_loader(path: str) -> str:
@@ -805,102 +761,3 @@ def parse_source_text(
             raise FileNotFoundError(path)
 
     return parse_source(name, loader)
-
-
-# -- pretty printer -------------------------------------------------------
-
-def _format_values(values: tuple) -> str:
-    parts = []
-    for v in values:
-        if isinstance(v, RuleCall):
-            parts.append("$" + v.rule)
-        elif isinstance(v, SelfRef):
-            parts.append("$$")
-        else:
-            parts.append(v.rendered())
-    return " ".join(parts)
-
-
-def _format_entry(entry: Entry) -> str:
-    head = entry.name
-    if entry.parents:
-        head += " (%s)" % " ".join(entry.parents)
-    lines = [head]
-    for eq in entry.equations:
-        lines.append("%s = %s" % (" ".join(eq.path), _format_values(eq.values)))
-    return "\n".join(lines)
-
-
-def _format_segments(segs: tuple[tuple[str, str], ...]) -> str:
-    return "".join(text if kind == "lit" else "$" + text for kind, text in segs)
-
-
-def _format_dict_side(path: tuple[str, ...] | None) -> str:
-    if path is None:
-        return "$$"
-    if not path:
-        return "@"
-    return "@ " + " ".join(path)
-
-
-def _format_dict_rule(rule: DictRule) -> str:
-    lines = []
-    for eq in rule.equations:
-        rhs = _format_dict_side(eq.source)
-        if eq.deletions:
-            rhs += " (%s)" % " ".join("- " + " ".join(p) for p in eq.deletions)
-        lines.append("%s = %s" % (_format_dict_side(eq.target), rhs))
-    return "\n".join(lines)
-
-
-def format_source(base: SourceBase) -> str:
-    """Render a base back to source text; reparsing yields an equal base."""
-    chunks: list[str] = []
-    for header, section in (
-        ("#MORPHEMES", "morphemes"),
-        ("#WORDS", "words"),
-        ("#CLASSES", "classes"),
-        ("#LEXEMES", "lexemes"),
-    ):
-        table = base.entries_in(section)
-        if table:
-            chunks.append(header + "\n")
-            chunks.extend(_format_entry(e) + "\n" for e in table.values())
-    if base.alo_rules:
-        chunks.append("#ALO-RULES\n")
-        for rule in base.alo_rules.values():
-            lines = [rule.name]
-            lines.extend("{%s = %s}" % (v, p) for v, p in rule.variables.items())
-            lines.extend(
-                "%s -> %s" % (_format_segments(p.lhs), _format_segments(p.rhs))
-                for p in rule.productions
-            )
-            chunks.append("\n".join(lines) + "\n")
-    if base.data_dict:
-        chunks.append("#DATA-DICT\n")
-        decl_lines = []
-        for decl in base.data_dict.values():
-            if decl.kind == OPEN:
-                decl_lines.append("%s =" % decl.label)
-            elif decl.kind == CLOSED:
-                decl_lines.append(
-                    "%s = %s" % (decl.label, " ".join(a.rendered() for a in decl.values))
-                )
-            else:
-                decl_lines.append(
-                    "%s = %s"
-                    % (decl.label, " ".join("@(%s)" % " ".join(alt) for alt in decl.alternatives))
-                )
-        chunks.append("\n".join(decl_lines) + "\n")
-    rules = base.dict_rules
-    if rules.lexemes or rules.morphemes or rules.words:
-        chunks.append("#DICT-RULES\n")
-        for keyword, group in (
-            ("LEXEMES", rules.lexemes),
-            ("MORPHEMES", rules.morphemes),
-            ("WORDS", rules.words),
-        ):
-            if group:
-                chunks.append(keyword + "\n")
-                chunks.extend(_format_dict_rule(r) + "\n" for r in group)
-    return "\n".join(chunks)

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from lexiforge.alo_rules import BadPattern, compile_alo_rule
-from lexiforge.source import parse_alo_rule
-
 from oracles import greedy_rewrite
+from sources import parse_alo_rule
 
 RV0 = "rv0\n{X = .+}\n$Xar -> $X\n$Xer -> $X\n$Xir -> $X\n"
 RV8C = "rv8c\n{X = .+}\n{C = [bcdfghjklmnpqrstvwxyz]}\n$Xe$Cir -> $Xi$C\n"

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import lexiforge
 from lexiforge.cli import main
 from lexiforge.object_dict import save
 
@@ -147,6 +149,30 @@ def test_check_reports_a_failed_rule_once(tmp_path, capsys):
         "%s:15: error amar: rule 1: '$$' must come out as a single atomic value" % src,
         "1 errors, 0 warnings",
     ]
+
+
+@pytest.mark.parametrize(
+    "entry_y,error",
+    [
+        ("y\na = 1\nb = = 2", ":8: error: an equation needs exactly one '='"),
+        ("y (Nope)\na = 1", ":6: error y: unknown class 'Nope'"),
+    ],
+)
+def test_check_counts_the_same_whichever_stage_found_the_error(
+    tmp_path, capsys, entry_y, error
+):
+    # x and y would collapse into one entry; an error of any stage
+    # stops the build, so the collapse is never reported
+    src = tmp_path / "base.lex"
+    src.write_text(
+        "#MORPHEMES\n\nx\na = 1\n\n%s\n\n#DICT-RULES\n\nMORPHEMES\n\n$$ = @ a\n@ = @\n"
+        % entry_y,
+        encoding="utf-8",
+    )
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["%s%s" % (src, error), "1 errors, 0 warnings"]
 
 
 def test_compile_writes_nothing_for_a_parse_error(tmp_path, capsys):
@@ -395,6 +421,10 @@ def test_malformed_rules_file(dic_path, tmp_path, capsys):
 # -- the installed entry point -----------------------------------------------------------
 
 def test_module_runs_as_a_subprocess(dic_path, rules_path):
+    # the child finds lexiforge where this process found it
+    src = os.path.dirname(os.path.dirname(lexiforge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [
             sys.executable, "-m", "lexiforge.cli",
@@ -402,6 +432,7 @@ def test_module_runs_as_a_subprocess(dic_path, rules_path):
             "vinfo.tense=impf", "agr.pers=1", "agr.num=plu",
         ],
         capture_output=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.decode("utf-8") == "pedíamos\n"

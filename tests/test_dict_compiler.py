@@ -12,7 +12,9 @@ from lexiforge.dict_compiler import (
 from lexiforge.diagnostics import ERROR
 from lexiforge.feature_tree import FeatureTree, PathThroughLeaf, ValueSet, leaf
 from lexiforge.object_dict import load, save
-from lexiforge.source import Entry, parse_dict_rules, parse_source_text, parse_tree
+from lexiforge.source import Entry, parse_source_text
+
+from sources import parse_dict_rules, parse_tree
 
 
 PEDIR_RESOLVED = """\

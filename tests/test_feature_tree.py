@@ -13,8 +13,8 @@ from lexiforge.feature_tree import (
     leaf,
     unify,
 )
-from lexiforge.source import parse_tree
 from oracles import _canonical, _meet, _plain
+from sources import parse_tree
 
 
 # -- atoms and value sets ---------------------------------------------------

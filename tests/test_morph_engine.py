@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 from lexiforge.feature_tree import EMPTY_TREE, PathThroughLeaf, leaf, unify
 from lexiforge.morph_engine import (
     PathEquation,
-    UnknownConstituent,
     ValueEquation,
     analyze,
     generate,
     parse_wf_rules,
 )
 from lexiforge.object_dict import ObjectDictionary, ObjectEntry
-from lexiforge.source import SourceSyntaxError, parse_tree
+from lexiforge.source import SourceSyntaxError
 
 from oracles import all_pairs_analyses, all_pairs_generation, ordered_analyses
+from sources import parse_tree
 
 
 RULES = """\
@@ -90,11 +90,6 @@ def test_rule_file_errors(text, fragment):
     with pytest.raises(SourceSyntaxError) as exc:
         parse_wf_rules(text)
     assert fragment in str(exc.value)
-
-
-def test_unknown_constituent_is_its_own_error_type():
-    with pytest.raises(UnknownConstituent):
-        parse_wf_rules("#WF-RULES\nWord -> Stem Ending\n  Thing concat = vl\n")
 
 
 # -- analysis over the full fixture ----------------------------------------------

@@ -17,7 +17,8 @@ from lexiforge.object_dict import (
     load,
     save,
 )
-from lexiforge.source import parse_tree
+
+from sources import parse_tree
 
 
 def entry(surface, text, **kw):

@@ -9,17 +9,14 @@ from lexiforge.source import (
     RuleCall,
     SelfRef,
     SourceSyntaxError,
-    format_source,
-    parse_alo_rule,
-    parse_dict_rules,
     parse_equation,
     parse_source_text,
-    parse_tree,
     term_node,
     tokenize,
 )
 
 from oracles import reference_logical_lines, reference_tokenize
+from sources import parse_alo_rule, parse_dict_rules
 
 
 # -- tokens and equations ----------------------------------------------------
@@ -74,13 +71,6 @@ def test_term_node_wraps_atoms_and_passes_markers():
     assert term_node((Atom("1"), Atom("2"))) == ValueSet([Atom("1"), Atom("2")])
     call = term_node((RuleCall("rv0"),))
     assert isinstance(call, RuleCall)
-
-
-def test_parse_tree_builds_and_rejects_markers():
-    t = parse_tree("a = 1\nb c = 2 3")
-    assert t.get(("b", "c")) == leaf("2", "3")
-    with pytest.raises(SourceSyntaxError):
-        parse_tree("a = $rv0")
 
 
 # -- logical lines: comments, strings, continuations -------------------------
@@ -318,7 +308,6 @@ def test_alo_rule_mixed_segments():
         ("rv\n{X .+}\n$Xar -> $X\n", "expected '=' in variable declaration"),
         ("rv\n{X = .+}\n-> $X\n", "empty pattern"),
         ("rv\n{X = .+}\n$Xar ->\n", "empty replacement"),
-        ("\n\n", "empty rule block"),
     ],
 )
 def test_alo_rule_rejects(text, fragment):
@@ -398,12 +387,13 @@ def test_dict_rule_must_assign_both_name_and_tree():
 
 
 def test_parse_dict_rules_reports_the_lines_of_its_text():
-    (rule,) = parse_dict_rules("LEXEMES\n\n$$ = $$\n@ = @\n", "r.txt").for_section("lexemes")
-    assert (rule.file, rule.line) == ("r.txt", 3)
-    assert [(eq.file, eq.line) for eq in rule.equations] == [("r.txt", 3), ("r.txt", 4)]
-    with pytest.raises(SourceSyntaxError) as err:
-        parse_dict_rules("LEXEMES\n\n@ = @\nstem = @\n$$ = $$\n", "r.txt")
-    assert (err.value.file, err.value.line) == ("r.txt", 4)
+    result = parse_source_text("#DICT-RULES\nLEXEMES\n\n$$ = $$\n@ = @\n", "r.txt")
+    assert result.ok
+    (rule,) = result.base.dict_rules.for_section("lexemes")
+    assert (rule.file, rule.line) == ("r.txt", 4)
+    assert [(eq.file, eq.line) for eq in rule.equations] == [("r.txt", 4), ("r.txt", 5)]
+    result = parse_source_text("#DICT-RULES\nLEXEMES\n\n@ = @\nstem = @\n$$ = $$\n", "r.txt")
+    assert [(d.file, d.line) for d in result.diagnostics] == [("r.txt", 5)]
 
 
 def test_dict_rules_need_a_subsection():
@@ -431,9 +421,9 @@ def test_dict_rules_reject_malformed_equations(line):
         parse_dict_rules("LEXEMES\n\n%s\n@ = @\n$$ = $$\n" % line)
 
 
-# -- whole-base round trip ------------------------------------------------------------
+# -- a base with most sections ------------------------------------------------------------
 
-ROUND_TRIP = """\
+MIXED_BASE = """\
 #MORPHEMES
 
 'abamos
@@ -482,19 +472,9 @@ $$ = @ alo 1 stem
 """
 
 
-def test_format_source_round_trips():
-    first = parse_source_text(ROUND_TRIP)
-    assert first.ok
-    rendered = format_source(first.base)
-    second = parse_source_text(rendered)
-    assert second.ok
-    assert second.base == first.base
-    # and formatting is a fixed point after one pass
-    assert format_source(second.base) == rendered
-
-
 def test_sections_seen_tracks_headers():
-    result = parse_source_text(ROUND_TRIP)
+    result = parse_source_text(MIXED_BASE)
+    assert result.ok
     assert "data-dict" in result.base.sections_seen
     assert "words" not in result.base.sections_seen
 

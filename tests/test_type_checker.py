@@ -2,8 +2,10 @@ import pytest
 
 from lexiforge.diagnostics import ERROR, WARNING, has_errors
 from lexiforge.inheritance import resolve_all
-from lexiforge.source import Entry, parse_source, parse_source_text, parse_tree
+from lexiforge.source import Entry, parse_source, parse_source_text
 from lexiforge.type_checker import check_base, check_tree
+
+from sources import parse_tree
 
 
 DECLS = """\
