@@ -21,14 +21,7 @@ from .feature_tree import (
 )
 from .inheritance import ResolveError, ResolvedEntry, linearize, resolve, resolve_all
 from .morph_engine import Analysis, WFRule, analyze, generate, parse_wf_rules
-from .object_dict import (
-    FormatError,
-    ObjectDictionary,
-    ObjectEntry,
-    VersionError,
-    load,
-    save,
-)
+from .object_dict import FormatError, ObjectDictionary, ObjectEntry, load, save
 from .source import (
     Entry,
     ParseResult,
@@ -62,7 +55,6 @@ __all__ = [
     "SourceBase",
     "SourceSyntaxError",
     "ValueSet",
-    "VersionError",
     "WARNING",
     "WFRule",
     "analyze",

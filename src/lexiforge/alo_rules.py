@@ -70,7 +70,6 @@ def _check_dialect(pattern: str) -> str | None:
 
 @dataclass
 class CompiledProduction:
-    lhs: tuple[tuple[str, str], ...]
     rhs: tuple[tuple[str, str], ...]
     regex: "re.Pattern[str]"
     groups: dict[str, str]  # variable -> capture group name (last occurrence)
@@ -123,7 +122,5 @@ def compile_alo_rule(rule: AloRule) -> CompiledAloRule:
                 gname = "v%d" % idx
                 groups[text] = gname
                 parts.append("(?P<%s>%s)" % (gname, checked[text]))
-        compiled.append(
-            CompiledProduction(prod.lhs, prod.rhs, re.compile("".join(parts)), groups)
-        )
+        compiled.append(CompiledProduction(prod.rhs, re.compile("".join(parts)), groups))
     return CompiledAloRule(rule.name, compiled)

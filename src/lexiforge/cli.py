@@ -28,10 +28,7 @@ UNKNOWN = "*UNKNOWN*"
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.message = message
-        self.code = code
+    """An input that cannot be used at all: exit 2."""
 
 
 def _escape(field: str) -> str:
@@ -275,8 +272,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as err:
-        print(err.message, file=sys.stderr)
-        return err.code
+        print(err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -39,13 +39,7 @@ from .type_checker import check_base
 
 
 class DictRuleError(Exception):
-    def __init__(self, message: str):
-        self.message = message
-        super().__init__(message)
-
-
-class NonAtomicName(DictRuleError):
-    """`$$` ended up bound to several values or to an interior node."""
+    """A dictionary rule that cannot build its entry."""
 
 
 def apply_dict_rule(
@@ -58,8 +52,8 @@ def apply_dict_rule(
     """Run one rule against one resolved entry.
 
     Returns None when the rule never assigned `$$` (the normal skip).
-    Raises NonAtomicName or DictRuleError on lexicographer errors, and
-    lets PathThroughLeaf from target assignment propagate.
+    Raises DictRuleError on lexicographer errors, and lets
+    PathThroughLeaf from target assignment propagate.
 
     The equations are read first, without building anything.  When no
     present equation assigns `$$` and no write could fail, the rule
@@ -111,7 +105,7 @@ def apply_dict_rule(
     if name_node is None:
         return None
     if isinstance(name_node, FeatureTree) or len(name_node) != 1:
-        raise NonAtomicName("'$$' must come out as a single atomic value")
+        raise DictRuleError("'$$' must come out as a single atomic value")
     surface = name_node.values[0].text
     if not surface:
         raise DictRuleError("the entry name came out empty")

@@ -31,28 +31,13 @@ from .source import Entry, RuleCall, SelfRef, SourceBase
 
 
 class ResolveError(Exception):
-    def __init__(self, message: str):
-        self.message = message
-        super().__init__(message)
-
-
-class UnknownClass(ResolveError):
-    pass
-
-
-class InheritanceCycle(ResolveError):
-    pass
-
-
-class UnknownRule(ResolveError):
-    pass
+    """An unknown class or allomorphy rule, or an inheritance cycle."""
 
 
 @dataclass
 class ResolvedEntry:
     name: str
     tree: FeatureTree
-    section: str
 
 
 def linearize(entry: Entry, classes: Mapping[str, Entry]) -> tuple[str, ...]:
@@ -72,14 +57,14 @@ def linearize(entry: Entry, classes: Mapping[str, Entry]) -> tuple[str, ...]:
         active.append(name)
         for parent in parents:
             if parent in active:
-                raise InheritanceCycle(
+                raise ResolveError(
                     "inheritance cycle: %s" % " -> ".join(active + [parent])
                 )
             if parent in seen:
                 continue
             cls = classes.get(parent)
             if cls is None:
-                raise UnknownClass("unknown class '%s'" % parent)
+                raise ResolveError("unknown class '%s'" % parent)
             visit(parent, cls.parents)
         active.pop()
 
@@ -104,7 +89,7 @@ def _evaluate(
         elif isinstance(node, RuleCall):
             rule = rules.get(node.rule)
             if rule is None:
-                raise UnknownRule("unknown allomorphy rule '%s'" % node.rule)
+                raise ResolveError("unknown allomorphy rule '%s'" % node.rule)
             result = rule.apply(entry_name)
             if result is None:
                 continue
@@ -141,8 +126,8 @@ def resolve(
 ) -> ResolvedEntry:
     """Inherited view of one entry with all placeholders evaluated.
 
-    Raises UnknownClass, InheritanceCycle, UnknownRule, or
-    PathThroughLeaf (from an internally inconsistent body).
+    Raises ResolveError for an unknown class or rule or a cycle, and
+    PathThroughLeaf for an internally inconsistent body.
     """
     if compiled_rules is None:
         compiled_rules = compile_rules(base)
@@ -156,7 +141,7 @@ def resolve(
         else:
             body = base.classes[name].tree()
         tree = tree.merge(body)
-    return ResolvedEntry(entry.name, _evaluate(tree, entry.name, compiled_rules), entry.section)
+    return ResolvedEntry(entry.name, _evaluate(tree, entry.name, compiled_rules))
 
 
 def resolve_all(

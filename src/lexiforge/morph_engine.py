@@ -1,10 +1,12 @@
 """Concatenative morphology driven by word-formation rules.
 
-A rule file starts with `#WF-RULES` and holds blank-line separated
-rules: a header `LHS -> C1 C2 ...` naming the result category and at
-least two constituents, then indented equations.  `Ci path = Cj path`
-equates two constituent nodes and `Ci path = v1 v2 ...` equates a
-constituent node with a literal value set.
+A rule file must start with the `#WF-RULES` header; comments and
+blank lines are ignored everywhere, so a blank line does not end a
+rule.  Each rule is a header line at column 0, `LHS -> C1 C2 ...`,
+naming the result category and at least two distinct constituents, all
+bare symbols, and then its equations on indented lines.  `Ci path = Cj
+path` equates two constituent nodes and `Ci path = v1 v2 ...` equates
+a constituent node with a literal value set.
 
 Every equation is one `feature_tree.meet` of the nodes at its two
 sides: an absent side takes the other side's node (these trees cannot
@@ -49,6 +51,7 @@ from .source import (
     _logical_lines,
     parse_equation,
     term_node,
+    tokenize,
 )
 
 
@@ -88,6 +91,19 @@ class Analysis:
 
 # -- parsing ---------------------------------------------------------------
 
+def _parse_wf_header(body: str, file, line) -> WFRule:
+    """`LHS -> C1 C2 ...`: bare-symbol labels, two constituents or more."""
+    tokens = tokenize(body, file, line)
+    if len(tokens) < 4 or tokens[1].text != "->" or any(t.kind != "sym" for t in tokens):
+        raise SourceSyntaxError(
+            "expected 'LHS -> C1 C2 ...' with at least two constituents", file, line
+        )
+    lhs, _, *rhs = (t.text for t in tokens)
+    if len(set(rhs)) != len(rhs) or lhs in rhs:
+        raise SourceSyntaxError("constituent labels must be distinct", file, line)
+    return WFRule(body, lhs, tuple(rhs), file=file, line=line)
+
+
 def _parse_wf_equation(text: str, rule: WFRule, file, line):
     eq = parse_equation(text.strip(), file, line)
     # parse_equation splits on '='; reinterpret both sides here
@@ -118,48 +134,26 @@ def _parse_wf_equation(text: str, rule: WFRule, file, line):
 
 def parse_wf_rules(text: str, file: str | None = None) -> list[WFRule]:
     """Strict parse of a rule file; raises on the first problem."""
-    lines = _logical_lines(text)
-    rules: list[WFRule] = []
-    current: WFRule | None = None
-    equations: list = []
-    saw_header = False
-
-    def close():
-        nonlocal current, equations
-        if current is not None:
-            current.equations = tuple(equations)
-            rules.append(current)
-            current, equations = None, []
-
-    for line_no, raw in lines:
+    rules: list[WFRule] | None = None  # None until the header
+    for line_no, raw in _logical_lines(text):
         body = raw.strip()
         if not body:
             continue
         if body == "#WF-RULES":
-            if saw_header:
+            if rules is not None:
                 raise SourceSyntaxError("duplicate #WF-RULES header", file, line_no)
-            saw_header = True
-            continue
-        if not saw_header:
+            rules = []
+        elif rules is None:
             raise SourceSyntaxError("expected the #WF-RULES header first", file, line_no)
-        if not raw[0].isspace():
-            close()
-            parts = body.split()
-            if len(parts) < 4 or parts[1] != "->":
-                raise SourceSyntaxError(
-                    "expected 'LHS -> C1 C2 ...' with at least two constituents",
-                    file,
-                    line_no,
-                )
-            lhs, rhs = parts[0], tuple(parts[2:])
-            if len(set(rhs)) != len(rhs) or lhs in rhs:
-                raise SourceSyntaxError("constituent labels must be distinct", file, line_no)
-            current = WFRule(body, lhs, rhs, file=file, line=line_no)
-            continue
-        if current is None:
+        elif not raw[0].isspace():
+            rules.append(_parse_wf_header(body, file, line_no))
+        elif not rules:
             raise SourceSyntaxError("equation outside any rule", file, line_no)
-        equations.append(_parse_wf_equation(raw, current, file, line_no))
-    close()
+        else:
+            rule = rules[-1]
+            rule.equations += (_parse_wf_equation(raw, rule, file, line_no),)
+    if rules is None:
+        raise SourceSyntaxError("expected the #WF-RULES header first", file, 1)
     return rules
 
 

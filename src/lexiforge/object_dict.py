@@ -31,10 +31,6 @@ class FormatError(Exception):
         super().__init__(message if line is None else "line %d: %s" % (line, message))
 
 
-class VersionError(FormatError):
-    pass
-
-
 @dataclass(frozen=True)
 class ObjectEntry:
     surface: str
@@ -211,9 +207,10 @@ def load(
     entry holding that line shares the one (immutable) leaf it yields.
     Each entry's tree is built once, when its block ends, with children
     in the order of its lines.  Raises FormatError, with the line
-    number, for anything `save` would not write: a carriage return, a
-    malformed line, a placeholder value, a path given twice, and a path
-    that runs through a leaf or ends above features already given.
+    number, for a missing or unsupported header and for anything `save`
+    would not write: a carriage return, a malformed line, a placeholder
+    value, a path given twice, and a path that runs through a leaf or
+    ends above features already given.
     """
     if isinstance(src, str):
         # newline="": read "\r" as written, as a stream would give it
@@ -231,7 +228,7 @@ def load(
     if not lines or lines[0] != HEADER:
         head = lines[0] if lines else ""
         if head.startswith(MAGIC):
-            raise VersionError("unsupported dictionary version %r" % head, line=1)
+            raise FormatError("unsupported dictionary version %r" % head, line=1)
         raise FormatError("missing dictionary header", line=1)
 
     entries: list[ObjectEntry] = []

@@ -418,6 +418,17 @@ def test_malformed_rules_file(dic_path, tmp_path, capsys):
     assert "at least two constituents" in captured.err
 
 
+def test_empty_rules_file_exits_2(dic_path, tmp_path, capsys):
+    rules = tmp_path / "empty.rules"
+    rules.write_text("", encoding="utf-8")
+    code = main(["analyze", dic_path, str(rules), "pido"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("%s:1: " % rules)
+    assert "expected the #WF-RULES header first" in captured.err
+
+
 # -- the installed entry point -----------------------------------------------------------
 
 def test_module_runs_as_a_subprocess(dic_path, rules_path):

@@ -84,6 +84,12 @@ def test_multiple_rules_and_blank_lines():
         ("#WF-RULES\nWord -> Stem Ending\n  Stem = vl\n", "expected a path after 'Stem'"),
         ("#WF-RULES\nWord -> Stem Ending\n  Stem lex = Ending\n", "expected a path after 'Ending'"),
         ("#WF-RULES\nWord -> Stem Ending\n  Stem stem = $rv0\n", "rule calls are not allowed"),
+        ('#WF-RULES\nW -> S "E"\n', "at least two constituents"),
+        ("#WF-RULES\nW -> S E=x\n", "at least two constituents"),
+        ("#WF-RULES\nW -> S $E\n", "at least two constituents"),
+        ("#WF-RULES\nW -> S #E\n", "unexpected character '#'"),
+        ("", "expected the #WF-RULES header"),
+        ("; c\n\n", "expected the #WF-RULES header"),
     ],
 )
 def test_rule_file_errors(text, fragment):
