@@ -221,20 +221,26 @@ def _stored_splits(surface: str, n: int, dictionary: ObjectDictionary):
     """Each split of the surface into n non-empty stored parts, as
     (parts, entry lists) in ascending order of cut positions; only a
     stored first part opens its tails, and a tail stops at its first
-    missing part."""
+    missing part.  A tail part is looked up once per call: a part some
+    tail already looked up, or a stored first part, comes from a memo."""
     lookup = dictionary.lookup
+    found: dict[str, list[ObjectEntry]] = {}
     end = len(surface)
     for first_cut in range(1, end - n + 2):
-        first = lookup(surface[:first_cut])
+        prefix = surface[:first_cut]
+        first = lookup(prefix)
         if not first:
             continue
+        found[prefix] = first
         for cuts in combinations(range(first_cut + 1, end), n - 2):
-            parts = [surface[:first_cut]]
+            parts = [prefix]
             entry_lists = [first]
             start = first_cut
             for cut in cuts + (end,):
                 part = surface[start:cut]
-                entries = lookup(part)
+                entries = found.get(part)
+                if entries is None:
+                    entries = found[part] = lookup(part)
                 if not entries:
                     break
                 parts.append(part)
@@ -255,7 +261,8 @@ def analyze(
     written.  Per rule of n constituents and a surface of length L it
     makes at most L-n+1 first-part lookups; a stored first part of
     length c adds at most C(L-c-1, n-2) tails, each looked up left to
-    right until its first missing part.  Results are deduplicated by
+    right until its first missing part, and no tail part is looked up
+    twice for one rule.  Results are deduplicated by
     category and canonical form, ordered by rule, then cut positions,
     then the entry order of each part's lookup.
     """

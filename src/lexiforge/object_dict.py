@@ -11,6 +11,7 @@ Saving the same dictionary twice yields identical bytes.
 
 from __future__ import annotations
 
+import gc
 import io
 from collections import Counter
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ class FormatError(Exception):
         super().__init__(message if line is None else "line %d: %s" % (line, message))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectEntry:
     surface: str
     tree: FeatureTree
@@ -74,15 +75,16 @@ class ObjectDictionary:
         self.concat_absent: list[int] = []
         for i, entry in enumerate(self.entries):
             self.surface_index.setdefault(entry.surface, []).append(i)
+            children = entry.tree.children
             for index, feature in (
                 (self.lemma_index, lex_feature),
                 (self.concat_index, concat_feature),
             ):
-                node = entry.tree.get((feature,))
+                node = children.get(feature)
                 if isinstance(node, ValueSet):
                     for atom in node:
                         index.setdefault(atom.text, []).append(i)
-            if concat_feature not in entry.tree.children:
+            if concat_feature not in children:
                 self.concat_absent.append(i)
 
     @classmethod
@@ -206,7 +208,9 @@ def load(
     Each distinct equation line is parsed once per call, and every
     entry holding that line shares the one (immutable) leaf it yields.
     Each entry's tree is built once, when its block ends, with children
-    in the order of its lines.  Raises FormatError, with the line
+    in the order of its lines.  The cyclic garbage collector is paused
+    while the entries are built and indexed, and left as it was found
+    on return and on error.  Raises FormatError, with the line
     number, for a missing or unsupported header and for anything `save`
     would not write: a carriage return, a malformed line, a placeholder
     value, a path given twice, and a path that runs through a leaf or
@@ -225,18 +229,32 @@ def load(
             line=text.count("\n", 0, cr) + 1,
         )
     lines = text.split("\n")
-    if not lines or lines[0] != HEADER:
-        head = lines[0] if lines else ""
-        if head.startswith(MAGIC):
-            raise FormatError("unsupported dictionary version %r" % head, line=1)
+    if lines[0] != HEADER:
+        if lines[0].startswith(MAGIC):
+            raise FormatError("unsupported dictionary version %r" % lines[0], line=1)
         raise FormatError("missing dictionary header", line=1)
+    # Nothing built below can form a reference cycle (trees are
+    # immutable and acyclic), so the cyclic collector's passes over the
+    # growing heap would find no garbage.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return ObjectDictionary.build(_entries(lines), lex_feature, concat_feature)
+    finally:
+        if enabled:
+            gc.enable()
 
+
+def _entries(lines: list[str]) -> list[ObjectEntry]:
+    """The entries of a dictionary file's lines (the first line, the
+    header, is skipped)."""
     entries: list[ObjectEntry] = []
     # Local to this call: a cache that outlived it would make later
     # loads in the same process cheaper than the first.
     parsed: dict[str, tuple[tuple[str, ...], ValueSet]] = {}
     surface: str | None = None
     root: dict[str, dict | ValueSet] = {}
+    flat = True  # every line so far has a one-label path
 
     lines.append("")  # ends the last entry
     for line_no, line in enumerate(lines[1:], start=2):
@@ -246,15 +264,20 @@ def load(
             equation = parsed.get(line)
             if equation is None:
                 equation = parsed[line] = _parse_line(line[2:], line_no)
-            _insert(root, *equation, line_no)
+            path, values = equation
+            if len(path) == 1 and path[0] not in root:
+                root[path[0]] = values
+            else:
+                flat = False
+                _insert(root, path, values, line_no)
             continue
         if line and line[0].isspace():
             raise FormatError("bad indentation", line=line_no)
         if surface is not None:
-            entries.append(ObjectEntry(surface, _tree(root)))
+            entries.append(ObjectEntry(surface, FeatureTree(root) if flat else _tree(root)))
         # A blank line ends the entry; any other line starts the next.
-        surface, root = line or None, {}
-    return ObjectDictionary.build(entries, lex_feature, concat_feature)
+        surface, root, flat = line or None, {}, True
+    return entries
 
 
 def _parse_line(text: str, line_no: int) -> tuple[tuple[str, ...], ValueSet]:

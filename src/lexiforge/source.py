@@ -38,6 +38,7 @@ from .feature_tree import (
     EMPTY_TREE,
     Atom,
     FeatureTree,
+    RESERVED_CHARS,
     SYMBOL_CHAR,
     ValueSet,
 )
@@ -290,8 +291,23 @@ def tokenize(text: str, file: str | None = None, line: int | None = None) -> lis
 
 # -- equations -----------------------------------------------------------
 
+# Any reserved character but `=`.  A line with none of them and one `=`
+# holds only symbols around it, and str.split() cuts them exactly where
+# the scanner would: `\s` matches what str.isspace() accepts.
+_NOT_PLAIN = re.compile("[%s]" % re.escape("".join(sorted(RESERVED_CHARS - {"="}))))
+
+
 def parse_equation(text: str, file: str | None = None, line: int | None = None) -> Equation:
-    """`path = v1 v2 ...` with symbol, string, `$rule` and `$$` values."""
+    """`path = v1 v2 ...` with symbol, string, `$rule` and `$$` values.
+
+    A plain line (one `=`, a path and values of symbols only) is split
+    directly; any other line, and every error, goes through `tokenize`.
+    """
+    lhs, eq, rhs = text.partition("=")
+    if eq and "=" not in rhs and _NOT_PLAIN.search(text) is None:
+        path, symbols = tuple(lhs.split()), rhs.split()
+        if path and symbols:
+            return Equation(path, tuple(map(Atom, symbols)), file, line)
     tokens = tokenize(text, file, line)
     split = [i for i, t in enumerate(tokens) if t.kind == "="]
     if len(split) != 1:

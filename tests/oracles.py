@@ -140,6 +140,32 @@ def reference_tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def reference_equation(text: str) -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """The path and the value tokens of an equation line, read from
+    `reference_tokenize`'s tokens; errors are ValueErrors carrying the
+    message `parse_equation` gives."""
+    tokens = reference_tokenize(text)
+    split = [i for i, (kind, _) in enumerate(tokens) if kind == "="]
+    if len(split) != 1:
+        raise ValueError("an equation needs exactly one '='")
+    lhs, rhs = tokens[: split[0]], tokens[split[0] + 1 :]
+    if not lhs:
+        raise ValueError("missing feature path before '='")
+    if any(kind != "sym" for kind, _ in lhs):
+        raise ValueError("feature paths hold bare labels only")
+    if not rhs:
+        raise ValueError("missing values after '='")
+    for kind, token in rhs:
+        if kind not in ("sym", "str", "call", "self"):
+            raise ValueError("unexpected %r in value list" % token)
+    kinds = {kind for kind, _ in rhs}
+    if len(rhs) > 1 and kinds & {"call", "self"}:
+        raise ValueError("a rule call or '$$' must be the only value")
+    if len(rhs) > 1 and "str" in kinds:
+        raise ValueError("a string value must be the only value")
+    return tuple(token for _, token in lhs), rhs
+
+
 # -- allomorphy ---------------------------------------------------------------
 #
 # Exact for variable patterns where "longest first" equals the engine's

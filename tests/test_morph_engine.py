@@ -704,6 +704,21 @@ def test_words_shorter_than_the_rule_need_no_lookup(monkeypatch):
     assert analyze("", dictionary, rules) == []
     assert analyze("a", dictionary, rules) == []
     assert calls == []
-    # two letters reach the two-constituent rule only
+    # two letters reach the two-constituent rule only, whose tail "a"
+    # is the stored first part
     assert analyze("aa", dictionary, rules) == []
-    assert calls == ["a", "a"]
+    assert calls == ["a"]
+
+
+def test_a_tail_part_is_looked_up_once_per_rule(monkeypatch):
+    surfaces = ["".join(p) for n in range(1, 5) for p in product("ab", repeat=n)]
+    dictionary = small_dictionary([(s, "lex = " + s) for s in surfaces])
+    rules = parse_wf_rules("#WF-RULES\n\nW -> A B C\n  W lex = A lex\n")
+    calls = _counting_lookups(monkeypatch)
+    got = analyze("abbabaabab", dictionary, rules)
+    # 8 first cuts and 26 distinct tail parts other than the stored
+    # first parts (50 lookups if each tail looked up its parts again)
+    assert len(calls) == len(set(calls)) == 34
+    assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
+        "abbabaabab", dictionary, rules
+    )

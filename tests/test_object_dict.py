@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -298,6 +299,39 @@ def test_load_parses_each_distinct_line_once_per_call(monkeypatch, fixtures_dir)
     assert trees[2].get(("lex",)) is trees[3].get(("lex",))
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  b c = 2\n\n", None),
+        ("LEXIFORGE-OBJDICT 1\nx\r\n  a = 1\n\n", "carriage return"),
+        ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  a = 2\n\n", "duplicate feature path"),
+    ],
+    ids=["loads", "carriage-return", "duplicate-path"],
+)
+def test_load_leaves_the_cyclic_collector_as_it_found_it(monkeypatch, text, error, enabled):
+    during = []
+    build = ObjectDictionary.build.__func__
+
+    def recorded(cls, *args, **kwargs):
+        during.append(gc.isenabled())
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ObjectDictionary, "build", classmethod(recorded))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            load(io.StringIO(text))
+            assert during == [False]
+        else:
+            with pytest.raises(FormatError, match=error):
+                load(io.StringIO(text))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_golden_file_loads(fixtures_dir):
     d = load(str(fixtures_dir.parent / "tests" / "golden" / "pedir_minimal.dic"))
     assert {e.surface for e in d.entries} == {"'abamos", "ped", "pid"}
@@ -306,10 +340,11 @@ def test_golden_file_loads(fixtures_dir):
 # -- load errors -------------------------------------------------------------------
 
 def test_load_requires_the_header():
-    with pytest.raises(FormatError) as exc:
-        load(io.StringIO("x\n  a = 1\n\n"))
-    assert "missing dictionary header" in str(exc.value)
-    assert exc.value.line == 1
+    for text in ("x\n  a = 1\n\n", ""):
+        with pytest.raises(FormatError) as exc:
+            load(io.StringIO(text))
+        assert "missing dictionary header" in str(exc.value)
+        assert exc.value.line == 1
 
 
 def test_load_rejects_future_versions():

@@ -15,7 +15,7 @@ from lexiforge.source import (
     tokenize,
 )
 
-from oracles import reference_logical_lines, reference_tokenize
+from oracles import reference_equation, reference_logical_lines, reference_tokenize
 from sources import parse_alo_rule, parse_dict_rules
 
 
@@ -141,6 +141,48 @@ def test_scanner_agrees_with_the_reference(text):
             tokenize(line, "f.lex", line_no)
         except SourceSyntaxError as exc:
             assert (exc.file, exc.line) == ("f.lex", line_no)
+
+
+# Symbols and whitespace kinds beyond the ASCII space (\x1c is a
+# separator that str.isspace() accepts); a side of an equation is drawn
+# from these alone or mixed with tokens that are not symbols, among them
+# strings holding a space or an `=`.
+_PLAIN_PIECES = ["a", "lex", "\xe9", "1", "-", " ", "\t", "\x0b", "\x1c", "\xa0"]
+_RESERVED_PIECES = list('$()#;"\\') + ["$$", "$r", '"x y"', '"a=b"', '\\"']
+_EQUATION_SIDES = st.one_of(
+    st.lists(st.sampled_from(_PLAIN_PIECES), min_size=1, max_size=6),
+    st.lists(st.sampled_from(_PLAIN_PIECES + _RESERVED_PIECES), max_size=6),
+).map("".join)
+
+
+def _equation(text):
+    """Path and value tokens of parse_equation's result, or the message
+    of the SourceSyntaxError it raised."""
+    try:
+        eq = parse_equation(text)
+    except SourceSyntaxError as exc:
+        return exc.message
+    values = []
+    for v in eq.values:
+        if isinstance(v, Atom):
+            values.append(("str" if v.quoted else "sym", v.text))
+        else:
+            values.append(("call", v.rule) if isinstance(v, RuleCall) else ("self", "$$"))
+    return eq.path, values
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(1, 3)
+    .flatmap(lambda sides: st.lists(_EQUATION_SIDES, min_size=sides, max_size=sides))
+    .map("=".join)
+)
+def test_parse_equation_agrees_with_the_reference(text):
+    try:
+        expected = reference_equation(text)
+    except ValueError as exc:
+        expected = str(exc)
+    assert _equation(text) == expected
 
 
 # -- sections and entries -----------------------------------------------------
