@@ -13,7 +13,10 @@ sides: an absent side takes the other side's node (these trees cannot
 share nodes, so it is copied), two leaves intersect, two subtrees meet
 label by label, and a path through a leaf, a leaf meeting a subtree or
 an empty result is BLOCKED and fails the candidate.  The outcome
-replaces both sides.
+replaces every side a later equation or the result can see; each rule
+is planned once when it is built (`_plan`), and an equation with no
+such side is only tested, two leaves without building their
+intersection.
 
 Analysis splits the surface, for every rule, into as many non-empty
 parts as the rule has constituents, each part stored in the object
@@ -72,12 +75,20 @@ class ValueEquation:
 
 @dataclass
 class WFRule:
+    """A word-formation rule.  Its plan is derived from the equations
+    when it is built, and being no field it is left out of `==` and
+    `repr`: `steps` (`_plan`) and `generation_plans` (`_generation_plan`)."""
+
     name: str
     lhs: str
     rhs: tuple[str, ...]
     equations: tuple = ()
     file: str | None = field(default=None, compare=False)
     line: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        self.steps = _plan(self.lhs, self.equations)
+        self.generation_plans: dict = {}
 
 
 @dataclass
@@ -91,8 +102,9 @@ class Analysis:
 
 # -- parsing ---------------------------------------------------------------
 
-def _parse_wf_header(body: str, file, line) -> WFRule:
-    """`LHS -> C1 C2 ...`: bare-symbol labels, two constituents or more."""
+def _parse_wf_header(body: str, file, line) -> tuple[str, str, tuple[str, ...]]:
+    """`LHS -> C1 C2 ...`: bare-symbol labels, two constituents or more.
+    Returns the rule's name, LHS and constituents."""
     tokens = tokenize(body, file, line)
     if len(tokens) < 4 or tokens[1].text != "->" or any(t.kind != "sym" for t in tokens):
         raise SourceSyntaxError(
@@ -101,13 +113,12 @@ def _parse_wf_header(body: str, file, line) -> WFRule:
     lhs, _, *rhs = (t.text for t in tokens)
     if len(set(rhs)) != len(rhs) or lhs in rhs:
         raise SourceSyntaxError("constituent labels must be distinct", file, line)
-    return WFRule(body, lhs, tuple(rhs), file=file, line=line)
+    return body, lhs, tuple(rhs)
 
 
-def _parse_wf_equation(text: str, rule: WFRule, file, line):
+def _parse_wf_equation(text: str, roots: set[str], file, line):
     eq = parse_equation(text.strip(), file, line)
     # parse_equation splits on '='; reinterpret both sides here
-    roots = {rule.lhs, *rule.rhs}
     left_root, *left_path = eq.path
     if left_root not in roots:
         raise SourceSyntaxError(
@@ -134,27 +145,28 @@ def _parse_wf_equation(text: str, rule: WFRule, file, line):
 
 def parse_wf_rules(text: str, file: str | None = None) -> list[WFRule]:
     """Strict parse of a rule file; raises on the first problem."""
-    rules: list[WFRule] | None = None  # None until the header
+    # each rule's header line, (name, lhs, rhs) and equations; None until the header
+    blocks: list[tuple[int, tuple, list]] | None = None
     for line_no, raw in _logical_lines(text):
         body = raw.strip()
         if not body:
             continue
         if body == "#WF-RULES":
-            if rules is not None:
+            if blocks is not None:
                 raise SourceSyntaxError("duplicate #WF-RULES header", file, line_no)
-            rules = []
-        elif rules is None:
+            blocks = []
+        elif blocks is None:
             raise SourceSyntaxError("expected the #WF-RULES header first", file, line_no)
         elif not raw[0].isspace():
-            rules.append(_parse_wf_header(body, file, line_no))
-        elif not rules:
+            blocks.append((line_no, _parse_wf_header(body, file, line_no), []))
+        elif not blocks:
             raise SourceSyntaxError("equation outside any rule", file, line_no)
         else:
-            rule = rules[-1]
-            rule.equations += (_parse_wf_equation(raw, rule, file, line_no),)
-    if rules is None:
+            _, (_, lhs, rhs), equations = blocks[-1]
+            equations.append(_parse_wf_equation(raw, {lhs, *rhs}, file, line_no))
+    if blocks is None:
         raise SourceSyntaxError("expected the #WF-RULES header first", file, 1)
-    return rules
+    return [WFRule(*header, tuple(eqs), file, line) for line, header, eqs in blocks]
 
 
 # -- the equation engine ----------------------------------------------------
@@ -172,37 +184,69 @@ def _peek(tree: FeatureTree, path: tuple[str, ...]):
     return node
 
 
+def _plan(lhs: str, equations: tuple) -> tuple:
+    """The equations as `_execute`'s steps, (left root, left path, left
+    live, right root, right path, right live); a value equation has
+    right root None and its value set as right path.
+
+    A side's write is live when its root is the LHS or a later equation
+    has a side on the same root at a path equal to, a prefix of or an
+    extension of this side's path.  Nodes are copied, not shared, so a
+    constituent's tree is seen only by later equations' `_peek`, and
+    `set` at a path changes what `_peek` returns only at that path, its
+    prefixes and its extensions: a write that is not live changes
+    nothing a later step or the result can see.
+    """
+    sides = [
+        (eq.root, eq.path, None, eq.values) if isinstance(eq, ValueEquation)
+        else (eq.left_root, eq.left_path, eq.right_root, eq.right_path)
+        for eq in equations
+    ]
+
+    def live(k: int, root: str, path: tuple[str, ...]) -> bool:
+        return root == lhs or any(
+            later == root and (p[: len(path)] == path or path[: len(p)] == p)
+            for left_root, left_path, right_root, right_path in sides[k + 1 :]
+            for later, p in ((left_root, left_path), (right_root, right_path))
+        )
+
+    return tuple(
+        (left_root, left_path, live(k, left_root, left_path),
+         right_root, right_path, right_root is not None and live(k, right_root, right_path))
+        for k, (left_root, left_path, right_root, right_path) in enumerate(sides)
+    )
+
+
 def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None:
     """The rule's result tree over one entry per constituent, or None
     when the candidate fails.
 
-    Each equation is one `meet` of the nodes at its sides, a value
-    equation's right side being its value set; the outcome is written
-    back only where it differs from the node already there.  Nodes are
-    copied, not shared: a later equation that fills or narrows one side
-    does not reach the other, so where an equation meets an absent
-    node, equation order can change the result and whether it fails.
+    Walks the rule's steps (`_plan`).  Each equation is one `meet` of
+    the nodes at its sides, a value equation's right side being its
+    value set, and the outcome is written back to each live side where
+    it differs from the node already there.  An equation with no live
+    side is only tested with `_clash`, so two leaves are compared
+    without building their intersection.  Nodes are copied, not
+    shared: a later equation that fills or narrows one side does not
+    reach the other, so where an equation meets an absent node,
+    equation order can change the result and whether it fails.
     """
     trees = {label: entry.tree for label, entry in zip(rule.rhs, entries)}
     trees[rule.lhs] = EMPTY_TREE
-    for eq in rule.equations:
-        if isinstance(eq, ValueEquation):
-            node = _peek(trees[eq.root], eq.path)
-            merged = meet(node, eq.values)
-            if merged is BLOCKED:
+    for left_root, left_path, left_live, right_root, right_path, right_live in rule.steps:
+        left = _peek(trees[left_root], left_path)
+        right = right_path if right_root is None else _peek(trees[right_root], right_path)
+        if not (left_live or right_live):
+            if _clash(left, right):
                 return None
-            if merged is not node:
-                trees[eq.root] = trees[eq.root].set(eq.path, merged)
             continue
-        left = _peek(trees[eq.left_root], eq.left_path)
-        right = _peek(trees[eq.right_root], eq.right_path)
         merged = meet(left, right)
         if merged is BLOCKED:
             return None
-        if merged is not left:
-            trees[eq.left_root] = trees[eq.left_root].set(eq.left_path, merged)
-        if merged is not right:
-            trees[eq.right_root] = trees[eq.right_root].set(eq.right_path, merged)
+        if left_live and merged is not left:
+            trees[left_root] = trees[left_root].set(left_path, merged)
+        if right_live and merged is not right:
+            trees[right_root] = trees[right_root].set(right_path, merged)
     return trees[rule.lhs]
 
 
@@ -286,6 +330,60 @@ def analyze(
 
 # -- generation ---------------------------------------------------------------
 
+def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]):
+    """The facts `generate` needs that do not depend on the lemma or the
+    constraints, from one pass over the equations, kept on the rule per
+    pair of index features: the pair checks (i, p, j, q) for `Ci p = Cj
+    q`, by constituent position, and per constituent whether it is
+    drawn by lemma, its concatenation category or None, its constraint
+    filters' (path, result path) sources and the paths its checks read."""
+    plan = rule.generation_plans.get((lex_path, concat_path))
+    if plan is not None:
+        return plan
+    rhs = rule.rhs
+    linked: set[str] = set()
+    categories: dict[str, str] = {}
+    sources: dict[str, list] = {label: [] for label in rhs}
+    checks = []
+    lemma_sides = []  # the root of each equation side at the lemma path
+    for eq in rule.equations:
+        if isinstance(eq, ValueEquation):
+            if eq.path == lex_path:
+                lemma_sides.append(eq.root)
+            if eq.path == concat_path and len(eq.values) == 1:
+                categories.setdefault(eq.root, eq.values.values[0].text)
+            continue
+        if eq.left_path == lex_path:
+            lemma_sides.append(eq.left_root)
+        if eq.right_path == lex_path:
+            lemma_sides.append(eq.right_root)
+        if eq.left_root in rhs and eq.right_root in rhs:
+            i, j = rhs.index(eq.left_root), rhs.index(eq.right_root)
+            checks.append((i, eq.left_path, j, eq.right_path))
+            continue
+        for root, path, label, label_path in (
+            (eq.left_root, eq.left_path, eq.right_root, eq.right_path),
+            (eq.right_root, eq.right_path, eq.left_root, eq.left_path),
+        ):
+            if root != rule.lhs or label == rule.lhs:
+                continue
+            if path == lex_path and label_path == lex_path:
+                linked.add(label)
+            sources[label].append((label_path, path))
+    constituents = tuple(
+        (
+            # only a link that alone names both lemma paths makes C hold the lemma
+            label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1,
+            categories.get(label),
+            tuple(sources[label]),
+            tuple(p for i, p, _, _ in checks if i == k) + tuple(q for _, _, j, q in checks if j == k),
+        )
+        for k, label in enumerate(rhs)
+    )
+    plan = rule.generation_plans[(lex_path, concat_path)] = (tuple(checks), constituents)
+    return plan
+
+
 def generate(
     lemma: str,
     constraints: FeatureTree,
@@ -295,7 +393,8 @@ def generate(
     """Surfaces derivable for the lemma whose result tree unifies with
     the constraints, deduplicated and sorted.
 
-    One pass over a rule's equations finds each constituent's
+    The rule's generation plan, one pass over its equations made once
+    per rule, gives each constituent's
     candidates: the lemma index for a constituent whose lemma path is
     equated with the result's (`W lex = C lex`) by the only equation
     side at either path (a link from the result's lemma to another
@@ -304,7 +403,8 @@ def generate(
     index (plus the entries lacking that feature) for its first
     `C concat = v` equation, else every dictionary entry.  Each
     constituent of the last kind multiplies the work by |D|, the
-    dictionary size.
+    dictionary size.  Each call peeks the constraints only at the
+    result paths the plan lists.
 
     Candidates that must fail are dropped before their equations run,
     by `_clash` on the entries' original nodes, which the equations
@@ -320,53 +420,19 @@ def generate(
     concat_path = (dictionary.concat_feature,)
     surfaces: set[str] = set()
     for rule in rules:
-        rhs = rule.rhs
-        linked: set[str] = set()
-        categories: dict[str, str] = {}
-        filters: dict[str, list] = {label: [] for label in rhs}
-        checks = []  # (i, p, j, q) for `Ci p = Cj q`, by constituent position
-        lemma_sides = []  # the root of each equation side at the lemma path
-        for eq in rule.equations:
-            if isinstance(eq, ValueEquation):
-                if eq.path == lex_path:
-                    lemma_sides.append(eq.root)
-                if eq.path == concat_path and len(eq.values) == 1:
-                    categories.setdefault(eq.root, eq.values.values[0].text)
-                continue
-            if eq.left_path == lex_path:
-                lemma_sides.append(eq.left_root)
-            if eq.right_path == lex_path:
-                lemma_sides.append(eq.right_root)
-            if eq.left_root in rhs and eq.right_root in rhs:
-                i, j = rhs.index(eq.left_root), rhs.index(eq.right_root)
-                checks.append((i, eq.left_path, j, eq.right_path))
-            else:
-                for root, path, label, label_path in (
-                    (eq.left_root, eq.left_path, eq.right_root, eq.right_path),
-                    (eq.right_root, eq.right_path, eq.left_root, eq.left_path),
-                ):
-                    if root != rule.lhs or label == rule.lhs:
-                        continue
-                    if path == lex_path and label_path == lex_path:
-                        linked.add(label)
-                    node = _peek(constraints, path)
-                    if node is not None and node is not BLOCKED:
-                        filters[label].append((label_path, node))
+        checks, constituents = _generation_plan(rule, lex_path, concat_path)
         candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
-        for k, label in enumerate(rhs):
-            # only a link that alone names both lemma paths makes C hold the lemma
-            if label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1:
+        for by_lemma, category, sources, paths in constituents:
+            if by_lemma:
                 candidates = dictionary.lookup_by_lemma(lemma)
-            elif label in categories:
+            elif category is not None:
                 # an entry lacking the feature gets it from the equation
-                candidates = (
-                    dictionary.lookup_by_concat(categories[label]) + dictionary.lacking_concat()
-                )
+                candidates = dictionary.lookup_by_concat(category) + dictionary.lacking_concat()
             else:
                 candidates = dictionary.entries
-            wanted = filters[label]
+            peeked = [(path, _peek(constraints, result_path)) for path, result_path in sources]
+            wanted = [(path, node) for path, node in peeked if node is not None and node is not BLOCKED]
             # each candidate with its own nodes at the paths the pair checks read
-            paths = [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
             candidate_lists.append(
                 [
                     (entry, {path: _peek(entry.tree, path) for path in paths})

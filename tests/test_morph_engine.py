@@ -9,6 +9,8 @@ from lexiforge.feature_tree import EMPTY_TREE, PathThroughLeaf, leaf, unify
 from lexiforge.morph_engine import (
     PathEquation,
     ValueEquation,
+    WFRule,
+    _execute,
     analyze,
     generate,
     parse_wf_rules,
@@ -18,6 +20,7 @@ from lexiforge.source import SourceSyntaxError
 
 from oracles import all_pairs_analyses, all_pairs_generation, ordered_analyses
 from sources import parse_tree
+from test_dict_compiler import count_constructions
 
 
 RULES = """\
@@ -180,6 +183,46 @@ def test_equation_order_can_change_a_reading_when_a_link_meets_an_absent_node():
         assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
             "abc", dictionary, rules
         )
+
+
+def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
+    (rule,) = wf_rules
+    generate("pedir", EMPTY_TREE, spanish_dict, [rule])  # fills the rule's generation plans
+    rebuilt = WFRule(rule.name, rule.lhs, rule.rhs, rule.equations, rule.file, rule.line)
+    # the plan is derived from the equations and takes no part in == or repr
+    assert rebuilt == rule and repr(rebuilt) == repr(rule)
+    assert rebuilt.steps == rule.steps and "steps" not in repr(rule)
+    for surface in ["pedíamos", "pido", "amaba", "come", "pedo", "vivían", "era"]:
+        assert [
+            (a.category, a.lemma, a.tree.canonical_form(), a.segmentation)
+            for a in analyze(surface, spanish_dict, [rebuilt])
+        ] == [
+            (a.category, a.lemma, a.tree.canonical_form(), a.segmentation)
+            for a in analyze(surface, spanish_dict, [rule])
+        ], surface
+    for lemma in sorted(spanish_dict.lemma_index):
+        for constraints in (EMPTY_TREE, impf_1pl()):
+            assert generate(lemma, constraints, spanish_dict, [rebuilt]) == generate(
+                lemma, constraints, spanish_dict, [rule]
+            ), lemma
+
+
+def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, wf_rules):
+    # no later equation reads the constituents' concat, stt, sut or conj,
+    # so those equations are only tested: the three writes into Word are
+    # the only trees built, and no value set is
+    (rule,) = wf_rules
+    assert [(left_live, right_live) for _, _, left_live, _, _, right_live in rule.steps] == (
+        [(False, False)] * 5 + [(True, False)] * 3
+    )
+    (stem,) = spanish_dict.lookup("ped")
+    (ending,) = spanish_dict.lookup("íamos")
+    counts = count_constructions(monkeypatch)
+    tree = _execute(rule, [stem, ending])
+    assert counts == {"FeatureTree": 3, "ValueSet": 0}
+    assert tree.canonical_form() == (
+        "agr num = plu\nagr pers = 1\nlex = pedir\nvinfo mood = ind\nvinfo tense = impf\n"
+    )
 
 
 def test_path_through_a_leaf_fails_the_candidate(spanish_dict):
@@ -722,3 +765,69 @@ def test_a_tail_part_is_looked_up_once_per_rule(monkeypatch):
     assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
         "abbabaabab", dictionary, rules
     )
+
+
+# Rules drawn, in shuffled order, from equations whose paths overlap in
+# every way: a write at `agr` then a read at `agr pers` and the other
+# way round, both sides on one root, value equations after links,
+# equations that read the result back into a constituent, and the
+# README's order-dependent trio (`V lex = A lex`, `A lex = B lex`, `V
+# lex = C lex`).  The engine skips the writes no later equation reads;
+# the oracles write both sides every time.
+_LIVENESS_EQUATIONS = [
+    "V lex = A lex",
+    "A lex = B lex",
+    "V lex = C lex",
+    "A agr = B agr",
+    "V agr pers = A agr pers",
+    "B agr pers = C agr pers",
+    "V agr = B agr",
+    "A id = A agr pers",
+    "V id = A id",
+    "A agr pers = 1",
+    "B lex = y",
+    "C agr = V agr",
+]
+
+_LIVENESS_TREE_TEXTS = [
+    "\n".join(lines)
+    for lines in product(
+        ["", "lex = x", "lex = y", "lex = x y"],
+        ["", "agr = 1", "agr pers = 1", "agr pers = 1 2", "agr pers = 2\nagr num = s"],
+        ["", "id = 1", "id = 1 2"],
+    )
+]
+
+_LIVENESS_CONSTRAINTS = {("lex",): ["x", "y"], ("agr", "pers"): ["1", "2"], ("id",): ["1", "2"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_skipped_writes_never_change_an_answer(data):
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_LIVENESS_TREE_TEXTS)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    dictionary = small_dictionary(entries)
+    equations = data.draw(
+        st.lists(st.sampled_from(_LIVENESS_EQUATIONS), min_size=2, unique=True)
+    )
+    rules = parse_wf_rules("#WF-RULES\n\nV -> A B C\n" + "".join("  %s\n" % eq for eq in equations))
+    # every spelling of three entries, so every triple of entries runs
+    for surface in sorted({"".join(parts) for parts in product([s for s, _ in entries], repeat=3)}):
+        got = analyze(surface, dictionary, rules)
+        assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
+            surface, dictionary, rules
+        ), surface
+    constraints = EMPTY_TREE
+    for path in data.draw(st.lists(st.sampled_from(sorted(_LIVENESS_CONSTRAINTS)), unique=True)):
+        texts = data.draw(
+            st.lists(st.sampled_from(_LIVENESS_CONSTRAINTS[path]), min_size=1, unique=True)
+        )
+        constraints = constraints.set(path, leaf(*texts))
+    oracle = all_pairs_generation(dictionary, rules)
+    for lemma in ("x", "y"):
+        assert generate(lemma, constraints, dictionary, rules) == oracle(lemma, constraints)
