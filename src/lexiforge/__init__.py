@@ -7,7 +7,7 @@ and word formation rules then analyze and generate inflected words
 over that dictionary by feature unification.
 """
 
-from .alo_rules import BadPattern, CompiledAloRule, compile_alo_rule
+from .alo_rules import CompiledAloRule, compile_alo_rule
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
 from .dict_compiler import CompileResult, apply_dict_rule, compile_base
 from .feature_tree import (
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Analysis",
     "Atom",
-    "BadPattern",
     "CompileResult",
     "CompiledAloRule",
     "Diagnostic",

@@ -4,38 +4,44 @@ A rule is an ordered list of productions.  Each production's pattern is
 a mix of literal text and single-letter variables; a variable stands
 for a regular expression given in its declaration.  The whole pattern
 must cover the whole argument (anchored at both ends), productions are
-tried in source order, and within one production matching is leftmost
-greedy with backtracking: earlier variables take the longest text that
-still lets the rest of the pattern succeed.
+tried in source order, and within one production matching is greedy
+with backtracking: earlier variables take the longest text that still
+lets the rest of the pattern succeed, and an alternation takes its
+first branch that does so, not its longest.
 
 The pinned regular-expression dialect is deliberately small: literals,
 '.', '*', '+', '?', alternation '|', grouping '(...)', character
-classes '[...]' and backslash-escaped punctuation.  Anything else is
-rejected at compile time so rule behavior cannot depend on engine
-extensions.
+classes '[...]' and backslash-escaped punctuation.  The parser refuses
+anything else, '(?' extensions and stacked quantifiers ('*?') included
+(`check_pattern`), so rule behavior cannot depend on the engine.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .source import AloRule
-
-
-class BadPattern(Exception):
-    def __init__(self, rule: str, variable: str, reason: str):
-        self.rule = rule
-        self.variable = variable
-        self.reason = reason
-        super().__init__("rule '%s', variable '%s': %s" % (rule, variable, reason))
+if TYPE_CHECKING:
+    from .source import AloRule
 
 
-def _check_dialect(pattern: str) -> str | None:
-    """Reason the pattern falls outside the pinned dialect, or None."""
+def check_pattern(pattern: str) -> str | None:
+    """Reason the pattern falls outside the pinned dialect or does not
+    compile, or None."""
     i, n = 0, len(pattern)
+    quantified = False  # the previous character was a quantifier
     while i < n:
         c = pattern[i]
+        if c in "*+?":
+            if quantified:
+                return "stacked quantifiers like '%s' are not supported" % pattern[i - 1 : i + 1]
+            quantified = True
+            i += 1
+            continue
+        quantified = False
+        if c == "(" and pattern.startswith("?", i + 1):
+            return "'(?' extensions are not supported"
         if c == "\\":
             if i + 1 >= n:
                 return "dangling backslash"
@@ -65,6 +71,10 @@ def _check_dialect(pattern: str) -> str | None:
             i += 1
             continue
         i += 1
+    try:
+        re.compile(pattern)
+    except re.error as exc:
+        return str(exc)
     return None
 
 
@@ -86,31 +96,15 @@ class CompiledAloRule:
             m = prod.regex.fullmatch(argument)
             if m is None:
                 continue
-            out: list[str] = []
-            for kind, text in prod.rhs:
-                if kind == "lit":
-                    out.append(text)
-                else:
-                    out.append(m.group(prod.groups[text]))
-            return "".join(out)
+            return "".join(
+                text if kind == "lit" else m.group(prod.groups[text]) for kind, text in prod.rhs
+            )
         return None
 
 
 def compile_alo_rule(rule: AloRule) -> CompiledAloRule:
-    """Validate variable patterns and assemble one anchored regex per
-    production.  Raises BadPattern for dialect violations or patterns
-    the engine rejects."""
-    checked: dict[str, str] = {}
-    for var, pattern in rule.variables.items():
-        reason = _check_dialect(pattern)
-        if reason is not None:
-            raise BadPattern(rule.name, var, reason)
-        try:
-            re.compile(pattern)
-        except re.error as exc:
-            raise BadPattern(rule.name, var, str(exc))
-        checked[var] = pattern
-
+    """One anchored regex per production.  The parser has already
+    refused every variable pattern `check_pattern` faults."""
     compiled: list[CompiledProduction] = []
     for prod in rule.productions:
         parts: list[str] = []
@@ -121,6 +115,6 @@ def compile_alo_rule(rule: AloRule) -> CompiledAloRule:
             else:
                 gname = "v%d" % idx
                 groups[text] = gname
-                parts.append("(?P<%s>%s)" % (gname, checked[text]))
+                parts.append("(?P<%s>%s)" % (gname, rule.variables[text]))
         compiled.append(CompiledProduction(prod.rhs, re.compile("".join(parts)), groups))
     return CompiledAloRule(rule.name, compiled)

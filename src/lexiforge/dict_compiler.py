@@ -143,7 +143,7 @@ def compile_base(
     for section in ("morphemes", "words", "lexemes"):
         rules = base.dict_rules.for_section(section)
         items = resolved[section]
-        if items and not rules and "dict-rules" in base.sections_seen:
+        if items and not rules:
             diagnostics.append(
                 Diagnostic(
                     WARNING,

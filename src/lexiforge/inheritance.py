@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .alo_rules import BadPattern, CompiledAloRule, compile_alo_rule
+from .alo_rules import CompiledAloRule, compile_alo_rule
 from .diagnostics import ERROR, Diagnostic
 from .feature_tree import (
     EMPTY_TREE,
@@ -101,21 +101,9 @@ def _evaluate(
     return FeatureTree(children)
 
 
-def compile_rules(
-    base: SourceBase, diagnostics: list[Diagnostic] | None = None
-) -> dict[str, CompiledAloRule]:
-    """Compile every allomorphy rule, reporting failures as diagnostics."""
-    compiled: dict[str, CompiledAloRule] = {}
-    for name, rule in base.alo_rules.items():
-        try:
-            compiled[name] = compile_alo_rule(rule)
-        except BadPattern as exc:
-            if diagnostics is None:
-                raise
-            diagnostics.append(
-                Diagnostic(ERROR, str(exc), file=rule.file, line=rule.line)
-            )
-    return compiled
+def compile_rules(base: SourceBase) -> dict[str, CompiledAloRule]:
+    """Every allomorphy rule, compiled; the parser checked the patterns."""
+    return {name: compile_alo_rule(rule) for name, rule in base.alo_rules.items()}
 
 
 def resolve(
@@ -151,7 +139,7 @@ def resolve_all(
     emitted.  A failing entry is skipped with a diagnostic and the rest
     of the base still resolves."""
     diagnostics: list[Diagnostic] = []
-    compiled = compile_rules(base, diagnostics)
+    compiled = compile_rules(base)
     class_trees: dict[str, FeatureTree] = {}
     for name, cls in base.classes.items():
         try:

@@ -133,8 +133,6 @@ def _parse_wf_equation(text: str, roots: set[str], file, line):
     if first.text in roots and not first.quoted:
         right_root = first.text
         right_path = tuple(a.text for a in eq.values[1:])
-        if any(a.quoted for a in eq.values[1:]):
-            raise SourceSyntaxError("paths hold bare labels only", file, line)
         if not right_path:
             raise SourceSyntaxError(
                 "expected a path after '%s'" % right_root, file, line

@@ -178,6 +178,9 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
             _check_quoting(entry)
         rows.append((surface, canon))
     rows.sort()
+    for row, following in zip(rows, rows[1:]):
+        if row == following:  # load would collapse the two
+            raise ValueError("duplicate entry %r" % row[0])
     out = io.StringIO()
     out.write(HEADER + "\n")
     for surface, canon in rows:

@@ -8,9 +8,10 @@ declarations, `#DICT-RULES` the equations that turn resolved entries
 into object dictionary entries.  `#INCLUDE "relative/path"` splices
 another file in between entries.
 
-Section headers start at column 0.  `;` starts a comment (except inside
-quoted strings), a trailing backslash joins the next physical line
-before tokenizing, and blank lines separate entries and rules.
+Section headers start at column 0.  A physical line ends at `\r\n`,
+`\r` or `\n`.  `;` starts a comment (except inside quoted strings), a
+trailing backslash joins the next physical line before tokenizing, and
+blank lines separate entries and rules.
 
 One string pattern decides where a quoted string ends, for comments
 and for tokens alike: inside quotes `\"` and `\\` are escapes, any
@@ -33,6 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from .alo_rules import check_pattern
 from .diagnostics import ERROR, Diagnostic, has_errors
 from .feature_tree import (
     EMPTY_TREE,
@@ -235,15 +237,16 @@ _ESCAPE = re.compile(r'\\(["\\])')
 def _logical_lines(text: str) -> list[tuple[int, str]]:
     """Comment-stripped lines with backslash continuations joined.
 
-    Each result keeps the line number of its first physical line.  A
-    line that ends inside an unterminated string is kept whole, and a
-    backslash at its end does not join the next line.
+    A physical line ends at CR LF, a lone CR or LF, as in text read
+    with `open()`.  Each result keeps the line number of its first
+    physical line.  A line that ends inside an unterminated string is
+    kept whole, and a backslash at its end does not join the next line.
     """
     out: list[tuple[int, str]] = []
     pending: str | None = None
     pending_line = 0
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     for i, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.rstrip("\r")
         code = _CODE.match(raw).end()
         open_quote = raw.startswith('"', code)
         stripped = raw if open_quote else raw[:code]
@@ -406,6 +409,10 @@ def _parse_alo_block(block: list[tuple[int, str]], file: str | None) -> AloRule:
                 raise SourceSyntaxError("variable '%s' redeclared" % var, file, line_no)
             if not pattern:
                 raise SourceSyntaxError("empty pattern for variable '%s'" % var, file, line_no)
+            reason = check_pattern(pattern)
+            if reason is not None:
+                message = "rule '%s', variable '%s': %s" % (name, var, reason)
+                raise SourceSyntaxError(message, file, line_no)
             variables[var] = pattern
             continue
         parts = body.split("->")

@@ -59,12 +59,12 @@ def reference_strip_comment(text: str) -> tuple[str, bool]:
 
 def reference_logical_lines(text: str) -> list[tuple[int, str]]:
     """Comment-stripped lines with backslash continuations joined, each
-    with the line number of its first physical line."""
+    with the line number of its first physical line.  A physical line
+    ends at CR LF, a lone CR or LF."""
     out: list[tuple[int, str]] = []
     pending: str | None = None
     pending_line = 0
-    for i, raw in enumerate(text.split("\n"), start=1):
-        raw = raw.rstrip("\r")
+    for i, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         stripped, open_quote = reference_strip_comment(raw)
         body = stripped.rstrip()
         if body.endswith("\\") and not open_quote:

@@ -190,6 +190,44 @@ def test_compile_writes_nothing_for_a_parse_error(tmp_path, capsys):
     assert not (tmp_path / "base.dic").exists()
 
 
+def test_check_reports_a_bad_pattern_at_its_declaration(tmp_path, capsys):
+    src = tmp_path / "bad.lex"
+    src.write_text(
+        "#ALO-RULES\n\nrv\n{X = ^a}\n$Xar -> $X\n\n#LEXEMES\n\namar\nstem = $rv\n",
+        encoding="utf-8",
+    )
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "%s:4: error: rule 'rv', variable 'X': anchors are implicit; '^' is not allowed" % src,
+        "%s:9: error amar: unknown allomorphy rule 'rv'" % src,
+        "2 errors, 0 warnings",
+    ]
+
+
+def test_compile_to_a_missing_directory_is_unusable_output(fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.dic"
+    code = main(["compile", str(fixtures_dir / "pedir_minimal.lex"), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot write %s" % out in captured.err
+
+
+def test_an_undecodable_include_is_an_error_at_the_include(tmp_path, capsys):
+    (tmp_path / "inc.lex").write_bytes(b"#LEXEMES\n\nam\xe9\n")
+    src = tmp_path / "base.lex"
+    src.write_text('#MORPHEMES\n\n#INCLUDE "inc.lex"\n', encoding="utf-8")
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "%s:3: error: %s is not valid UTF-8 at byte 12" % (src, tmp_path / "inc.lex"),
+        "1 errors, 0 warnings",
+    ]
+
+
 @pytest.mark.parametrize("command", ["compile", "check"])
 def test_undecodable_source_is_unusable_input(tmp_path, capsys, command):
     src = tmp_path / "base.lex"
@@ -416,6 +454,16 @@ def test_malformed_rules_file(dic_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "at least two constituents" in captured.err
+
+
+def test_carriage_return_in_a_rules_file_exits_2(dic_path, tmp_path, capsys):
+    rules = tmp_path / "cr.rules"
+    rules.write_bytes(b'#WF-RULES\nW -> A B\n  A p = "a\rb"\n')
+    code = main(["analyze", dic_path, str(rules), "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "%s:3: error: unterminated string" % rules in captured.err
 
 
 def test_empty_rules_file_exits_2(dic_path, tmp_path, capsys):

@@ -293,6 +293,15 @@ def test_missing_section_rules_warn_once():
     assert all(e.section != "morphemes" for e in result.dictionary.entries)
 
 
+def test_entries_without_a_dict_rules_section_are_warned_about():
+    result = compile_base(parse_source_text("#MORPHEMES\n\nped\nstt = 11\n").base)
+    assert result.ok
+    assert [d.message for d in result.diagnostics] == [
+        "no dictionary rules for #MORPHEMES; 1 entries not emitted"
+    ]
+    assert result.dictionary.entries == ()
+
+
 def test_lemma_with_no_output_warns():
     # 'sol' matches neither truncation nor alternation: no slots at all
     text = BASE.replace("amar (MV)", "amar (MV)\n\nsol (MV)")

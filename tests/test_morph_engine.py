@@ -87,6 +87,8 @@ def test_multiple_rules_and_blank_lines():
         ("#WF-RULES\nWord -> Stem Ending\n  Stem = vl\n", "expected a path after 'Stem'"),
         ("#WF-RULES\nWord -> Stem Ending\n  Stem lex = Ending\n", "expected a path after 'Ending'"),
         ("#WF-RULES\nWord -> Stem Ending\n  Stem stem = $rv0\n", "rule calls are not allowed"),
+        ('#WF-RULES\nW -> A B\n  A p = B "q"\n', "a string value must be the only value"),
+        ('#WF-RULES\nW -> A B\n  A p = "a\rb"\n', "unterminated string"),
         ('#WF-RULES\nW -> S "E"\n', "at least two constituents"),
         ("#WF-RULES\nW -> S E=x\n", "at least two constituents"),
         ("#WF-RULES\nW -> S $E\n", "at least two constituents"),

@@ -198,6 +198,15 @@ def test_unserializable_surfaces_are_rejected():
             save(ObjectDictionary([ObjectEntry(surface, EMPTY_TREE)]), io.StringIO())
 
 
+def test_exact_duplicates_are_refused_before_writing(tmp_path):
+    # load would collapse the two, so the saved bytes would not come back
+    path = tmp_path / "dup.dic"
+    twin = entry("ped", "lex = pedir")
+    with pytest.raises(ValueError, match="duplicate entry 'ped'"):
+        save(ObjectDictionary([twin, entry("aba", "lex = aux"), twin]), str(path))
+    assert not path.exists()
+
+
 # Whitespace that str.splitlines() or str.isspace() treat specially,
 # drawn often enough to be tried in every run.
 _SPACES = "\x0b\x0c\x1c\x85\u2028 \t"

@@ -10,6 +10,7 @@ from lexiforge.source import (
     SelfRef,
     SourceSyntaxError,
     parse_equation,
+    parse_source,
     parse_source_text,
     term_node,
     tokenize,
@@ -105,6 +106,31 @@ def test_continuation_reports_first_physical_line():
 def test_backslash_in_quotes_escapes_only_a_quote_or_a_backslash():
     (tok,) = tokenize(r'"a\x \" \\ \;"')
     assert tok == ("str", 'a\\x " \\ \\;')
+
+
+@pytest.mark.parametrize(
+    "text,lines",
+    [
+        ('#MORPHEMES\n\nped\nx = "a\rb"\n', [4, 5]),
+        ('#DATA-DICT\n\nx = "a\rb"\n', [3, 4]),
+    ],
+)
+def test_a_carriage_return_ends_a_line_as_it_does_in_a_file(tmp_path, text, lines):
+    # a lone CR, like CR LF, ends a line: the quoted value is cut in two
+    result = parse_source_text(text, name="cr.lex")
+    assert [(d.line, d.message) for d in result.diagnostics] == [
+        (line, "unterminated string") for line in lines
+    ]
+    path = tmp_path / "cr.lex"
+    path.write_bytes(text.encode("utf-8"))
+    from_file = parse_source(str(path))
+    assert [(d.line, d.message) for d in from_file.diagnostics] == [
+        (d.line, d.message) for d in result.diagnostics
+    ]
+
+
+def test_every_line_end_counts_once():
+    assert _logical_lines("a\r\nb\rc\nd") == [(1, "a"), (2, "b"), (3, "c"), (4, "d")]
 
 
 def test_a_line_ending_inside_an_open_string_is_not_joined():
@@ -356,6 +382,16 @@ def test_alo_rule_rejects(text, fragment):
     with pytest.raises(SourceSyntaxError) as exc:
         parse_alo_rule(text)
     assert fragment in str(exc.value)
+
+
+def test_a_pattern_outside_the_dialect_is_refused_at_its_declaration():
+    text = "#ALO-RULES\n\nrv\n{X = ^a}\n$Xar -> $X\n"
+    result = parse_source_text(text, name="bad.lex")
+    assert not result.ok
+    assert [(d.message, d.file, d.line) for d in result.diagnostics] == [
+        ("rule 'rv', variable 'X': anchors are implicit; '^' is not allowed", "bad.lex", 4)
+    ]
+    assert result.base.alo_rules == {}  # dropped like any malformed block
 
 
 # -- data dictionary declarations -------------------------------------------------
