@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when the work itself fails (a source with
 any error, parse errors included, or a query with no answer), 2 when an
 input cannot be used at all (a missing, unreadable or non-UTF-8 source
-root, dictionary or rule file, or a malformed dictionary or rule file).
+root, dictionary or rule file, a malformed dictionary or rule file, or
+a `compile` output that names a file of the source).
 
 Machine-readable output: `--porcelain` prints one tab-separated record
 per line, with backslash, tab and newline escaped as \\\\, \\t and \\n
@@ -86,23 +87,31 @@ def _parse_constraints(tokens) -> FeatureTree:
     return tree
 
 
-def _run_pipeline(args):
+def _run_pipeline(args, output: str | None = None):
     """The compiled dictionary, or None when any diagnostic, parse
     diagnostics included, is an error (`compile_base` decides); and
-    every diagnostic."""
+    every diagnostic.  An `output` that names the source root or a file
+    it includes is refused (exit 2) before anything is compiled."""
     _read_text(args.source)  # an unusable root is exit 2, not a diagnostic
     parsed = parse_source(args.source)
+    if output is not None:
+        real = os.path.realpath(output)
+        for path in (args.source, *(target for _, target in parsed.base.includes)):
+            if os.path.realpath(path) == real:
+                raise CliError(
+                    "refusing to write %s over the source file %s" % (output, path)
+                )
     compiled = compile_base(parsed.base, parsed.diagnostics)
     return compiled.dictionary, compiled.diagnostics
 
 
 def cmd_compile(args) -> int:
-    dictionary, diagnostics = _run_pipeline(args)
+    out = args.output or os.path.splitext(args.source)[0] + ".dic"
+    dictionary, diagnostics = _run_pipeline(args, out)
     for diag in diagnostics:
         print(diag.render(), file=sys.stderr)
     if dictionary is None:
         return 1
-    out = args.output or os.path.splitext(args.source)[0] + ".dic"
     try:
         save(dictionary, out)
     except OSError as err:

@@ -33,7 +33,7 @@ from .feature_tree import (
     is_symbol_text,
 )
 from .inheritance import resolve_all
-from .object_dict import ObjectDictionary, ObjectEntry, storable_surface
+from .object_dict import ObjectDictionary, ObjectEntry, paused_gc, storable_surface
 from .source import DictEquation, DictRule, SourceBase
 from .type_checker import check_base
 
@@ -124,6 +124,7 @@ class CompileResult:
         return self.dictionary is not None
 
 
+@paused_gc()
 def compile_base(
     base: SourceBase, diagnostics: list[Diagnostic] | None = None
 ) -> CompileResult:
@@ -134,7 +135,9 @@ def compile_base(
     the build and the dictionary; warnings never do.  A lexeme no rule
     emits an entry for is warned about only when no rule failed on it,
     so one fault gives one report.  The dictionary is indexed by `lex`
-    and `concat`; `load` takes other index features.
+    and `concat`; `load` takes other index features.  The cyclic
+    garbage collector is paused throughout, as in `load`: no stage
+    makes a reference cycle.
     """
     resolved, found = resolve_all(base)
     diagnostics = [*(diagnostics or ()), *found, *check_base(base, resolved)]

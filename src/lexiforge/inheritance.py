@@ -48,28 +48,33 @@ def linearize(entry: Entry, classes: Mapping[str, Entry]) -> tuple[str, ...]:
     cycle.
     """
     order: list[str] = []
-    seen: set[str] = set()
-    active: list[str] = []
-
-    def visit(name: str, parents: tuple[str, ...]):
-        order.append(name)
-        seen.add(name)
-        active.append(name)
-        for parent in parents:
-            if parent in active:
-                raise ResolveError(
-                    "inheritance cycle: %s" % " -> ".join(active + [parent])
-                )
-            if parent in seen:
-                continue
-            cls = classes.get(parent)
-            if cls is None:
-                raise ResolveError("unknown class '%s'" % parent)
-            visit(parent, cls.parents)
-        active.pop()
-
-    visit(entry.name, entry.parents)
+    _visit(entry.name, entry.parents, classes, order, [])
     return tuple(order)
+
+
+def _visit(
+    name: str,
+    parents: tuple[str, ...],
+    classes: Mapping[str, Entry],
+    order: list[str],
+    active: list[str],
+) -> None:
+    # Module level with its state passed in: a nested recursive closure
+    # would leave each linearization behind as a reference cycle.
+    order.append(name)
+    active.append(name)
+    for parent in parents:
+        if parent in active:
+            raise ResolveError(
+                "inheritance cycle: %s" % " -> ".join(active + [parent])
+            )
+        if parent in order:
+            continue
+        cls = classes.get(parent)
+        if cls is None:
+            raise ResolveError("unknown class '%s'" % parent)
+        _visit(parent, cls.parents, classes, order, active)
+    active.pop()
 
 
 def _evaluate(
@@ -106,6 +111,29 @@ def compile_rules(base: SourceBase) -> dict[str, CompiledAloRule]:
     return {name: compile_alo_rule(rule) for name, rule in base.alo_rules.items()}
 
 
+def _inherited(
+    entry: Entry,
+    classes: Mapping[str, Entry],
+    class_trees: Mapping[str, FeatureTree],
+) -> tuple[FeatureTree, frozenset[str]]:
+    """The bodies of the entry's classes merged from least to most
+    specific, and the names of those classes.  A class missing from
+    `class_trees` is folded from its equations."""
+    ancestors = linearize(entry, classes)[1:]
+    tree = EMPTY_TREE
+    for name in reversed(ancestors):
+        body = class_trees.get(name)
+        tree = tree.merge(classes[name].tree() if body is None else body)
+    return tree, frozenset(ancestors)
+
+
+def _finish(
+    entry: Entry, inherited: FeatureTree, rules: Mapping[str, CompiledAloRule]
+) -> ResolvedEntry:
+    tree = inherited.merge(entry.tree())
+    return ResolvedEntry(entry.name, _evaluate(tree, entry.name, rules))
+
+
 def resolve(
     entry: Entry,
     base: SourceBase,
@@ -119,17 +147,8 @@ def resolve(
     """
     if compiled_rules is None:
         compiled_rules = compile_rules(base)
-    order = linearize(entry, base.classes)
-    tree = EMPTY_TREE
-    for name in reversed(order):
-        if name == entry.name:
-            body = entry.tree()
-        elif class_trees is not None and name in class_trees:
-            body = class_trees[name]
-        else:
-            body = base.classes[name].tree()
-        tree = tree.merge(body)
-    return ResolvedEntry(entry.name, _evaluate(tree, entry.name, compiled_rules))
+    inherited, _ = _inherited(entry, base.classes, class_trees or {})
+    return _finish(entry, inherited, compiled_rules)
 
 
 def resolve_all(
@@ -137,7 +156,13 @@ def resolve_all(
 ) -> tuple[dict[str, list[ResolvedEntry]], list[Diagnostic]]:
     """Resolve every morpheme, word and lexeme; classes are never
     emitted.  A failing entry is skipped with a diagnostic and the rest
-    of the base still resolves."""
+    of the base still resolves.
+
+    The merged class bodies depend only on an entry's parent list, so
+    they are merged once per list, by the first entry with that list
+    that resolves.  An entry named like one of those classes resolves
+    on its own, and so reports its own cycle.
+    """
     diagnostics: list[Diagnostic] = []
     compiled = compile_rules(base)
     class_trees: dict[str, FeatureTree] = {}
@@ -148,12 +173,20 @@ def resolve_all(
             diagnostics.append(
                 Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
             )
+    inherited: dict[tuple[str, ...], tuple[FeatureTree, frozenset[str]]] = {}
     resolved: dict[str, list[ResolvedEntry]] = {}
     for section in ("morphemes", "words", "lexemes"):
         out: list[ResolvedEntry] = []
         for entry in base.entries_in(section).values():
+            shared = inherited.get(entry.parents)
             try:
-                out.append(resolve(entry, base, compiled, class_trees))
+                if shared is None or entry.name in shared[1]:
+                    out.append(resolve(entry, base, compiled, class_trees))
+                    inherited[entry.parents] = _inherited(
+                        entry, base.classes, class_trees
+                    )
+                else:
+                    out.append(_finish(entry, shared[0], compiled))
             except (ResolveError, PathThroughLeaf) as exc:
                 diagnostics.append(
                     Diagnostic(

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import gc
 import io
+import os
+import stat
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .diagnostics import WARNING, Diagnostic
 from .feature_tree import FeatureTree, PathThroughLeaf, ValueSet, is_symbol_text
@@ -141,6 +144,24 @@ class ObjectDictionary:
         return DictStats(len(self.entries), surfaces, len(self.lemma_index), homographs)
 
 
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and leave it as it was found
+    on exit, on errors too.
+
+    For stages that build many objects and no reference cycles (trees
+    are immutable and acyclic): the collector's passes over the growing
+    heap would find no garbage.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def storable_surface(surface: str) -> bool:
     """True when `save` can write the surface as an entry line that
     `load` reads back: not empty, not starting with whitespace (an
@@ -193,12 +214,35 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     text = out.getvalue()
     if isinstance(dest, str):
         # Encode first: text that is not valid UTF-8 (a lone surrogate)
-        # raises UnicodeEncodeError before an existing file is truncated.
-        data = text.encode("utf-8")
-        with open(dest, "wb") as handle:
-            handle.write(data)
+        # raises UnicodeEncodeError before any file is made.
+        _replace(dest, text.encode("utf-8"))
     else:
         dest.write(text)
+
+
+def _replace(dest: str, data: bytes) -> None:
+    """Write `data` to a new file beside `dest` and rename it over
+    `dest`, so an interrupted write leaves the old file whole.  The
+    file gets the mode `open` would give it: the old file's, or for a
+    new file 0o666 less the umask.  A link is written through, as
+    `open` would; the temporary file is removed on any failure."""
+    dest = os.path.realpath(dest)
+    try:
+        mode = stat.S_IMODE(os.stat(dest).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = "%s.%s.tmp" % (dest, os.urandom(8).hex())
+    # os.open applies the umask, as open does; mkstemp would give 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load(
@@ -236,16 +280,8 @@ def load(
         if lines[0].startswith(MAGIC):
             raise FormatError("unsupported dictionary version %r" % lines[0], line=1)
         raise FormatError("missing dictionary header", line=1)
-    # Nothing built below can form a reference cycle (trees are
-    # immutable and acyclic), so the cyclic collector's passes over the
-    # growing heap would find no garbage.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused_gc():
         return ObjectDictionary.build(_entries(lines), lex_feature, concat_feature)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _entries(lines: list[str]) -> list[ObjectEntry]:

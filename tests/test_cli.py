@@ -215,6 +215,48 @@ def test_compile_to_a_missing_directory_is_unusable_output(fixtures_dir, tmp_pat
     assert "cannot write %s" % out in captured.err
 
 
+def test_compile_refuses_to_write_over_a_source_named_like_its_output(
+    fixtures_dir, tmp_path, capsys
+):
+    src = tmp_path / "base.dic"  # the default output is the source itself
+    text = (fixtures_dir / "pedir_minimal.lex").read_bytes()
+    src.write_bytes(text)
+    code = main(["compile", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "refusing to write %s over the source file %s\n" % (src, src)
+    assert src.read_bytes() == text
+
+
+def test_compile_refuses_an_output_naming_the_source(fixtures_dir, tmp_path, capsys):
+    src = tmp_path / "src.lex"
+    text = (fixtures_dir / "pedir_minimal.lex").read_bytes()
+    src.write_bytes(text)
+    out = tmp_path / "." / "src.lex"
+    code = main(["compile", str(src), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "refusing to write %s over the source file %s" % (out, src) in captured.err
+    assert src.read_bytes() == text
+
+
+def test_compile_refuses_an_output_naming_an_included_file(fixtures_dir, tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    inc = tmp_path / "inc.lex"
+    text = (fixtures_dir / "pedir_minimal.lex").read_bytes()
+    inc.write_bytes(text)
+    src = tmp_path / "base.lex"
+    src.write_text('#INCLUDE "inc.lex"\n', encoding="utf-8")
+    out = tmp_path / "sub" / ".." / "inc.lex"
+    code = main(["compile", str(src), "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "refusing to write %s over the source file" % out in captured.err
+    assert inc.read_bytes() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.lex", "inc.lex", "sub"]
+
+
 def test_an_undecodable_include_is_an_error_at_the_include(tmp_path, capsys):
     (tmp_path / "inc.lex").write_bytes(b"#LEXEMES\n\nam\xe9\n")
     src = tmp_path / "base.lex"

@@ -1,5 +1,7 @@
 import io
 
+import gc
+
 import pytest
 
 from lexiforge import dict_compiler, inheritance
@@ -142,6 +144,15 @@ def test_empty_surface_is_rejected():
     with pytest.raises(DictRuleError) as exc:
         apply_dict_rule(rules[0], "pedir", parse_tree('stem = ""'))
     assert "came out empty" in str(exc.value)
+
+
+def test_compile_reports_an_entry_name_that_came_out_empty():
+    text = '#LEXEMES\n\nd\nx = ""\n\n#DICT-RULES\n\nLEXEMES\n\n$$ = @ x\n@ lex = $$\n'
+    result = compile_base(parse_source_text(text, name="base.lex").base)
+    assert not result.ok
+    assert [(d.severity, d.message, d.file, d.line, d.entry) for d in result.diagnostics] == [
+        (ERROR, "rule 1: the entry name came out empty", "base.lex", 10, "d")
+    ]
 
 
 # -- rules that name no entry ------------------------------------------------------
@@ -330,6 +341,36 @@ def test_programming_errors_escape_the_rule_loop(monkeypatch):
     monkeypatch.setattr(dict_compiler, "apply_dict_rule", broken)
     with pytest.raises(TypeError):
         compile_base(parse_source_text(BASE).base)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["compiles", "raises"])
+def test_compile_base_leaves_the_cyclic_collector_as_it_found_it(
+    monkeypatch, fails, enabled
+):
+    during = []
+    check = dict_compiler.check_base
+
+    def recorded(*args):
+        during.append(gc.isenabled())
+        if fails:
+            raise TypeError("bug")
+        return check(*args)
+
+    monkeypatch.setattr(dict_compiler, "check_base", recorded)
+    base = parse_source_text(BASE).base
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(TypeError):
+                compile_base(base)
+        else:
+            assert compile_base(base).ok
+        assert during == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize(

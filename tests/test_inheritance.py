@@ -1,13 +1,26 @@
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexiforge import inheritance
-from lexiforge.feature_tree import ValueSet, leaf
+from lexiforge.diagnostics import ERROR, Diagnostic
+from lexiforge.feature_tree import Atom, FeatureTree, PathThroughLeaf, ValueSet, leaf
 from lexiforge.inheritance import ResolveError, linearize, resolve, resolve_all
-from lexiforge.source import SourceBase, parse_source, parse_source_text
+from lexiforge.source import (
+    Entry,
+    Equation,
+    RuleCall,
+    SelfRef,
+    SourceBase,
+    parse_source,
+    parse_source_text,
+)
 
 from oracles import nearest_definer_tree, preorder_first_occurrence, random_hierarchy
+from sources import parse_alo_rule
 
 
 def parsed(text):
@@ -182,3 +195,145 @@ def test_resolution_matches_the_nearest_definer():
         }
         got = dict(resolve(entry, SourceBase(classes=classes)).tree.leaves())
         assert got == expected
+
+
+# -- resolve_all against resolve, entry by entry --------------------------------------
+
+SECTIONS = ("morphemes", "words", "lexemes")
+
+
+def resolve_each(base):
+    """What `resolve_all` returns, computed with a plain `resolve` call
+    per entry: no class body merged ahead of time, nothing shared."""
+    diagnostics = []
+    for name, cls in base.classes.items():
+        try:
+            cls.tree()
+        except PathThroughLeaf as exc:
+            diagnostics.append(
+                Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
+            )
+    resolved = {}
+    for section in SECTIONS:
+        resolved[section] = []
+        for entry in base.entries_in(section).values():
+            try:
+                resolved[section].append(resolve(entry, base))
+            except (ResolveError, PathThroughLeaf) as exc:
+                diagnostics.append(
+                    Diagnostic(
+                        ERROR, str(exc), file=entry.file, line=entry.line, entry=entry.name
+                    )
+                )
+    return resolved, diagnostics
+
+
+def exact(tree):
+    """A tree as nested lists, in child order, with each leaf as rendered."""
+    return [
+        (label, exact(node) if isinstance(node, FeatureTree) else node.rendered())
+        for label, node in tree.children.items()
+    ]
+
+
+def assert_resolves_like_each_entry(base):
+    resolved, diagnostics = resolve_all(base)
+    expected, expected_diagnostics = resolve_each(base)
+    assert diagnostics == expected_diagnostics
+    assert {
+        section: [(r.name, exact(r.tree)) for r in items]
+        for section, items in resolved.items()
+    } == {
+        section: [(r.name, exact(r.tree)) for r in items]
+        for section, items in expected.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["classes", "morphemes", "pedir_minimal", "spanish"])
+def test_resolve_all_matches_resolve_on_the_fixtures(fixtures_dir, name):
+    result = parse_source(str(fixtures_dir / (name + ".lex")))
+    assert result.ok
+    assert_resolves_like_each_entry(result.base)
+
+
+CLASS_NAMES = ("A", "B", "C", "D")
+PARENTS = st.sampled_from(CLASS_NAMES + ("Nope",))  # Nope is no class
+EQUATIONS = [
+    Equation(("x",), (Atom("1"),)),
+    Equation(("x",), (Atom("2"), Atom("3"))),
+    Equation(("y",), (Atom("4"),)),
+    Equation(("y", "z"), (Atom("5"),)),  # below a leaf y: PathThroughLeaf
+    Equation(("y", "w"), (RuleCall("rv"),)),
+    Equation(("lex",), (SelfRef(),)),
+]
+BODIES = st.lists(st.sampled_from(EQUATIONS), max_size=3).map(tuple)
+RV = parse_alo_rule("rv\n{X = .+}\n$Xar -> $X\n")
+
+
+@st.composite
+def hierarchies(draw):
+    """Classes that may form cycles, name unknown classes or hold a
+    body that runs a path through a leaf, and entries that share a few
+    parent lists (sometimes reordered), some named like classes."""
+    classes = {
+        name: Entry(
+            name,
+            tuple(draw(st.lists(PARENTS, max_size=2, unique=True))),
+            draw(BODIES),
+            "classes",
+        )
+        for name in CLASS_NAMES
+    }
+    shared = draw(st.lists(st.lists(PARENTS, max_size=3, unique=True), min_size=1, max_size=3))
+    base = SourceBase(classes=classes, alo_rules={"rv": RV})
+    names = st.sampled_from(CLASS_NAMES + ("amar", "temer", "x", "y"))
+    for _ in range(draw(st.integers(1, 10))):
+        section = draw(st.sampled_from(SECTIONS))
+        parents = tuple(draw(st.permutations(draw(st.sampled_from(shared)))))
+        name = draw(names)
+        base.entries_in(section)[name] = Entry(name, parents, draw(BODIES), section)
+    return base
+
+
+@settings(max_examples=300, deadline=None)
+@given(hierarchies())
+def test_resolve_all_matches_resolve_on_drawn_hierarchies(base):
+    assert_resolves_like_each_entry(base)
+
+
+def test_an_entry_named_like_a_shared_ancestor_reports_its_own_cycle():
+    base = parse_source_text(
+        "#CLASSES\n\nA (B)\nx = 1\n\nB\ny = 2\n"
+        "\n#LEXEMES\n\nfirst (A)\n\nB (A)\n\nlast (A)\n"
+    ).base
+    resolved, diagnostics = resolve_all(base)
+    assert [r.name for r in resolved["lexemes"]] == ["first", "last"]
+    assert [(d.entry, d.message) for d in diagnostics] == [
+        ("B", "inheritance cycle: B -> A -> B")
+    ]
+    assert_resolves_like_each_entry(base)
+
+
+def test_heirs_of_one_parent_list_keep_their_own_placeholders():
+    base = parsed(
+        "#CLASSES\n\nMV\nstem = $rv\nlex = $$\n\n#LEXEMES\n\namar (MV)\n\ncantar (MV)\n"
+        "\n#ALO-RULES\n\nrv\n{X = .+}\n$Xar -> $X\n"
+    )
+    resolved, diagnostics = resolve_all(base)
+    assert diagnostics == []
+    assert [r.tree.canonical_form() for r in resolved["lexemes"]] == [
+        "lex = amar\nstem = am\n",
+        "lex = cantar\nstem = cant\n",
+    ]
+
+
+def test_resolve_all_makes_no_cyclic_garbage(spanish_base):
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        resolve_all(spanish_base)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()

@@ -207,6 +207,49 @@ def test_exact_duplicates_are_refused_before_writing(tmp_path):
     assert not path.exists()
 
 
+def test_a_failing_write_leaves_the_old_dictionary_whole(tmp_path, monkeypatch):
+    path = tmp_path / "base.dic"
+    save(ObjectDictionary.build(SAMPLE), str(path))
+    old = path.read_bytes()
+
+    def interrupted(*args):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        save(ObjectDictionary.build(SAMPLE[:1]), str(path))
+    monkeypatch.undo()
+    with pytest.raises(UnicodeEncodeError):
+        save(ObjectDictionary.build([entry("x", 'gloss = "\ud800"')]), str(path))
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["base.dic"]
+
+
+def test_save_gives_the_file_the_mode_open_would(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.dic"
+        save(ObjectDictionary.build(SAMPLE), str(new))
+        assert new.stat().st_mode & 0o777 == 0o640
+        old = tmp_path / "old.dic"
+        old.write_text("")
+        old.chmod(0o604)
+        save(ObjectDictionary.build(SAMPLE), str(old))
+        assert old.stat().st_mode & 0o777 == 0o604
+    finally:
+        os.umask(umask)
+
+
+def test_save_writes_through_a_link(tmp_path):
+    target = tmp_path / "real.dic"
+    target.write_text("")
+    link = tmp_path / "link.dic"
+    link.symlink_to(target)
+    save(ObjectDictionary.build(SAMPLE), str(link))
+    assert link.is_symlink()
+    assert load(str(target)).entries
+
+
 # Whitespace that str.splitlines() or str.isspace() treat specially,
 # drawn often enough to be tried in every run.
 _SPACES = "\x0b\x0c\x1c\x85\u2028 \t"
