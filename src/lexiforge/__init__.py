@@ -20,7 +20,7 @@ from .feature_tree import (
     unify,
 )
 from .inheritance import ResolveError, ResolvedEntry, linearize, resolve, resolve_all
-from .morph_engine import Analysis, WFRule, analyze, generate, parse_wf_rules
+from .morph_engine import Analysis, GenerationLimit, WFRule, analyze, generate, parse_wf_rules
 from .object_dict import FormatError, ObjectDictionary, ObjectEntry, load, save
 from .source import (
     Entry,
@@ -45,6 +45,7 @@ __all__ = [
     "Entry",
     "FeatureTree",
     "FormatError",
+    "GenerationLimit",
     "ObjectDictionary",
     "ObjectEntry",
     "ParseResult",

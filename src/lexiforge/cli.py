@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when the work itself fails (a source with
-any error, parse errors included, or a query with no answer), 2 when an
+any error, parse errors included, a query with no answer, or a
+`generate` rule over its bound on candidate combinations), 2 when an
 input cannot be used at all (a missing, unreadable or non-UTF-8 source
 root, dictionary or rule file, a malformed dictionary or rule file, or
 a `compile` output that names a file of the source).
@@ -21,7 +22,7 @@ import sys
 
 from .dict_compiler import compile_base
 from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf, leaf
-from .morph_engine import analyze, generate, parse_wf_rules
+from .morph_engine import GenerationLimit, analyze, generate, parse_wf_rules
 from .object_dict import FormatError, ObjectDictionary, load, save
 from .source import SourceSyntaxError, parse_source
 
@@ -181,7 +182,11 @@ def cmd_generate(args) -> int:
     )
     rules = _load_rules(args)
     constraints = _parse_constraints(args.constraints)
-    surfaces = generate(args.lemma, constraints, dictionary, rules)
+    try:
+        surfaces = generate(args.lemma, constraints, dictionary, rules)
+    except GenerationLimit as err:
+        print(err, file=sys.stderr)
+        return 1
     if not surfaces:
         print(UNKNOWN)
         return 1

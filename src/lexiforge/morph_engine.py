@@ -15,8 +15,7 @@ label by label, and a path through a leaf, a leaf meeting a subtree or
 an empty result is BLOCKED and fails the candidate.  The outcome
 replaces every side a later equation or the result can see; each rule
 is planned once when it is built (`_plan`), and an equation with no
-such side is only tested, two leaves without building their
-intersection.
+such side is only tested, without building anything.
 
 Analysis splits the surface, for every rule, into as many non-empty
 parts as the rule has constituents, each part stored in the object
@@ -45,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import prod
 from typing import Iterable
 
 from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, ValueSet, meet, unify
@@ -77,7 +77,8 @@ class ValueEquation:
 class WFRule:
     """A word-formation rule.  Its plan is derived from the equations
     when it is built, and being no field it is left out of `==` and
-    `repr`: `steps` (`_plan`) and `generation_plans` (`_generation_plan`)."""
+    `repr`: `steps` and `copies` (`_plan`) and `generation_plans`
+    (`_generation_plan`)."""
 
     name: str
     lhs: str
@@ -87,7 +88,7 @@ class WFRule:
     line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        self.steps = _plan(self.lhs, self.equations)
+        self.steps, self.copies = _plan(self.lhs, self.equations)
         self.generation_plans: dict = {}
 
 
@@ -182,10 +183,11 @@ def _peek(tree: FeatureTree, path: tuple[str, ...]):
     return node
 
 
-def _plan(lhs: str, equations: tuple) -> tuple:
+def _plan(lhs: str, equations: tuple) -> tuple[tuple, tuple]:
     """The equations as `_execute`'s steps, (left root, left path, left
-    live, right root, right path, right live); a value equation has
-    right root None and its value set as right path.
+    live, right root, right path, right live), and its result copies,
+    (label, root, path); a value equation has right root None and its
+    value set as right path.
 
     A side's write is live when its root is the LHS or a later equation
     has a side on the same root at a path equal to, a prefix of or an
@@ -194,11 +196,21 @@ def _plan(lhs: str, equations: tuple) -> tuple:
     `set` at a path changes what `_peek` returns only at that path, its
     prefixes and its extensions: a write that is not live changes
     nothing a later step or the result can see.
+
+    An equation between a one-label result path that no other result
+    side overlaps and a constituent side whose write is not live is a
+    copy: the result's node there is absent, so the meet gives the
+    constituent's node, and no step changes that node or the result's
+    label.  `_execute` reads it after the steps have run.
     """
     sides = [
         (eq.root, eq.path, None, eq.values) if isinstance(eq, ValueEquation)
         else (eq.left_root, eq.left_path, eq.right_root, eq.right_path)
         for eq in equations
+    ]
+    result_labels = [
+        path[0] for left_root, left_path, right_root, right_path in sides
+        for root, path in ((left_root, left_path), (right_root, right_path)) if root == lhs
     ]
 
     def live(k: int, root: str, path: tuple[str, ...]) -> bool:
@@ -208,11 +220,22 @@ def _plan(lhs: str, equations: tuple) -> tuple:
             for later, p in ((left_root, left_path), (right_root, right_path))
         )
 
-    return tuple(
-        (left_root, left_path, live(k, left_root, left_path),
-         right_root, right_path, right_root is not None and live(k, right_root, right_path))
-        for k, (left_root, left_path, right_root, right_path) in enumerate(sides)
-    )
+    steps, copies = [], []
+    for k, (left_root, left_path, right_root, right_path) in enumerate(sides):
+        for root, path, other, other_path in (
+            (left_root, left_path, right_root, right_path),
+            (right_root, right_path, left_root, left_path),
+        ):
+            if (root == lhs and len(path) == 1 and result_labels.count(path[0]) == 1
+                    and other not in (lhs, None) and not live(k, other, other_path)):
+                copies.append((path[0], other, other_path))
+                break
+        else:
+            steps.append(
+                (left_root, left_path, live(k, left_root, left_path),
+                 right_root, right_path, right_root is not None and live(k, right_root, right_path))
+            )
+    return tuple(steps), tuple(copies)
 
 
 def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None:
@@ -223,11 +246,12 @@ def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None
     the nodes at its sides, a value equation's right side being its
     value set, and the outcome is written back to each live side where
     it differs from the node already there.  An equation with no live
-    side is only tested with `_clash`, so two leaves are compared
-    without building their intersection.  Nodes are copied, not
-    shared: a later equation that fills or narrows one side does not
-    reach the other, so where an equation meets an absent node,
-    equation order can change the result and whether it fails.
+    side is only tested with `_clash`, which builds nothing.  The
+    rule's copies are read last and join the result in one new tree.
+    Nodes are copied, not shared: a later equation that fills or
+    narrows one side does not reach the other, so where an equation
+    meets an absent node, equation order can change the result and
+    whether it fails.
     """
     trees = {label: entry.tree for label, entry in zip(rule.rhs, entries)}
     trees[rule.lhs] = EMPTY_TREE
@@ -245,16 +269,33 @@ def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None
             trees[left_root] = trees[left_root].set(left_path, merged)
         if right_live and merged is not right:
             trees[right_root] = trees[right_root].set(right_path, merged)
-    return trees[rule.lhs]
+    result = trees[rule.lhs]
+    copied = {}
+    for label, root, path in rule.copies:
+        node = _peek(trees[root], path)
+        if node is BLOCKED:
+            return None
+        if node is not None:
+            copied[label] = node
+    return FeatureTree({**result.children, **copied}) if copied else result
 
 
 def _clash(a, b) -> bool:
-    """True when two `_peek` results can never be equated, that is when
-    their meet is BLOCKED.  Two leaves are tested without building
-    their intersection."""
+    """True exactly when `meet(a, b) is BLOCKED`, for two `_peek`
+    results, without building anything."""
+    if a is None:
+        return b is BLOCKED
+    if b is None:
+        return a is BLOCKED
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
         return a.texts().isdisjoint(b.texts())
-    return meet(a, b) is BLOCKED
+    if not isinstance(a, FeatureTree) or not isinstance(b, FeatureTree):
+        return True
+    children = a.children
+    for label, node in b.children.items():
+        if _clash(children.get(label), node):
+            return True
+    return False
 
 
 # -- analysis ----------------------------------------------------------------
@@ -306,27 +347,51 @@ def analyze(
     right until its first missing part, and no tail part is looked up
     twice for one rule.  Results are deduplicated by
     category and canonical form, ordered by rule, then cut positions,
-    then the entry order of each part's lookup.
+    then the entry order of each part's lookup.  A category's first
+    reading gets its canonical form only when a second one arrives.
     """
     out: list[Analysis] = []
     seen: set[tuple[str, str]] = set()
+    # each category's first reading, until its canonical form is in `seen`
+    first: dict[str, FeatureTree | None] = {}
     for rule in rules:
+        category = rule.lhs
         for parts, candidate_lists in _stored_splits(surface, len(rule.rhs), dictionary):
             for combo in product(*candidate_lists):
                 tree = _execute(rule, combo)
                 if tree is None:
                     continue
-                key = (rule.lhs, tree.canonical_form())
-                if key in seen:
-                    continue
-                seen.add(key)
+                if category not in first:
+                    first[category] = tree
+                else:
+                    earlier = first[category]
+                    if earlier is not None:
+                        seen.add((category, earlier.canonical_form()))
+                        first[category] = None
+                    key = (category, tree.canonical_form())
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 lex = tree.get((dictionary.lex_feature,))
                 lemma = lex.values[0].text if isinstance(lex, ValueSet) and len(lex) == 1 else None
-                out.append(Analysis(surface, lemma, rule.lhs, tree, tuple(zip(parts, combo))))
+                out.append(Analysis(surface, lemma, category, tree, tuple(zip(parts, combo))))
     return out
 
 
 # -- generation ---------------------------------------------------------------
+
+# The most candidate combinations `generate` tries for one rule in one call.
+MAX_COMBINATIONS = 100_000
+
+
+class GenerationLimit(Exception):
+    """A rule whose candidate product exceeds `MAX_COMBINATIONS`."""
+
+
+def _node_rows(entries: Iterable[ObjectEntry], paths: tuple) -> list[tuple[ObjectEntry, dict]]:
+    """Each entry with its own nodes at the paths, by path."""
+    return [(entry, {path: _peek(entry.tree, path) for path in paths}) for entry in entries]
+
 
 def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]):
     """The facts `generate` needs that do not depend on the lemma or the
@@ -334,7 +399,8 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
     pair of index features: the pair checks (i, p, j, q) for `Ci p = Cj
     q`, by constituent position, and per constituent whether it is
     drawn by lemma, its concatenation category or None, its constraint
-    filters' (path, result path) sources and the paths its checks read."""
+    filters' (path, result path) sources and the paths its checks and
+    filters read, each once."""
     plan = rule.generation_plans.get((lex_path, concat_path))
     if plan is not None:
         return plan
@@ -374,7 +440,10 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
             label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1,
             categories.get(label),
             tuple(sources[label]),
-            tuple(p for i, p, _, _ in checks if i == k) + tuple(q for _, _, j, q in checks if j == k),
+            tuple(dict.fromkeys(
+                [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
+                + [path for path, _ in sources[label]]
+            )),
         )
         for k, label in enumerate(rhs)
     )
@@ -401,8 +470,13 @@ def generate(
     index (plus the entries lacking that feature) for its first
     `C concat = v` equation, else every dictionary entry.  Each
     constituent of the last kind multiplies the work by |D|, the
-    dictionary size.  Each call peeks the constraints only at the
-    result paths the plan lists.
+    dictionary size, so a rule whose candidate product, after the
+    filter below, exceeds `MAX_COMBINATIONS` raises `GenerationLimit`
+    before any combination is tried.  A category's candidates, each
+    with its nodes at the paths the plan reads, are peeked once per
+    dictionary and kept in its `node_tables`; a call peeks the
+    constraints at the result paths the plan lists, and the other
+    constituents' candidates.
 
     Candidates that must fail are dropped before their equations run,
     by `_clash` on the entries' original nodes, which the equations
@@ -416,30 +490,38 @@ def generate(
     """
     lex_path = (dictionary.lex_feature,)
     concat_path = (dictionary.concat_feature,)
+    tables = dictionary.node_tables
     surfaces: set[str] = set()
     for rule in rules:
         checks, constituents = _generation_plan(rule, lex_path, concat_path)
         candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
         for by_lemma, category, sources, paths in constituents:
             if by_lemma:
-                candidates = dictionary.lookup_by_lemma(lemma)
+                rows = _node_rows(dictionary.lookup_by_lemma(lemma), paths)
             elif category is not None:
-                # an entry lacking the feature gets it from the equation
-                candidates = dictionary.lookup_by_concat(category) + dictionary.lacking_concat()
+                rows = tables.get((category, paths))
+                if rows is None:
+                    # an entry lacking the feature gets it from the equation
+                    rows = tables[category, paths] = _node_rows(
+                        dictionary.lookup_by_concat(category) + dictionary.lacking_concat(), paths
+                    )
             else:
-                candidates = dictionary.entries
+                rows = _node_rows(dictionary.entries, paths)
             peeked = [(path, _peek(constraints, result_path)) for path, result_path in sources]
             wanted = [(path, node) for path, node in peeked if node is not None and node is not BLOCKED]
-            # each candidate with its own nodes at the paths the pair checks read
             candidate_lists.append(
-                [
-                    (entry, {path: _peek(entry.tree, path) for path in paths})
-                    for entry in candidates
-                    if not any(_clash(node, _peek(entry.tree, path)) for path, node in wanted)
-                ]
+                [row for row in rows if not any(_clash(node, row[1][p]) for p, node in wanted)]
+                if wanted else rows
             )
         if not all(candidate_lists):
             continue
+        size = prod(map(len, candidate_lists))
+        if size > MAX_COMBINATIONS:
+            where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
+            raise GenerationLimit(
+                "%srule '%s' has %d candidate combinations, more than the %d generation tries"
+                % (where, rule.name, size, MAX_COMBINATIONS)
+            )
         for combo in product(*candidate_lists):
             if any(_clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in checks):
                 continue

@@ -89,6 +89,9 @@ class ObjectDictionary:
                         index.setdefault(atom.text, []).append(i)
             if concat_feature not in children:
                 self.concat_absent.append(i)
+        # (category, paths) -> each entry the category draws with its nodes
+        # at those paths, filled by `morph_engine.generate` on first use
+        self.node_tables: dict[tuple, list] = {}
 
     @classmethod
     def build(

@@ -418,6 +418,19 @@ def test_generate_no_answer(dic_path, rules_path, capsys):
     assert captured.out == "*UNKNOWN*\n"
 
 
+def test_generate_over_the_bound_reports_the_rule(dic_path, tmp_path, capsys):
+    # two stems of pedir and three constituents free over 41 entries
+    rules = tmp_path / "free.rules"
+    rules.write_text("#WF-RULES\n\nWord -> Stem A B C\n  Word lex = Stem lex\n", encoding="utf-8")
+    code = main(["generate", dic_path, str(rules), "pedir"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "%s:3: rule 'Word -> Stem A B C' has 137842 candidate combinations, "
+        "more than the 100000 generation tries\n" % rules
+    )
+
 @pytest.mark.parametrize(
     "constraint",
     [

@@ -5,11 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiforge.feature_tree import EMPTY_TREE, PathThroughLeaf, leaf, unify
+from lexiforge import morph_engine
+from lexiforge.feature_tree import (
+    BLOCKED,
+    EMPTY_TREE,
+    FeatureTree,
+    PathThroughLeaf,
+    leaf,
+    meet,
+    unify,
+)
 from lexiforge.morph_engine import (
+    MAX_COMBINATIONS,
+    GenerationLimit,
     PathEquation,
     ValueEquation,
     WFRule,
+    _clash,
     _execute,
     analyze,
     generate,
@@ -150,6 +162,44 @@ def test_whole_words_are_not_segmented(spanish_dict, wf_rules):
     assert len(spanish_dict.lookup("era")) == 1
 
 
+def count_canonical_forms(monkeypatch):
+    calls = []
+    original = FeatureTree.canonical_form
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FeatureTree, "canonical_form", counted)
+    return calls
+
+
+def test_equal_readings_collapse_to_the_first_in_order(monkeypatch):
+    # 'k'+'aa' and 'ka'+'a' give the same tree: the reading kept is the
+    # one with the earlier cut, and only the two readings get a form
+    dictionary = small_dictionary(
+        [
+            ("k", "lex = ka\nconcat = vl"),
+            ("ka", "lex = ka\nconcat = vl"),
+            ("aa", "concat = vm\nagr = 1"),
+            ("a", "concat = vm\nagr = 2"),
+        ]
+    )
+    calls = count_canonical_forms(monkeypatch)
+    (reading,) = analyze("kaa", dictionary, parse_wf_rules(STEM_ENDING))
+    assert [part for part, _ in reading.segmentation] == ["k", "aa"]
+    assert len(calls) == 2
+    # readings that are one and the same empty tree collapse too
+    (reading,) = analyze("kaa", dictionary, parse_wf_rules("#WF-RULES\n\nV -> S E\n  V x = E x\n"))
+    assert [part for part, _ in reading.segmentation] == ["k", "aa"]
+
+
+def test_a_single_reading_gets_no_canonical_form(monkeypatch, spanish_dict, wf_rules):
+    calls = count_canonical_forms(monkeypatch)
+    assert len(analyze("pedíamos", spanish_dict, wf_rules)) == 1
+    assert calls == []
+
+
 def test_equation_order_never_changes_the_outcome(spanish_dict, wf_rules):
     surfaces = ["pedíamos", "pido", "amaba", "come", "pedo", "vivían", "bebíamos"]
     (rule,) = wf_rules
@@ -211,20 +261,44 @@ def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
 
 def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, wf_rules):
     # no later equation reads the constituents' concat, stt, sut or conj,
-    # so those equations are only tested: the three writes into Word are
-    # the only trees built, and no value set is
+    # so those equations are only tested; the three equations into Word
+    # are copies, joined in the one tree built, and no value set is
     (rule,) = wf_rules
     assert [(left_live, right_live) for _, _, left_live, _, _, right_live in rule.steps] == (
-        [(False, False)] * 5 + [(True, False)] * 3
+        [(False, False)] * 5
+    )
+    assert rule.copies == (
+        ("lex", "Stem", ("lex",)),
+        ("agr", "Ending", ("agr",)),
+        ("vinfo", "Ending", ("vinfo",)),
     )
     (stem,) = spanish_dict.lookup("ped")
     (ending,) = spanish_dict.lookup("íamos")
     counts = count_constructions(monkeypatch)
     tree = _execute(rule, [stem, ending])
-    assert counts == {"FeatureTree": 3, "ValueSet": 0}
+    assert counts == {"FeatureTree": 1, "ValueSet": 0}
     assert tree.canonical_form() == (
         "agr num = plu\nagr pers = 1\nlex = pedir\nvinfo mood = ind\nvinfo tense = impf\n"
     )
+
+
+_LEAVES = st.lists(st.sampled_from("xyz"), min_size=1, max_size=3).map(lambda t: leaf(*t))
+
+
+def _trees(children):
+    return st.dictionaries(st.sampled_from("pqr"), children, max_size=3).map(FeatureTree)
+
+
+# absent, blocked, leaves, and trees (empty ones too) nested two deep
+_NODES = st.one_of(
+    st.none(), st.just(BLOCKED), _LEAVES, _trees(st.one_of(_LEAVES, _trees(_LEAVES)))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NODES, _NODES)
+def test_clash_is_exactly_a_blocked_meet(a, b):
+    assert _clash(a, b) == (meet(a, b) is BLOCKED)
 
 
 def test_path_through_a_leaf_fails_the_candidate(spanish_dict):
@@ -393,6 +467,60 @@ def test_constraint_leaf_above_or_at_an_equated_result_path(
     )
     assert run(EMPTY_TREE.set(("agr",), leaf("x"))) == constrained
     assert run(EMPTY_TREE) == unconstrained
+
+
+def test_a_cell_requests_constraint_filter_builds_no_tree(monkeypatch, spanish_dict, wf_rules):
+    constraints = impf_1pl()
+    counts = count_constructions(monkeypatch)
+    seen = []
+
+    def stop(*candidate_lists):
+        seen.append((dict(counts), [len(c) for c in candidate_lists]))
+        return iter(())
+
+    monkeypatch.setattr(morph_engine, "product", stop)
+    assert generate("pedir", constraints, spanish_dict, wf_rules) == []
+    ((built, (stems, endings)),) = seen
+    assert built == {"FeatureTree": 0, "ValueSet": 0}
+    # the filter dropped the endings whose agr or vinfo clash
+    assert stems == 2 and 0 < endings < len(spanish_dict.lookup_by_concat("vm"))
+
+
+def test_a_second_generate_peeks_no_index_drawn_entry_again(monkeypatch, spanish_dict, wf_rules):
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    endings = {id(entry.tree) for entry in dictionary.lookup_by_concat("vm")}
+    peeked = []
+    original = morph_engine._peek
+
+    def counted(tree, path):
+        peeked.append(id(tree))
+        return original(tree, path)
+
+    monkeypatch.setattr(morph_engine, "_peek", counted)
+    monkeypatch.setattr(morph_engine, "product", lambda *lists: iter(()))
+    generate("pedir", impf_1pl(), dictionary, wf_rules)
+    assert endings <= set(peeked)
+    peeked.clear()
+    generate("amar", EMPTY_TREE, dictionary, wf_rules)
+    assert peeked and not endings & set(peeked)
+
+
+def test_a_product_over_the_bound_is_refused_before_any_combination(monkeypatch):
+    # one stem for the lemma and two constituents free to take any of
+    # the 401 entries: 160,801 combinations
+    dictionary = small_dictionary([STEM] + [("m%d" % i, "cat = m") for i in range(400)])
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem Mid End\n  Word lex = Stem lex\n", "free.rules"
+    )
+    tried = []
+    monkeypatch.setattr(morph_engine, "product", lambda *lists: tried.append(lists))
+    with pytest.raises(GenerationLimit) as exc:
+        generate("ka", EMPTY_TREE, dictionary, rules)
+    assert tried == [] and 401 * 401 > MAX_COMBINATIONS
+    assert str(exc.value) == (
+        "free.rules:3: rule 'Word -> Stem Mid End' has 160801 candidate combinations, "
+        "more than the 100000 generation tries"
+    )
 
 
 def test_generation_tries_entries_lacking_the_concat_feature():

@@ -19,7 +19,9 @@ from pathlib import Path
 import pytest
 
 from lexiforge import morph_engine, object_dict
-from lexiforge.feature_tree import EMPTY_TREE, leaf
+from lexiforge.feature_tree import EMPTY_TREE, FeatureTree, leaf
+from lexiforge.object_dict import ObjectDictionary, ObjectEntry
+from sources import parse_tree
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pedir_minimal.dic"
@@ -103,6 +105,47 @@ def test_generate_calls_the_combination_and_unify_hooks(
     assert morph_engine.generate("pedir", constraints, spanish_dict, wf_rules) == ["pedíamos"]
     assert engine_calls["product"] > 0
     assert 0 < engine_calls["unify"] <= len(results)
+
+
+def _counted(monkeypatch, owner, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_generate_on_a_fresh_dictionary_calls_the_index_hooks(monkeypatch, wf_rules):
+    # a dictionary keeps the candidates it draws by category, so only
+    # its first generate looks them up: load one afresh
+    calls = _counted(monkeypatch, ObjectDictionary, ("lookup_by_lemma", "lookup_by_concat"))
+    dictionary = object_dict.load(io.StringIO(GOLDEN.read_text(encoding="utf-8")))
+    morph_engine.generate("pedir", EMPTY_TREE, dictionary, wf_rules)
+    assert calls["lookup_by_lemma"] > 0 and calls["lookup_by_concat"] > 0
+
+
+def test_analyze_of_two_readings_of_one_category_calls_the_canonical_form_hook(monkeypatch):
+    # a category's first reading gets its canonical form only when a
+    # second one arrives
+    dictionary = ObjectDictionary.build(
+        [
+            ObjectEntry(surface, parse_tree(text))
+            for surface, text in (
+                ("k", "lex = ka"), ("ka", "lex = ka"), ("aa", "agr = 1"), ("a", "agr = 2")
+            )
+        ]
+    )
+    rules = morph_engine.parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem End\n  Word lex = Stem lex\n  Word agr = End agr\n"
+    )
+    calls = _counted(monkeypatch, FeatureTree, ("canonical_form",))
+    assert len(morph_engine.analyze("kaa", dictionary, rules)) == 2
+    assert calls["canonical_form"] > 0
 
 
 def test_load_calls_the_parse_equation_hook(monkeypatch):
