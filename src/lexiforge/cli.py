@@ -51,12 +51,10 @@ def _read_text(path: str) -> str:
         raise CliError("cannot read %s: %s" % (path, err.strerror or err))
 
 
-def _load_dictionary(path: str, **features: str) -> ObjectDictionary:
-    """The dictionary at `path`, indexed by the given index features
-    (`load`'s defaults otherwise): the .dic does not record them."""
+def _load_dictionary(path: str) -> ObjectDictionary:
     text = _read_text(path)
     try:
-        return load(io.StringIO(text), **features)
+        return load(io.StringIO(text))
     except FormatError as err:
         raise CliError("%s: %s" % (path, err))
 
@@ -117,8 +115,10 @@ def cmd_compile(args) -> int:
         save(dictionary, out)
     except OSError as err:
         raise CliError("cannot write %s: %s" % (out, err.strerror or err))
-    stats = dictionary.stats()
-    print("wrote %d entries for %d surfaces to %s" % (stats.entries, stats.surfaces, out))
+    print(
+        "wrote %d entries for %d surfaces to %s"
+        % (len(dictionary.entries), len(dictionary.surface_index), out)
+    )
     return 0
 
 
@@ -163,11 +163,11 @@ def cmd_lookup(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    dictionary = _load_dictionary(args.dictionary, lex_feature=args.lex_feature)
+    dictionary = _load_dictionary(args.dictionary)
     rules = _load_rules(args)
 
     def readings(surface):
-        for reading in analyze(surface, dictionary, rules):
+        for reading in analyze(surface, dictionary, rules, args.lex_feature):
             parts = "+".join(part for part, _ in reading.segmentation)
             yield (reading.category, reading.lemma or "-", parts), reading.tree
 
@@ -175,15 +175,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    dictionary = _load_dictionary(
-        args.dictionary,
-        lex_feature=args.lex_feature,
-        concat_feature=args.concat_feature,
-    )
+    dictionary = _load_dictionary(args.dictionary)
     rules = _load_rules(args)
     constraints = _parse_constraints(args.constraints)
     try:
-        surfaces = generate(args.lemma, constraints, dictionary, rules)
+        surfaces = generate(
+            args.lemma, constraints, dictionary, rules, args.lex_feature, args.concat_feature
+        )
     except GenerationLimit as err:
         print(err, file=sys.stderr)
         return 1
@@ -202,7 +200,7 @@ def cmd_dump(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = _load_dictionary(args.dictionary, lex_feature=args.lex_feature).stats()
+    stats = _load_dictionary(args.dictionary).stats(args.lex_feature)
     print("entries: %d" % stats.entries)
     print("surfaces: %d" % stats.surfaces)
     print("lemmas: %d" % stats.lemmas)

@@ -134,10 +134,8 @@ def compile_base(
     Any error-severity diagnostic, the parser's included, suppresses
     the build and the dictionary; warnings never do.  A lexeme no rule
     emits an entry for is warned about only when no rule failed on it,
-    so one fault gives one report.  The dictionary is indexed by `lex`
-    and `concat`; `load` takes other index features.  The cyclic
-    garbage collector is paused throughout, as in `load`: no stage
-    makes a reference cycle.
+    so one fault gives one report.  The cyclic garbage collector is
+    paused throughout, as in `load`: no stage makes a reference cycle.
     """
     resolved, found = resolve_all(base)
     diagnostics = [*(diagnostics or ()), *found, *check_base(base, resolved)]

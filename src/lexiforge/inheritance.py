@@ -160,8 +160,8 @@ def resolve_all(
 
     The merged class bodies depend only on an entry's parent list, so
     they are merged once per list, by the first entry with that list
-    that resolves.  An entry named like one of those classes resolves
-    on its own, and so reports its own cycle.
+    whose classes merge.  An entry named like one of those classes
+    merges them again, and so reports its own cycle.
     """
     diagnostics: list[Diagnostic] = []
     compiled = compile_rules(base)
@@ -181,12 +181,10 @@ def resolve_all(
             shared = inherited.get(entry.parents)
             try:
                 if shared is None or entry.name in shared[1]:
-                    out.append(resolve(entry, base, compiled, class_trees))
-                    inherited[entry.parents] = _inherited(
+                    shared = inherited[entry.parents] = _inherited(
                         entry, base.classes, class_trees
                     )
-                else:
-                    out.append(_finish(entry, shared[0], compiled))
+                out.append(_finish(entry, shared[0], compiled))
             except (ResolveError, PathThroughLeaf) as exc:
                 diagnostics.append(
                     Diagnostic(

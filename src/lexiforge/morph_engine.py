@@ -337,8 +337,10 @@ def analyze(
     surface: str,
     dictionary: ObjectDictionary,
     rules: Iterable[WFRule],
+    lex_feature: str = "lex",
 ) -> list[Analysis]:
-    """Every reading of the surface as a rule-governed concatenation.
+    """Every reading of the surface as a rule-governed concatenation;
+    a reading's lemma is the one value of its `lex_feature` leaf.
 
     Exact string match only: each part must be a dictionary surface as
     written.  Per rule of n constituents and a surface of length L it
@@ -372,7 +374,7 @@ def analyze(
                     if key in seen:
                         continue
                     seen.add(key)
-                lex = tree.get((dictionary.lex_feature,))
+                lex = tree.get((lex_feature,))
                 lemma = lex.values[0].text if isinstance(lex, ValueSet) and len(lex) == 1 else None
                 out.append(Analysis(surface, lemma, category, tree, tuple(zip(parts, combo))))
     return out
@@ -456,23 +458,24 @@ def generate(
     constraints: FeatureTree,
     dictionary: ObjectDictionary,
     rules: Iterable[WFRule],
+    lex_feature: str = "lex",
+    concat_feature: str = "concat",
 ) -> list[str]:
     """Surfaces derivable for the lemma whose result tree unifies with
     the constraints, deduplicated and sorted.
 
     The rule's generation plan, one pass over its equations made once
-    per rule, gives each constituent's
-    candidates: the lemma index for a constituent whose lemma path is
-    equated with the result's (`W lex = C lex`) by the only equation
-    side at either path (a link from the result's lemma to another
-    path of C does not count, nor does one where another equation
-    could give W or C the lemma), else the concatenation-category
-    index (plus the entries lacking that feature) for its first
-    `C concat = v` equation, else every dictionary entry.  Each
-    constituent of the last kind multiplies the work by |D|, the
-    dictionary size, so a rule whose candidate product, after the
-    filter below, exceeds `MAX_COMBINATIONS` raises `GenerationLimit`
-    before any combination is tried.  A category's candidates, each
+    per rule, gives each constituent's candidates: the `lex_feature`
+    index for a constituent whose lemma path is equated with the
+    result's (`W lex = C lex`) by the only equation side at either
+    path (a link from the result's lemma to another path of C does not
+    count, nor does one where another equation could give W or C the
+    lemma), else the `concat_feature` index (plus the entries lacking
+    that feature) for its first `C concat = v` equation, else every
+    dictionary entry.  Each constituent of the last kind multiplies
+    the work by |D|, the dictionary size, so a rule whose candidate
+    product, after the filter below, exceeds `MAX_COMBINATIONS` raises
+    `GenerationLimit` before any combination is tried.  A category's candidates, each
     with its nodes at the paths the plan reads, are peeked once per
     dictionary and kept in its `node_tables`; a call peeks the
     constraints at the result paths the plan lists, and the other
@@ -488,8 +491,8 @@ def generate(
     A combination is dropped when two of its entries clash at the paths
     of an equation `Ci p = Cj q`.
     """
-    lex_path = (dictionary.lex_feature,)
-    concat_path = (dictionary.concat_feature,)
+    lex_path = (lex_feature,)
+    concat_path = (concat_feature,)
     tables = dictionary.node_tables
     surfaces: set[str] = set()
     for rule in rules:
@@ -497,13 +500,12 @@ def generate(
         candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
         for by_lemma, category, sources, paths in constituents:
             if by_lemma:
-                rows = _node_rows(dictionary.lookup_by_lemma(lemma), paths)
+                rows = _node_rows(dictionary.lookup_by_lemma(lemma, lex_feature), paths)
             elif category is not None:
-                rows = tables.get((category, paths))
+                rows = tables.get((concat_feature, category, paths))
                 if rows is None:
-                    # an entry lacking the feature gets it from the equation
-                    rows = tables[category, paths] = _node_rows(
-                        dictionary.lookup_by_concat(category) + dictionary.lacking_concat(), paths
+                    rows = tables[concat_feature, category, paths] = _node_rows(
+                        dictionary.lookup_by_concat(category, concat_feature), paths
                     )
             else:
                 rows = _node_rows(dictionary.entries, paths)

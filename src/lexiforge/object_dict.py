@@ -1,8 +1,9 @@
 """The object dictionary: compiled entries plus lookup indexes.
 
 An entry pairs a surface string with a feature tree; the dictionary
-keeps three hash indexes over its entries (by surface, by the lemma
-feature, by the concatenation-category feature).  The on-disk form is
+indexes its entries by surface, and by the values of any top-level
+feature a query names (the lemma, the concatenation category), each
+such index built on its first use.  The on-disk form is
 line based and canonical: a version header, then entries sorted by
 surface and canonical tree text, each entry being its surface line
 followed by two-space-indented canonical form lines and a blank line.
@@ -55,51 +56,27 @@ class DictStats:
 class ObjectDictionary:
     """Immutable collection of object entries with derived indexes.
 
-    The index feature names are configurable because the dictionary
-    rules decide what ends up meaning "lemma" and "concatenation
-    category"; `lex` and `concat` are the conventional defaults.
+    The dictionary knows no index feature: the dictionary rules decide
+    what ends up meaning "lemma" and "concatenation category", so each
+    query names its feature (`lex` and `concat` by default), and the
+    feature's value index is built when a query first reads it.
     """
 
-    def __init__(
-        self,
-        entries: Iterable[ObjectEntry],
-        lex_feature: str = "lex",
-        concat_feature: str = "concat",
-        warnings: Iterable[Diagnostic] = (),
-    ):
+    def __init__(self, entries: Iterable[ObjectEntry], warnings: Iterable[Diagnostic] = ()):
         self.entries = tuple(entries)
-        self.lex_feature = lex_feature
-        self.concat_feature = concat_feature
         self.warnings = tuple(warnings)
-        self.surface_index: dict[str, list[int]] = {}
-        self.lemma_index: dict[str, list[int]] = {}
-        self.concat_index: dict[str, list[int]] = {}
-        # entries an equation `C concat = v` would give the category v
-        self.concat_absent: list[int] = []
-        for i, entry in enumerate(self.entries):
-            self.surface_index.setdefault(entry.surface, []).append(i)
-            children = entry.tree.children
-            for index, feature in (
-                (self.lemma_index, lex_feature),
-                (self.concat_index, concat_feature),
-            ):
-                node = children.get(feature)
-                if isinstance(node, ValueSet):
-                    for atom in node:
-                        index.setdefault(atom.text, []).append(i)
-            if concat_feature not in children:
-                self.concat_absent.append(i)
-        # (category, paths) -> each entry the category draws with its nodes
-        # at those paths, filled by `morph_engine.generate` on first use
+        self.surface_index: dict[str, list[ObjectEntry]] = {}
+        for entry in self.entries:
+            self.surface_index.setdefault(entry.surface, []).append(entry)
+        # feature -> its `_value_index`, filled on first use
+        self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
+        # (concat feature, category, paths) -> each entry the category
+        # draws with its nodes at those paths, filled by
+        # `morph_engine.generate` on first use
         self.node_tables: dict[tuple, list] = {}
 
     @classmethod
-    def build(
-        cls,
-        entries: Iterable[ObjectEntry],
-        lex_feature: str = "lex",
-        concat_feature: str = "concat",
-    ) -> "ObjectDictionary":
+    def build(cls, entries: Iterable[ObjectEntry]) -> "ObjectDictionary":
         """Deduplicate and index.  Exact duplicates (same surface and
         canonical tree) collapse to the first occurrence, each with a
         warning.  Only entries whose surface occurs more than once can
@@ -124,27 +101,47 @@ class ObjectDictionary:
                     continue
                 seen.add(key)
             kept.append(entry)
-        return cls(kept, lex_feature, concat_feature, warnings)
+        return cls(kept, warnings)
+
+    def _value_index(self, feature: str) -> tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]:
+        """(value -> the entries whose leaf at the top-level feature
+        holds it, the entries with no node there), in entry order,
+        built once per feature.  Each value of a multi-valued leaf is
+        indexed; an entry with a subtree at the feature is in neither."""
+        index = self.value_indexes.get(feature)
+        if index is None:
+            holders: dict[str, list[ObjectEntry]] = {}
+            lacking: list[ObjectEntry] = []
+            for entry in self.entries:
+                node = entry.tree.children.get(feature)
+                if node is None:
+                    lacking.append(entry)
+                elif isinstance(node, ValueSet):
+                    for atom in node:
+                        holders.setdefault(atom.text, []).append(entry)
+            index = self.value_indexes[feature] = (holders, lacking)
+        return index
 
     # -- lookups ---------------------------------------------------------
 
     def lookup(self, surface: str) -> list[ObjectEntry]:
-        return [self.entries[i] for i in self.surface_index.get(surface, ())]
+        return list(self.surface_index.get(surface, ()))
 
-    def lookup_by_lemma(self, lemma: str) -> list[ObjectEntry]:
-        return [self.entries[i] for i in self.lemma_index.get(lemma, ())]
+    def lookup_by_lemma(self, lemma: str, feature: str = "lex") -> list[ObjectEntry]:
+        return list(self._value_index(feature)[0].get(lemma, ()))
 
-    def lookup_by_concat(self, category: str) -> list[ObjectEntry]:
-        return [self.entries[i] for i in self.concat_index.get(category, ())]
+    def lookup_by_concat(self, category: str, feature: str = "concat") -> list[ObjectEntry]:
+        """The entries an equation `C feature = category` can take: those
+        whose leaf holds the category, then those lacking the feature,
+        which the equation gives it."""
+        holders, lacking = self._value_index(feature)
+        return holders.get(category, []) + lacking
 
-    def lacking_concat(self) -> list[ObjectEntry]:
-        """Entries with no node at the concatenation-category feature."""
-        return [self.entries[i] for i in self.concat_absent]
-
-    def stats(self) -> DictStats:
+    def stats(self, lex_feature: str = "lex") -> DictStats:
         surfaces = len(self.surface_index)
-        homographs = sum(1 for ids in self.surface_index.values() if len(ids) > 1)
-        return DictStats(len(self.entries), surfaces, len(self.lemma_index), homographs)
+        homographs = sum(1 for found in self.surface_index.values() if len(found) > 1)
+        lemmas = len(self._value_index(lex_feature)[0])
+        return DictStats(len(self.entries), surfaces, lemmas, homographs)
 
 
 @contextmanager
@@ -248,11 +245,7 @@ def _replace(dest: str, data: bytes) -> None:
         raise
 
 
-def load(
-    src: str | IO[str],
-    lex_feature: str = "lex",
-    concat_feature: str = "concat",
-) -> ObjectDictionary:
+def load(src: str | IO[str]) -> ObjectDictionary:
     """Read the on-disk form back; indexes are rebuilt from scratch.
 
     Each distinct equation line is parsed once per call, and every
@@ -284,7 +277,7 @@ def load(
             raise FormatError("unsupported dictionary version %r" % lines[0], line=1)
         raise FormatError("missing dictionary header", line=1)
     with paused_gc():
-        return ObjectDictionary.build(_entries(lines), lex_feature, concat_feature)
+        return ObjectDictionary.build(_entries(lines))
 
 
 def _entries(lines: list[str]) -> list[ObjectEntry]:

@@ -480,12 +480,12 @@ def ordered_analyses(surface, dictionary, rules):
     return found
 
 
-def all_pairs_generation(dictionary, rules):
+def all_pairs_generation(dictionary, rules, lex_feature="lex"):
     """Generation by brute force.  Every rule runs over every tuple of
     entries, with no index, once; the returned function keeps the
-    derivations whose result's lemma feature holds the lemma and whose
+    derivations whose result's `lex_feature` holds the lemma and whose
     result unifies with the constraints, as sorted distinct surfaces."""
-    lex = (dictionary.lex_feature,)
+    lex = (lex_feature,)
     derived = [
         ("".join(e.surface for e in combo), tree)
         for rule in rules

@@ -6,6 +6,7 @@ the first error diagnostic, so a malformed snippet fails at once.
 """
 
 from lexiforge.diagnostics import ERROR
+from lexiforge.feature_tree import ValueSet
 from lexiforge.source import SourceSyntaxError, parse_source_text
 
 
@@ -33,3 +34,14 @@ def parse_alo_rule(text: str):
 def parse_dict_rules(text: str):
     """The rules of a `#DICT-RULES` section body."""
     return _read("#DICT-RULES\n" + text).dict_rules
+
+
+def sorted_lemmas(dictionary):
+    """The sorted distinct values of the dictionary entries' top-level
+    `lex` leaves."""
+    found = set()
+    for entry in dictionary.entries:
+        node = entry.tree.children.get("lex")
+        if isinstance(node, ValueSet):
+            found.update(node.texts())
+    return sorted(found)

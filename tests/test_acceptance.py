@@ -36,6 +36,7 @@ from oracles import (
     preorder_first_occurrence,
     random_hierarchy,
 )
+from sources import sorted_lemmas
 
 from conftest import FIXTURES, GOLDEN
 
@@ -217,7 +218,7 @@ def spanish():
 def test_analysis_matches_all_pairs_filter(capsys):
     with criterion(capsys, 5, "analyzer equals all-pairs filter") as note:
         dictionary, rules = spanish()
-        lemmas = sorted(dictionary.lemma_index)
+        lemmas = sorted_lemmas(dictionary)
         lemmas = [l for l in lemmas if dictionary.lookup_by_lemma(l)[0].section == "lexemes"]
         conjugations = set()
         for lemma in lemmas:

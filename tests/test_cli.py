@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -464,6 +465,51 @@ def test_stats_summary(dic_path, capsys):
     assert captured.out == (
         "entries: 41\nsurfaces: 41\nlemmas: 14\nhomographs: 0\n"
     )
+
+
+# -- index features --------------------------------------------------------------------
+
+def _renamed_fixture(fixtures_dir, tmp_path):
+    """The Spanish fixture, sources and rules, with `lex` renamed `lemma`
+    and `concat` renamed `cat`, compiled; (dictionary, rules) paths."""
+    for name in ("spanish.lex", "classes.lex", "morphemes.lex", "wf.rules"):
+        text = (fixtures_dir / name).read_text(encoding="utf-8")
+        text = re.sub(r"\bconcat\b", "cat", re.sub(r"(?<!\.)\blex\b", "lemma", text))
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    dic = str(tmp_path / "spanish.dic")
+    assert main(["compile", str(tmp_path / "spanish.lex"), "-o", dic]) == 0
+    return dic, str(tmp_path / "wf.rules")
+
+
+def test_queries_read_the_index_features_they_are_given(
+    dic_path, rules_path, fixtures_dir, tmp_path, capsys
+):
+    dic, rules = _renamed_fixture(fixtures_dir, tmp_path)
+    capsys.readouterr()
+
+    def run(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def readings(code, out):  # surface, category, lemma, parts; not the tree
+        return code, [line.split("\t")[:4] for line in out.splitlines()]
+
+    surfaces = ["pedíamos", "pido", "amaba", "pedo"]
+    renamed = run("analyze", "--porcelain", dic, rules, *surfaces, "--lex-feature", "lemma")
+    default = run("analyze", "--porcelain", dic_path, rules_path, *surfaces)
+    assert readings(*renamed) == readings(*default)
+    flags = ["--lex-feature", "lemma", "--concat-feature", "cat"]
+    for query in (
+        ["pedir", "vinfo.tense=impf", "agr.pers=1", "agr.num=plu"],
+        ["amar", "vinfo.tense=impf"],
+        ["correr"],
+    ):
+        assert run("generate", dic, rules, *query, *flags) == run(
+            "generate", dic_path, rules_path, *query
+        ), query
+    assert run("stats", dic, "--lex-feature", "lemma") == run("stats", dic_path)
+    # the defaults name features this dictionary does not hold
+    assert run("generate", dic, rules, "amar", "vinfo.tense=impf") == (1, "*UNKNOWN*\n")
 
 
 # -- unusable inputs -------------------------------------------------------------------

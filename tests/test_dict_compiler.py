@@ -427,11 +427,11 @@ $$ = @ alo 1 stem
 
 
 def test_custom_index_features_flow_through():
-    # the .dic does not record index features; the loader is told them
+    # the .dic does not record index features; the query names them
     text = BASE.replace("@ lex = $$", "@ lemma = $$")
     result = compile_base(parse_source_text(text).base)
     assert result.ok
     out = io.StringIO()
     save(result.dictionary, out)
-    dictionary = load(io.StringIO(out.getvalue()), lex_feature="lemma")
-    assert dictionary.lookup_by_lemma("pedir")
+    dictionary = load(io.StringIO(out.getvalue()))
+    assert dictionary.lookup_by_lemma("pedir", "lemma")

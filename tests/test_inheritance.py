@@ -161,7 +161,7 @@ def test_resolve_all_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(inheritance, "resolve", broken)
+    monkeypatch.setattr(inheritance, "_finish", broken)
     with pytest.raises(TypeError):
         resolve_all(parsed("#LEXEMES\n\ngood\nx = 1\n"))
 

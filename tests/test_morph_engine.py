@@ -1,3 +1,4 @@
+import io
 import random
 from itertools import product
 
@@ -27,11 +28,11 @@ from lexiforge.morph_engine import (
     generate,
     parse_wf_rules,
 )
-from lexiforge.object_dict import ObjectDictionary, ObjectEntry
+from lexiforge.object_dict import ObjectDictionary, ObjectEntry, load, save
 from lexiforge.source import SourceSyntaxError
 
 from oracles import all_pairs_analyses, all_pairs_generation, ordered_analyses
-from sources import parse_tree
+from sources import parse_tree, sorted_lemmas
 from test_dict_compiler import count_constructions
 
 
@@ -252,7 +253,7 @@ def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
             (a.category, a.lemma, a.tree.canonical_form(), a.segmentation)
             for a in analyze(surface, spanish_dict, [rule])
         ], surface
-    for lemma in sorted(spanish_dict.lemma_index):
+    for lemma in sorted_lemmas(spanish_dict):
         for constraints in (EMPTY_TREE, impf_1pl()):
             assert generate(lemma, constraints, spanish_dict, [rebuilt]) == generate(
                 lemma, constraints, spanish_dict, [rule]
@@ -403,7 +404,7 @@ def imperfect_cells():
 
 def test_generation_equals_the_oracle_on_the_fixture(spanish_dict, wf_rules, spanish_oracle):
     checked = 0
-    for lemma in sorted(spanish_dict.lemma_index):
+    for lemma in sorted_lemmas(spanish_dict):
         for constraints in [EMPTY_TREE] + imperfect_cells():
             expected = spanish_oracle(lemma, constraints)
             assert generate(lemma, constraints, spanish_dict, wf_rules) == expected, lemma
@@ -503,6 +504,32 @@ def test_a_second_generate_peeks_no_index_drawn_entry_again(monkeypatch, spanish
     peeked.clear()
     generate("amar", EMPTY_TREE, dictionary, wf_rules)
     assert peeked and not endings & set(peeked)
+
+
+def test_only_generate_builds_value_indexes(spanish_dict, wf_rules):
+    out = io.StringIO()
+    save(spanish_dict, out)
+    dictionary = load(io.StringIO(out.getvalue()))
+    assert dictionary.lookup("pid")
+    assert analyze("pedíamos", dictionary, wf_rules)
+    save(dictionary, io.StringIO())
+    assert dictionary.value_indexes == {}
+    assert generate("pedir", impf_1pl(), dictionary, wf_rules) == ["pedíamos"]
+    assert set(dictionary.value_indexes) == {"lex", "concat"}
+
+
+def test_generate_indexes_the_features_it_is_given():
+    dictionary = small_dictionary(
+        [("ka", "lemma = ka\ncat = vl"), ("a", "cat = vm"), ("o", "cat = x")]
+    )
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem Ending\n  Stem cat = vl\n  Ending cat = vm\n"
+        "  Word lemma = Stem lemma\n"
+    )
+    assert generate("ka", EMPTY_TREE, dictionary, rules, "lemma", "cat") == ["kaa"]
+    assert set(dictionary.value_indexes) == {"lemma", "cat"}
+    # under the defaults no result holds the lemma
+    assert generate("ka", EMPTY_TREE, dictionary, rules) == []
 
 
 def test_a_product_over_the_bound_is_refused_before_any_combination(monkeypatch):
@@ -643,7 +670,7 @@ def fixture_values(spanish_dict):
 def test_generation_equals_the_oracle_for_drawn_constraints(
     spanish_dict, wf_rules, spanish_oracle, fixture_values, data
 ):
-    lemma = data.draw(st.sampled_from(sorted(spanish_dict.lemma_index) + ["correr"]))
+    lemma = data.draw(st.sampled_from(sorted_lemmas(spanish_dict) + ["correr"]))
     paths = data.draw(st.lists(st.sampled_from(sorted(fixture_values)), max_size=4, unique=True))
     constraints = EMPTY_TREE
     for path in sorted(paths):

@@ -73,8 +73,10 @@ def test_entries_lacking_the_concat_feature_are_listed():
             entry("d", "lex = d"),
         ]
     )
-    # an interior node at the feature is present, so 'c' is not listed
-    assert [e.surface for e in d.lacking_concat()] == ["b", "d"]
+    # holders first, then the entries lacking the feature; an interior
+    # node at the feature is present, so 'c' is not listed
+    assert [e.surface for e in d.lookup_by_concat("vm")] == ["a", "b", "d"]
+    assert [e.surface for e in d.lookup_by_concat("x")] == ["b", "d"]
 
 
 def test_duplicates_collapse_to_the_first_with_warnings(monkeypatch):
@@ -115,13 +117,9 @@ def test_stats_counts():
 
 
 def test_custom_feature_names():
-    d = ObjectDictionary.build(
-        [entry("x", "lemma = a\ncat = v")],
-        lex_feature="lemma",
-        concat_feature="cat",
-    )
-    assert [e.surface for e in d.lookup_by_lemma("a")] == ["x"]
-    assert [e.surface for e in d.lookup_by_concat("v")] == ["x"]
+    d = ObjectDictionary.build([entry("x", "lemma = a\ncat = v")])
+    assert [e.surface for e in d.lookup_by_lemma("a", "lemma")] == ["x"]
+    assert [e.surface for e in d.lookup_by_concat("v", "cat")] == ["x"]
 
 
 # -- persistence --------------------------------------------------------------------
@@ -172,9 +170,12 @@ def test_save_load_save_is_the_identity_on_bytes(tmp_path):
 
 def test_load_accepts_custom_feature_names():
     out = io.StringIO()
-    save(ObjectDictionary.build([entry("x", "lemma = a")]), out)
-    d = load(io.StringIO(out.getvalue()), lex_feature="lemma")
-    assert [e.surface for e in d.lookup_by_lemma("a")] == ["x"]
+    save(ObjectDictionary.build([entry("x", "lemma = a\nlex = b")]), out)
+    d = load(io.StringIO(out.getvalue()))
+    assert [e.surface for e in d.lookup_by_lemma("a", "lemma")] == ["x"]
+    # the same dictionary answers under another feature, with no reload
+    assert [e.surface for e in d.lookup_by_lemma("b")] == ["x"]
+    assert d.lookup_by_lemma("a") == [] and d.lookup_by_lemma("b", "lemma") == []
 
 
 def test_entry_without_features_round_trips():
