@@ -27,17 +27,22 @@ room for the rest, only a stored first part of length c opens its at
 most C(L-c-1, n-2) tails, and each tail's parts are looked up left to
 right until the first miss.
 Generation runs the same engine over candidate entries drawn from the
-lemma and concatenation-category indexes and keeps the candidates
-whose result tree unifies with the caller's constraints.  Before any
-equation runs it drops candidates that must fail, by testing the meet
-on the entries' original nodes: an entry against the constraints'
-node through an equation `LHS p = Ci q`, and a pair of entries at the
-two paths of an equation `Ci p = Cj q`.  A meet only narrows a node
-that is present (a leaf stays a leaf, a subtree a subtree, a path
-below a leaf stays blocked), so a meet that fails on the original
-nodes fails the same candidate later; pruning never changes an
-answer.  Analysis does no such pruning: its candidates are exact
-surface matches and mostly succeed.
+lemma index, or from tables kept per dictionary (a concatenation
+category's entries, or all), and keeps the candidates whose result tree
+unifies with the caller's constraints.  Before any equation runs it
+drops candidates that must fail, by testing the meet on the entries'
+original nodes: an entry against a value equation's values or against
+the constraints' node through an equation `LHS p = Ci q`, and a pair of
+entries at the two paths of an equation `Ci p = Cj q`.  A meet only
+narrows a node that is present (a leaf stays a leaf, a subtree a
+subtree, a path below a leaf stays blocked), so a meet that fails on
+the original nodes fails the same candidate later; pruning never
+changes an answer.  A table-drawn constituent linked to an outer one is
+joined: its candidates that pass an outer row's nodes at the linked
+paths are kept per dictionary by those nodes, so each test is run once
+per candidate or join key, and the equations then run only the steps
+the tests do not decide.  Analysis does no such pruning: its
+candidates are exact surface matches and mostly succeed.
 """
 
 from __future__ import annotations
@@ -238,14 +243,15 @@ def _plan(lhs: str, equations: tuple) -> tuple[tuple, tuple]:
     return tuple(steps), tuple(copies)
 
 
-def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None:
+def _execute(rule: WFRule, entries: Iterable[ObjectEntry], steps=None) -> FeatureTree | None:
     """The rule's result tree over one entry per constituent, or None
     when the candidate fails.
 
-    Walks the rule's steps (`_plan`).  Each equation is one `meet` of
-    the nodes at its sides, a value equation's right side being its
-    value set, and the outcome is written back to each live side where
-    it differs from the node already there.  An equation with no live
+    Walks the rule's steps (`_plan`), or the subset given.  Each
+    equation is one `meet` of the nodes at its sides, a value
+    equation's right side being its value set, and the outcome is
+    written back to each live side where it differs from the node
+    already there.  An equation with no live
     side is only tested with `_clash`, which builds nothing.  The
     rule's copies are read last and join the result in one new tree.
     Nodes are copied, not shared: a later equation that fills or
@@ -255,7 +261,8 @@ def _execute(rule: WFRule, entries: Iterable[ObjectEntry]) -> FeatureTree | None
     """
     trees = {label: entry.tree for label, entry in zip(rule.rhs, entries)}
     trees[rule.lhs] = EMPTY_TREE
-    for left_root, left_path, left_live, right_root, right_path, right_live in rule.steps:
+    steps = rule.steps if steps is None else steps
+    for left_root, left_path, left_live, right_root, right_path, right_live in steps:
         left = _peek(trees[left_root], left_path)
         right = right_path if right_root is None else _peek(trees[right_root], right_path)
         if not (left_live or right_live):
@@ -395,14 +402,25 @@ def _node_rows(entries: Iterable[ObjectEntry], paths: tuple) -> list[tuple[Objec
     return [(entry, {path: _peek(entry.tree, path) for path in paths}) for entry in entries]
 
 
+def _admit(rows: list, tests) -> list:
+    """The rows whose nodes clear each (path, node) test by `_clash`."""
+    if not tests:
+        return rows
+    return [row for row in rows if not any(_clash(node, row[1][path]) for path, node in tests)]
+
+
 def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]):
     """The facts `generate` needs that do not depend on the lemma or the
     constraints, from one pass over the equations, kept on the rule per
-    pair of index features: the pair checks (i, p, j, q) for `Ci p = Cj
-    q`, by constituent position, and per constituent whether it is
-    drawn by lemma, its concatenation category or None, its constraint
-    filters' (path, result path) sources and the paths its checks and
-    filters read, each once."""
+    pair of index features: per constituent whether it is drawn by
+    lemma, its concatenation category or None, its constraint filters'
+    (path, result path) sources, the paths its checks, filters and value
+    tests read, each once, and those tests (path, value set).  In rule
+    order, a constituent not drawn by lemma is joined by each pair check
+    that links it to an outer one (drawn by lemma, or earlier and not
+    joined), as (outer position, outer path, own path).  Positions count
+    the outer constituents, then the joined ones (`order`).  The steps
+    leave out each test with no live side that no earlier step writes."""
     plan = rule.generation_plans.get((lex_path, concat_path))
     if plan is not None:
         return plan
@@ -410,6 +428,7 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
     linked: set[str] = set()
     categories: dict[str, str] = {}
     sources: dict[str, list] = {label: [] for label in rhs}
+    tests: dict[str, list] = {label: [] for label in rhs}
     checks = []
     lemma_sides = []  # the root of each equation side at the lemma path
     for eq in rule.equations:
@@ -418,6 +437,8 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
                 lemma_sides.append(eq.root)
             if eq.path == concat_path and len(eq.values) == 1:
                 categories.setdefault(eq.root, eq.values.values[0].text)
+            if eq.root in tests:
+                tests[eq.root].append((eq.path, eq.values))
             continue
         if eq.left_path == lex_path:
             lemma_sides.append(eq.left_root)
@@ -436,21 +457,69 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
             if path == lex_path and label_path == lex_path:
                 linked.add(label)
             sources[label].append((label_path, path))
+    # only a link that alone names both lemma paths makes C hold the lemma
+    by_lemma = [
+        label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1
+        for label in rhs
+    ]
+    outer = [k for k, drawn in enumerate(by_lemma) if drawn]
+    joins = {}  # joined constituent -> its links, as pair checks
+    for k in range(len(rhs)):
+        if not by_lemma[k]:
+            found = [c for c in checks if k in (c[0], c[2]) and (c[0] in outer or c[2] in outer)]
+            if found:
+                joins[k] = found
+            else:
+                outer.append(k)
+    order = tuple(map((outer + list(joins)).index, range(len(rhs))))
+    steps, written = [], []  # the live sides written so far, (root, path)
+    for step in rule.steps:
+        left_root, left_path, left_live, right_root, right_path, right_live = step
+        sides = ((left_root, left_path), (right_root, right_path))
+        if left_live or right_live or any(
+            root == other and (path[: len(p)] == p or p[: len(path)] == path)
+            for root, path in sides for other, p in written
+        ):
+            steps.append(step)
+            written += [side for side, live in zip(sides, (left_live, right_live)) if live]
     constituents = tuple(
         (
-            # only a link that alone names both lemma paths makes C hold the lemma
-            label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1,
+            by_lemma[k],
             categories.get(label),
             tuple(sources[label]),
             tuple(dict.fromkeys(
                 [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
-                + [path for path, _ in sources[label]]
+                + [path for path, _ in sources[label]] + [path for path, _ in tests[label]]
             )),
+            tuple(tests[label]),
         )
         for k, label in enumerate(rhs)
     )
-    plan = rule.generation_plans[(lex_path, concat_path)] = (tuple(checks), constituents)
+    unjoined = tuple(
+        (order[i], p, order[j], q) for i, p, j, q in checks
+        if not any((i, p, j, q) in found for found in joins.values())
+    )
+    links = tuple(
+        (k, tuple((order[j], q, p) if i == k else (order[i], p, q) for i, p, j, q in found))
+        for k, found in joins.items()
+    )
+    plan = rule.generation_plans[(lex_path, concat_path)] = (
+        tuple(steps), unjoined, constituents, tuple(outer), links, order
+    )
     return plan
+
+
+def _joined(dictionary: ObjectDictionary, key: tuple, passing: list, links: tuple, head: tuple):
+    """A joined constituent's passing rows that clear the outer rows'
+    nodes at the linked paths (the probe), kept per dictionary by the
+    probe's nodes unless one is an (unhashable) subtree."""
+    probe = tuple((path, head[x][1][p]) for x, p, path in links)
+    if any(isinstance(node, FeatureTree) for _, node in probe):
+        return _admit(passing, probe)
+    rows = dictionary.joins.get((key, probe))
+    if rows is None:
+        rows = dictionary.joins[key, probe] = _admit(passing, probe)
+    return rows
 
 
 def generate(
@@ -472,68 +541,87 @@ def generate(
     count, nor does one where another equation could give W or C the
     lemma), else the `concat_feature` index (plus the entries lacking
     that feature) for its first `C concat = v` equation, else every
-    dictionary entry.  Each constituent of the last kind multiplies
-    the work by |D|, the dictionary size, so a rule whose candidate
-    product, after the filter below, exceeds `MAX_COMBINATIONS` raises
-    `GenerationLimit` before any combination is tried.  A category's candidates, each
-    with its nodes at the paths the plan reads, are peeked once per
-    dictionary and kept in its `node_tables`; a call peeks the
-    constraints at the result paths the plan lists, and the other
-    constituents' candidates.
+    dictionary entry.  The last two kinds are table-drawn: their
+    candidates, each with its nodes at the paths the plan reads, are
+    peeked once per dictionary and kept in its `node_tables`, with those
+    that pass the constituent's value tests.  A constituent of the last
+    kind multiplies the work by |D|, the dictionary size, so a rule
+    whose candidate product, filtered by the constraints alone, exceeds
+    `MAX_COMBINATIONS` raises `GenerationLimit` before any combination
+    is tried.
 
-    Candidates that must fail are dropped before their equations run,
-    by `_clash` on the entries' original nodes, which the equations
-    only narrow.  An equation `LHS p = C q` (either way round) puts C's
-    node at q into the result at p, so a C whose node clashes with the
-    constraints' node at p is dropped; nothing is dropped when the
-    constraints have no node at p, or a leaf above it, since there a
-    candidate lacking q still yields a result the constraints accept.
-    A combination is dropped when two of its entries clash at the paths
-    of an equation `Ci p = Cj q`.
+    Candidates that must fail are dropped by `_clash` on the entries'
+    original nodes, which the equations only narrow: a C whose node
+    clashes with a value equation `C p = v`, or with the constraints'
+    node at p through an equation `LHS p = C q` (either way round; not
+    where the constraints have no node at p or a leaf above it, since
+    there a candidate lacking q still yields an accepted result), and a
+    combination whose entries clash at the paths of `Ci p = Cj q`.  A
+    joined constituent's candidates for one combination of the outer
+    ones are those clearing its links, kept in the dictionary's `joins`
+    (`_joined`); `product` runs over the outer constituents, then over
+    the joined ones, and `_execute` runs the steps no filter decides.
     """
     lex_path = (lex_feature,)
     concat_path = (concat_feature,)
-    tables = dictionary.node_tables
     surfaces: set[str] = set()
     for rule in rules:
-        checks, constituents = _generation_plan(rule, lex_path, concat_path)
-        candidate_lists: list[list[tuple[ObjectEntry, dict]]] = []
-        for by_lemma, category, sources, paths in constituents:
-            if by_lemma:
-                rows = _node_rows(dictionary.lookup_by_lemma(lemma, lex_feature), paths)
-            elif category is not None:
-                rows = tables.get((concat_feature, category, paths))
-                if rows is None:
-                    rows = tables[concat_feature, category, paths] = _node_rows(
-                        dictionary.lookup_by_concat(category, concat_feature), paths
-                    )
-            else:
-                rows = _node_rows(dictionary.entries, paths)
+        steps, checks, constituents, outer, joins, order = _generation_plan(
+            rule, lex_path, concat_path
+        )
+        keys, tables, wanted = [], [], []
+        for by_lemma, category, sources, paths, tests in constituents:
+            key = None if by_lemma else (concat_feature, category, paths, tests)
+            table = None if key is None else dictionary.node_tables.get(key)
+            if table is None:
+                rows = _node_rows(
+                    dictionary.lookup_by_lemma(lemma, lex_feature) if by_lemma
+                    else dictionary.entries if category is None
+                    else dictionary.lookup_by_concat(category, concat_feature),
+                    paths,
+                )
+                table = (rows, _admit(rows, tests))
+                if key is not None:
+                    dictionary.node_tables[key] = table
+            keys.append(key)
+            tables.append(table)
             peeked = [(path, _peek(constraints, result_path)) for path, result_path in sources]
-            wanted = [(path, node) for path, node in peeked if node is not None and node is not BLOCKED]
-            candidate_lists.append(
-                [row for row in rows if not any(_clash(node, row[1][p]) for p, node in wanted)]
-                if wanted else rows
+            wanted.append(
+                [(path, node) for path, node in peeked if node is not None and node is not BLOCKED]
             )
-        if not all(candidate_lists):
+        if prod(len(rows) for rows, _ in tables) > MAX_COMBINATIONS:
+            size = prod(len(_admit(rows, tests)) for (rows, _), tests in zip(tables, wanted))
+            if size > MAX_COMBINATIONS:
+                where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
+                raise GenerationLimit(
+                    "%srule '%s' has %d candidate combinations, more than the %d generation tries"
+                    % (where, rule.name, size, MAX_COMBINATIONS)
+                )
+        heads = [_admit(tables[k][1], wanted[k]) for k in outer]
+        if not all(heads):
             continue
-        size = prod(map(len, candidate_lists))
-        if size > MAX_COMBINATIONS:
-            where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
-            raise GenerationLimit(
-                "%srule '%s' has %d candidate combinations, more than the %d generation tries"
-                % (where, rule.name, size, MAX_COMBINATIONS)
-            )
-        for combo in product(*candidate_lists):
-            if any(_clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in checks):
-                continue
-            tree = _execute(rule, [entry for entry, _ in combo])
-            if tree is None:
-                continue
-            lex = tree.get(lex_path)
-            if not isinstance(lex, ValueSet) or lemma not in lex.texts():
-                continue
-            if unify(tree, constraints) is None:
-                continue
-            surfaces.add("".join(entry.surface for entry, _ in combo))
+        for head in product(*heads):
+            tails = []
+            for k, links in joins:
+                tail = _admit(_joined(dictionary, keys[k], tables[k][1], links, head), wanted[k])
+                if not tail:
+                    break
+                tails.append(tail)
+            else:
+                for tail in product(*tails) if tails else ((),):
+                    combo = head + tail
+                    if checks and any(
+                        _clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in checks
+                    ):
+                        continue
+                    entries = [combo[x][0] for x in order]
+                    tree = _execute(rule, entries, steps)
+                    if tree is None:
+                        continue
+                    lex = tree.get(lex_path)
+                    if not isinstance(lex, ValueSet) or lemma not in lex.texts():
+                        continue
+                    if unify(tree, constraints) is None:
+                        continue
+                    surfaces.add("".join(entry.surface for entry in entries))
     return sorted(surfaces)

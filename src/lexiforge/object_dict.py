@@ -70,10 +70,12 @@ class ObjectDictionary:
             self.surface_index.setdefault(entry.surface, []).append(entry)
         # feature -> its `_value_index`, filled on first use
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
-        # (concat feature, category, paths) -> each entry the category
-        # draws with its nodes at those paths, filled by
-        # `morph_engine.generate` on first use
-        self.node_tables: dict[tuple, list] = {}
+        # (concat feature, category or None, paths, value tests) -> the
+        # rows a table-drawn constituent draws and those passing the
+        # tests; (that key, a probe) -> the passing rows it joins; both
+        # filled by `morph_engine.generate` on first use
+        self.node_tables: dict[tuple, tuple[list, list]] = {}
+        self.joins: dict[tuple, list] = {}
 
     @classmethod
     def build(cls, entries: Iterable[ObjectEntry]) -> "ObjectDictionary":

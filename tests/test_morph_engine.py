@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 from itertools import product
@@ -283,6 +284,23 @@ def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, w
     )
 
 
+def test_generate_and_analyze_leave_no_cyclic_garbage(spanish_dict, wf_rules):
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for lemma in sorted_lemmas(spanish_dict):
+                generate(lemma, EMPTY_TREE, spanish_dict, wf_rules)
+                generate(lemma, impf_1pl(), spanish_dict, wf_rules)
+            for surface in ("pedíamos", "pido", "amaba", "come", "pedo"):
+                analyze(surface, spanish_dict, wf_rules)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 _LEAVES = st.lists(st.sampled_from("xyz"), min_size=1, max_size=3).map(lambda t: leaf(*t))
 
 
@@ -475,16 +493,23 @@ def test_a_cell_requests_constraint_filter_builds_no_tree(monkeypatch, spanish_d
     counts = count_constructions(monkeypatch)
     seen = []
 
-    def stop(*candidate_lists):
+    def observed(*candidate_lists):
         seen.append((dict(counts), [len(c) for c in candidate_lists]))
-        return iter(())
+        return product(*candidate_lists)
 
-    monkeypatch.setattr(morph_engine, "product", stop)
+    monkeypatch.setattr(morph_engine, "product", observed)
+    # no combination is tried, so only the filters could build a tree
+    monkeypatch.setattr(morph_engine, "_execute", lambda *args: None)
     assert generate("pedir", constraints, spanish_dict, wf_rules) == []
-    ((built, (stems, endings)),) = seen
+    # one product over the stems, then one over the joined endings of
+    # each stem that has some left
+    (built, (stems,)), *joined = seen
     assert built == {"FeatureTree": 0, "ValueSet": 0}
-    # the filter dropped the endings whose agr or vinfo clash
-    assert stems == 2 and 0 < endings < len(spanish_dict.lookup_by_concat("vm"))
+    assert stems == 2 and 0 < len(joined) <= stems
+    for built, (endings,) in joined:
+        assert built == {"FeatureTree": 0, "ValueSet": 0}
+        # the filter dropped the endings whose agr or vinfo clash
+        assert 0 < endings < len(spanish_dict.lookup_by_concat("vm"))
 
 
 def test_a_second_generate_peeks_no_index_drawn_entry_again(monkeypatch, spanish_dict, wf_rules):
@@ -504,6 +529,31 @@ def test_a_second_generate_peeks_no_index_drawn_entry_again(monkeypatch, spanish
     peeked.clear()
     generate("amar", EMPTY_TREE, dictionary, wf_rules)
     assert peeked and not endings & set(peeked)
+
+
+def test_a_second_generate_peeks_no_free_drawn_entry_again(monkeypatch, spanish_dict):
+    # `Any` has neither a lemma link nor a concat equation: it draws
+    # every entry, from a table the dictionary keeps
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem Any\n  Word lex = Stem lex\n  Word agr = Any agr\n"
+    )
+    peeked = []
+    original = morph_engine._peek
+
+    def counted(tree, path):
+        peeked.append(id(tree))
+        return original(tree, path)
+
+    monkeypatch.setattr(morph_engine, "_peek", counted)
+    monkeypatch.setattr(morph_engine, "product", lambda *lists: iter(()))
+    generate("pedir", impf_1pl(), dictionary, rules)
+    assert {id(entry.tree) for entry in dictionary.entries} <= set(peeked)
+    peeked.clear()
+    generate("amar", EMPTY_TREE, dictionary, rules)
+    stems = {id(entry.tree) for entry in dictionary.lookup_by_lemma("amar")}
+    others = {id(entry.tree) for entry in dictionary.entries} - stems
+    assert stems <= set(peeked) and not others & set(peeked)
 
 
 def test_only_generate_builds_value_indexes(spanish_dict, wf_rules):
@@ -547,6 +597,34 @@ def test_a_product_over_the_bound_is_refused_before_any_combination(monkeypatch)
     assert str(exc.value) == (
         "free.rules:3: rule 'Word -> Stem Mid End' has 160801 candidate combinations, "
         "more than the 100000 generation tries"
+    )
+
+
+@pytest.mark.parametrize("count,bound", [(320, MAX_COMBINATIONS), (6, 40)])
+def test_a_product_over_the_bound_only_before_the_constraints_is_answered(
+    monkeypatch, count, bound
+):
+    # `count` stems of 'ka' and a constituent free to take any of the
+    # count + 1 entries: over the bound, but the constraint on `end`
+    # leaves the free one only 'a' (the one entry with id 1)
+    monkeypatch.setattr(morph_engine, "MAX_COMBINATIONS", bound)
+    stems = [("k%d" % i, "lex = ka\nid = 2") for i in range(count)]
+    dictionary = small_dictionary(stems + [("a", "id = 1")])
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem End\n  Word lex = Stem lex\n  Word end = End id\n",
+        "free.rules",
+    )
+    assert count * (count + 1) > bound >= count
+    constraints = EMPTY_TREE.set(("end",), leaf("1"))
+    got = generate("ka", constraints, dictionary, rules)
+    assert got == sorted(surface + "a" for surface, _ in stems)
+    if count * (count + 1) < 1000:  # the oracle tries every pair of entries
+        assert got == all_pairs_generation(dictionary, rules)("ka", constraints)
+    with pytest.raises(GenerationLimit) as exc:
+        generate("ka", EMPTY_TREE, dictionary, rules)
+    assert str(exc.value) == (
+        "free.rules:3: rule 'Word -> Stem End' has %d candidate combinations, "
+        "more than the %d generation tries" % (count * (count + 1), bound)
     )
 
 
@@ -814,8 +892,9 @@ def test_readings_come_in_the_documented_order(data):
 # neither (it takes every entry), give a two-valued `concat` equation
 # (no category), equate positions 0 and 2 of a three-constituent rule,
 # take the lemma from a constituent's `id` (lemma "1"), not its `lex`,
-# and link the result's lemma to a constituent whose lemma can come
-# from another constituent (`T` links both, `R` chains them).
+# link the result's lemma to a constituent whose lemma can come from
+# another constituent (`T` links both, `R` chains them), and put a
+# category constituent before the lemma-linked one it is joined to (`Y`).
 _GEN_TREE_TEXTS = [
     "\n".join(lines)
     for lines in product(
@@ -835,6 +914,8 @@ _GEN_RULES = [
     "U -> S E\n  S concat = s\n  E concat = e\n  U lex = S id\n  U end = E id\n",
     "T -> S E\n  S concat = s\n  E concat = e\n  T lex = S lex\n  T lex = E lex\n",
     "R -> S E\n  S concat = s\n  E concat = e\n  S lex = E lex\n  R lex = S lex\n",
+    "Y -> E S\n  E concat = e\n  S concat = s\n  Y lex = S lex\n  E agr = S agr\n"
+    "  Y end = E id\n",
 ]
 
 _GEN_CONSTRAINTS = {
@@ -846,9 +927,7 @@ _GEN_CONSTRAINTS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_generation_equals_the_oracle_for_drawn_dictionaries(data):
+def _drawn_generation_base(data):
     entries = data.draw(
         st.lists(
             st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_GEN_TREE_TEXTS)),
@@ -856,11 +935,14 @@ def test_generation_equals_the_oracle_for_drawn_dictionaries(data):
             max_size=8,
         )
     )
-    dictionary = small_dictionary(entries)
     rules = parse_wf_rules(
         "#WF-RULES\n\n"
         + "\n".join(data.draw(st.lists(st.sampled_from(_GEN_RULES), min_size=1, unique=True)))
     )
+    return small_dictionary(entries), rules
+
+
+def _drawn_generation_call(data):
     lemma = data.draw(st.sampled_from(["x", "y", "z", "1"]))
     constraints = EMPTY_TREE
     for path in data.draw(st.lists(st.sampled_from(sorted(_GEN_CONSTRAINTS)), unique=True)):
@@ -871,8 +953,28 @@ def test_generation_equals_the_oracle_for_drawn_dictionaries(data):
             constraints = constraints.set(path, leaf(*texts))
         except PathThroughLeaf:
             pass  # a leaf drawn above this path already
+    return lemma, constraints
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generation_equals_the_oracle_for_drawn_dictionaries(data):
+    dictionary, rules = _drawn_generation_base(data)
+    lemma, constraints = _drawn_generation_call(data)
     expected = all_pairs_generation(dictionary, rules)(lemma, constraints)
     assert generate(lemma, constraints, dictionary, rules) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_dictionary_answers_a_drawn_sequence_of_generate_calls_like_the_oracle(data):
+    # one dictionary object serves every call, so later calls read the
+    # tables and joins that earlier ones kept
+    dictionary, rules = _drawn_generation_base(data)
+    oracle = all_pairs_generation(dictionary, rules)
+    for _ in range(data.draw(st.integers(2, 6))):
+        lemma, constraints = _drawn_generation_call(data)
+        assert generate(lemma, constraints, dictionary, rules) == oracle(lemma, constraints)
 
 
 def _counting_lookups(monkeypatch):

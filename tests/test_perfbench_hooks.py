@@ -90,8 +90,8 @@ def test_generate_calls_the_combination_and_unify_hooks(
     results = []
     execute = morph_engine._execute
 
-    def counted(rule, entries):
-        tree = execute(rule, entries)
+    def counted(*args):
+        tree = execute(*args)
         if tree is not None:
             results.append(tree)
         return tree
