@@ -179,9 +179,7 @@ def cmd_generate(args) -> int:
     rules = _load_rules(args)
     constraints = _parse_constraints(args.constraints)
     try:
-        surfaces = generate(
-            args.lemma, constraints, dictionary, rules, args.lex_feature, args.concat_feature
-        )
+        surfaces = generate(args.lemma, constraints, dictionary, rules, args.lex_feature)
     except GenerationLimit as err:
         print(err, file=sys.stderr)
         return 1
@@ -257,11 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="feature constraints, e.g. vinfo.tense=impf agr.pers=1,3",
     )
     _add_lex_feature_option(p)
-    p.add_argument(
-        "--concat-feature",
-        default="concat",
-        help="feature naming the concatenation category (default: concat)",
-    )
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dump", help="print a dictionary in its storage format")

@@ -134,21 +134,14 @@ def _finish(
     return ResolvedEntry(entry.name, _evaluate(tree, entry.name, rules))
 
 
-def resolve(
-    entry: Entry,
-    base: SourceBase,
-    compiled_rules: Mapping[str, CompiledAloRule] | None = None,
-    class_trees: Mapping[str, FeatureTree] | None = None,
-) -> ResolvedEntry:
+def resolve(entry: Entry, base: SourceBase) -> ResolvedEntry:
     """Inherited view of one entry with all placeholders evaluated.
 
     Raises ResolveError for an unknown class or rule or a cycle, and
     PathThroughLeaf for an internally inconsistent body.
     """
-    if compiled_rules is None:
-        compiled_rules = compile_rules(base)
-    inherited, _ = _inherited(entry, base.classes, class_trees or {})
-    return _finish(entry, inherited, compiled_rules)
+    inherited, _ = _inherited(entry, base.classes, {})
+    return _finish(entry, inherited, compile_rules(base))
 
 
 def resolve_all(

@@ -27,21 +27,23 @@ room for the rest, only a stored first part of length c opens its at
 most C(L-c-1, n-2) tails, and each tail's parts are looked up left to
 right until the first miss.
 Generation runs the same engine over candidate entries drawn from the
-lemma index, or from tables kept per dictionary (a concatenation
-category's entries, or all), and keeps the candidates whose result tree
-unifies with the caller's constraints.  Before any equation runs it
-drops candidates that must fail, by testing the meet on the entries'
-original nodes: an entry against a value equation's values or against
-the constraints' node through an equation `LHS p = Ci q`, and a pair of
-entries at the two paths of an equation `Ci p = Cj q`.  A meet only
-narrows a node that is present (a leaf stays a leaf, a subtree a
-subtree, a path below a leaf stays blocked), so a meet that fails on
-the original nodes fails the same candidate later; pruning never
-changes an answer.  A table-drawn constituent linked to an outer one is
-joined: its candidates that pass an outer row's nodes at the linked
-paths are kept per dictionary by those nodes, so each test is run once
-per candidate or join key, and the equations then run only the steps
-the tests do not decide.  Analysis does no such pruning: its
+lemma index, or from tables kept per dictionary (the entries that pass
+a constituent's value equations, drawn from the index its first
+one-label, one-value equation names, or from all), and keeps the
+candidates whose result tree unifies with the caller's constraints.
+Before any equation runs it drops candidates that must fail, by
+testing the meet on the entries' original nodes: an entry against a
+value equation's values or against the constraints' node through an
+equation `LHS p = Ci q`, and a pair of entries at the two paths of an
+equation `Ci p = Cj q`.  A meet only narrows a node that is present (a
+leaf stays a leaf, a subtree a subtree, a path below a leaf stays
+blocked), so a meet that fails on the original nodes fails the same
+candidate later; pruning never changes an answer.  A table-drawn
+constituent linked to an outer one is joined: its candidates that pass
+an outer row's nodes at the linked paths are kept per dictionary, in
+the tables' cache, by those nodes, so each test is run once per
+candidate or join key, and the equations then run only the steps the
+tests do not decide.  Analysis does no such pruning: its
 candidates are exact surface matches and mostly succeed.
 """
 
@@ -409,24 +411,26 @@ def _admit(rows: list, tests) -> list:
     return [row for row in rows if not any(_clash(node, row[1][path]) for path, node in tests)]
 
 
-def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]):
+def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     """The facts `generate` needs that do not depend on the lemma or the
     constraints, from one pass over the equations, kept on the rule per
-    pair of index features: per constituent whether it is drawn by
-    lemma, its concatenation category or None, its constraint filters'
-    (path, result path) sources, the paths its checks, filters and value
-    tests read, each once, and those tests (path, value set).  In rule
+    lemma feature: per constituent whether it is drawn by lemma, its
+    table key and its constraint filters' (path, result path) sources.
+    The key is (index, paths, tests): the index (f, v) of the
+    constituent's first value equation `C f = v` with a one-label path
+    and one value, or None; the paths its checks, filters and value
+    tests read, each once; and those tests (path, value set).  In rule
     order, a constituent not drawn by lemma is joined by each pair check
     that links it to an outer one (drawn by lemma, or earlier and not
     joined), as (outer position, outer path, own path).  Positions count
     the outer constituents, then the joined ones (`order`).  The steps
     leave out each test with no live side that no earlier step writes."""
-    plan = rule.generation_plans.get((lex_path, concat_path))
+    plan = rule.generation_plans.get(lex_path)
     if plan is not None:
         return plan
     rhs = rule.rhs
     linked: set[str] = set()
-    categories: dict[str, str] = {}
+    indexes: dict[str, tuple[str, str]] = {}
     sources: dict[str, list] = {label: [] for label in rhs}
     tests: dict[str, list] = {label: [] for label in rhs}
     checks = []
@@ -435,8 +439,8 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
         if isinstance(eq, ValueEquation):
             if eq.path == lex_path:
                 lemma_sides.append(eq.root)
-            if eq.path == concat_path and len(eq.values) == 1:
-                categories.setdefault(eq.root, eq.values.values[0].text)
+            if len(eq.path) == 1 and len(eq.values) == 1:
+                indexes.setdefault(eq.root, (eq.path[0], eq.values.values[0].text))
             if eq.root in tests:
                 tests[eq.root].append((eq.path, eq.values))
             continue
@@ -485,13 +489,15 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
     constituents = tuple(
         (
             by_lemma[k],
-            categories.get(label),
+            (
+                indexes.get(label),
+                tuple(dict.fromkeys(
+                    [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
+                    + [path for path, _ in sources[label]] + [path for path, _ in tests[label]]
+                )),
+                tuple(tests[label]),
+            ),
             tuple(sources[label]),
-            tuple(dict.fromkeys(
-                [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
-                + [path for path, _ in sources[label]] + [path for path, _ in tests[label]]
-            )),
-            tuple(tests[label]),
         )
         for k, label in enumerate(rhs)
     )
@@ -503,22 +509,23 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str], concat_path: tuple[str]
         (k, tuple((order[j], q, p) if i == k else (order[i], p, q) for i, p, j, q in found))
         for k, found in joins.items()
     )
-    plan = rule.generation_plans[(lex_path, concat_path)] = (
+    plan = rule.generation_plans[lex_path] = (
         tuple(steps), unjoined, constituents, tuple(outer), links, order
     )
     return plan
 
 
-def _joined(dictionary: ObjectDictionary, key: tuple, passing: list, links: tuple, head: tuple):
-    """A joined constituent's passing rows that clear the outer rows'
-    nodes at the linked paths (the probe), kept per dictionary by the
-    probe's nodes unless one is an (unhashable) subtree."""
+def _joined(dictionary: ObjectDictionary, key: tuple, table: list, links: tuple, head: tuple):
+    """A joined constituent's table rows that clear the outer rows'
+    nodes at the linked paths (the probe), kept in the dictionary's
+    `node_tables` under (key, probe) unless a node is an (unhashable)
+    subtree."""
     probe = tuple((path, head[x][1][p]) for x, p, path in links)
     if any(isinstance(node, FeatureTree) for _, node in probe):
-        return _admit(passing, probe)
-    rows = dictionary.joins.get((key, probe))
+        return _admit(table, probe)
+    rows = dictionary.node_tables.get((key, probe))
     if rows is None:
-        rows = dictionary.joins[key, probe] = _admit(passing, probe)
+        rows = dictionary.node_tables[key, probe] = _admit(table, probe)
     return rows
 
 
@@ -528,27 +535,28 @@ def generate(
     dictionary: ObjectDictionary,
     rules: Iterable[WFRule],
     lex_feature: str = "lex",
-    concat_feature: str = "concat",
 ) -> list[str]:
     """Surfaces derivable for the lemma whose result tree unifies with
     the constraints, deduplicated and sorted.
 
     The rule's generation plan, one pass over its equations made once
-    per rule, gives each constituent's candidates: the `lex_feature`
-    index for a constituent whose lemma path is equated with the
-    result's (`W lex = C lex`) by the only equation side at either
-    path (a link from the result's lemma to another path of C does not
-    count, nor does one where another equation could give W or C the
-    lemma), else the `concat_feature` index (plus the entries lacking
-    that feature) for its first `C concat = v` equation, else every
+    per rule and lemma feature, gives each constituent's candidates:
+    the `lex_feature` index for a constituent whose lemma path is
+    equated with the result's (`W lex = C lex`) by the only equation
+    side at either path (a link from the result's lemma to another path
+    of C does not count, nor does one where another equation could give
+    W or C the lemma), else the index its rule names, that of its first
+    value equation `C f = v` with a one-label path and one value (the
+    entries whose f leaf holds v, plus those lacking f), else every
     dictionary entry.  The last two kinds are table-drawn: their
     candidates, each with its nodes at the paths the plan reads, are
-    peeked once per dictionary and kept in its `node_tables`, with those
-    that pass the constituent's value tests.  A constituent of the last
-    kind multiplies the work by |D|, the dictionary size, so a rule
-    whose candidate product, filtered by the constraints alone, exceeds
-    `MAX_COMBINATIONS` raises `GenerationLimit` before any combination
-    is tried.
+    peeked once per dictionary, and those that pass all of the
+    constituent's value equations are kept in its `node_tables` under
+    (key, ()).  So a table holds the same rows whichever index drew it.
+    A constituent of the last kind can multiply the work by |D|, the
+    dictionary size, so a rule whose product of tables, filtered by the
+    constraints, exceeds `MAX_COMBINATIONS` raises `GenerationLimit`
+    before any combination is tried.
 
     Candidates that must fail are dropped by `_clash` on the entries'
     original nodes, which the equations only narrow: a C whose node
@@ -558,52 +566,49 @@ def generate(
     there a candidate lacking q still yields an accepted result), and a
     combination whose entries clash at the paths of `Ci p = Cj q`.  A
     joined constituent's candidates for one combination of the outer
-    ones are those clearing its links, kept in the dictionary's `joins`
-    (`_joined`); `product` runs over the outer constituents, then over
-    the joined ones, and `_execute` runs the steps no filter decides.
+    ones are those clearing its links, kept in `node_tables` under
+    (key, probe) (`_joined`); `product` runs over the outer
+    constituents, then over the joined ones, and `_execute` runs the
+    steps no filter decides.
     """
     lex_path = (lex_feature,)
-    concat_path = (concat_feature,)
     surfaces: set[str] = set()
     for rule in rules:
-        steps, checks, constituents, outer, joins, order = _generation_plan(
-            rule, lex_path, concat_path
-        )
+        steps, checks, constituents, outer, joins, order = _generation_plan(rule, lex_path)
         keys, tables, wanted = [], [], []
-        for by_lemma, category, sources, paths, tests in constituents:
-            key = None if by_lemma else (concat_feature, category, paths, tests)
-            table = None if key is None else dictionary.node_tables.get(key)
+        for by_lemma, key, sources in constituents:
+            index, paths, tests = key
+            table = None if by_lemma else dictionary.node_tables.get((key, ()))
             if table is None:
-                rows = _node_rows(
+                table = _admit(_node_rows(
                     dictionary.lookup_by_lemma(lemma, lex_feature) if by_lemma
-                    else dictionary.entries if category is None
-                    else dictionary.lookup_by_concat(category, concat_feature),
+                    else dictionary.entries if index is None
+                    else dictionary.lookup_by_concat(index[1], index[0]),
                     paths,
-                )
-                table = (rows, _admit(rows, tests))
-                if key is not None:
-                    dictionary.node_tables[key] = table
+                ), tests)
+                if not by_lemma:
+                    dictionary.node_tables[key, ()] = table
             keys.append(key)
             tables.append(table)
             peeked = [(path, _peek(constraints, result_path)) for path, result_path in sources]
             wanted.append(
                 [(path, node) for path, node in peeked if node is not None and node is not BLOCKED]
             )
-        if prod(len(rows) for rows, _ in tables) > MAX_COMBINATIONS:
-            size = prod(len(_admit(rows, tests)) for (rows, _), tests in zip(tables, wanted))
+        if prod(map(len, tables)) > MAX_COMBINATIONS:
+            size = prod(len(_admit(table, tests)) for table, tests in zip(tables, wanted))
             if size > MAX_COMBINATIONS:
                 where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
                 raise GenerationLimit(
                     "%srule '%s' has %d candidate combinations, more than the %d generation tries"
                     % (where, rule.name, size, MAX_COMBINATIONS)
                 )
-        heads = [_admit(tables[k][1], wanted[k]) for k in outer]
+        heads = [_admit(tables[k], wanted[k]) for k in outer]
         if not all(heads):
             continue
         for head in product(*heads):
             tails = []
             for k, links in joins:
-                tail = _admit(_joined(dictionary, keys[k], tables[k][1], links, head), wanted[k])
+                tail = _admit(_joined(dictionary, keys[k], tables[k], links, head), wanted[k])
                 if not tail:
                     break
                 tails.append(tail)

@@ -2,8 +2,9 @@
 
 An entry pairs a surface string with a feature tree; the dictionary
 indexes its entries by surface, and by the values of any top-level
-feature a query names (the lemma, the concatenation category), each
-such index built on its first use.  The on-disk form is
+feature a query names (the lemma, a feature a word-formation rule
+draws a constituent by), each such index built on its first use, and
+it keeps generation's candidate tables.  The on-disk form is
 line based and canonical: a version header, then entries sorted by
 surface and canonical tree text, each entry being its surface line
 followed by two-space-indented canonical form lines and a blank line.
@@ -54,12 +55,13 @@ class DictStats:
 
 
 class ObjectDictionary:
-    """Immutable collection of object entries with derived indexes.
+    """Object entries, which never change, with derived indexes and
+    generation's cache, both filled on first use.
 
     The dictionary knows no index feature: the dictionary rules decide
-    what ends up meaning "lemma" and "concatenation category", so each
-    query names its feature (`lex` and `concat` by default), and the
-    feature's value index is built when a query first reads it.
+    what ends up meaning "lemma", and the word-formation rules which
+    feature a constituent is drawn by, so each query names its feature,
+    and the feature's value index is built when a query first reads it.
     """
 
     def __init__(self, entries: Iterable[ObjectEntry], warnings: Iterable[Diagnostic] = ()):
@@ -70,12 +72,11 @@ class ObjectDictionary:
             self.surface_index.setdefault(entry.surface, []).append(entry)
         # feature -> its `_value_index`, filled on first use
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
-        # (concat feature, category or None, paths, value tests) -> the
-        # rows a table-drawn constituent draws and those passing the
-        # tests; (that key, a probe) -> the passing rows it joins; both
-        # filled by `morph_engine.generate` on first use
-        self.node_tables: dict[tuple, tuple[list, list]] = {}
-        self.joins: dict[tuple, list] = {}
+        # generation's cache, filled by `morph_engine.generate` on first
+        # use: ((index or None, paths, value tests), probe) -> the rows
+        # of a table-drawn constituent that pass its value tests and
+        # clear the probe; the table itself has the empty probe
+        self.node_tables: dict[tuple, list] = {}
 
     @classmethod
     def build(cls, entries: Iterable[ObjectEntry]) -> "ObjectDictionary":

@@ -300,6 +300,7 @@ def test_check_of_a_directory_is_unusable_input(tmp_path, capsys):
         ["dump", "base.dic", "--lex-feature", "x"],
         ["analyze", "base.dic", "wf.rules", "era", "--concat-feature", "x"],
         ["stats", "base.dic", "--concat-feature", "x"],
+        ["generate", "base.dic", "wf.rules", "amar", "--concat-feature", "x"],
     ],
     ids=lambda argv: "%s%s" % (argv[0], argv[-2]),
 )
@@ -498,7 +499,7 @@ def test_queries_read_the_index_features_they_are_given(
     renamed = run("analyze", "--porcelain", dic, rules, *surfaces, "--lex-feature", "lemma")
     default = run("analyze", "--porcelain", dic_path, rules_path, *surfaces)
     assert readings(*renamed) == readings(*default)
-    flags = ["--lex-feature", "lemma", "--concat-feature", "cat"]
+    flags = ["--lex-feature", "lemma"]
     for query in (
         ["pedir", "vinfo.tense=impf", "agr.pers=1", "agr.num=plu"],
         ["amar", "vinfo.tense=impf"],

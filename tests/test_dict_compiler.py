@@ -120,6 +120,12 @@ def test_deletions_prune_the_copy():
     assert entry.tree.get(("alo", "1")) is None or entry.tree.get(("alo", "1")).is_empty
 
 
+def test_a_deletion_below_a_leaf_leaves_the_copy_as_it_was():
+    rules = parse_dict_rules("LEXEMES\n\n$$ = $$\n@ = @ (- x y)\n").for_section("lexemes")
+    entry = apply_dict_rule(rules[0], "d", parse_tree("x = 1"))
+    assert entry.tree.canonical_form() == "x = 1\n"
+
+
 NOT_ATOMIC = r"^'\$\$' must come out as a single atomic value$"
 
 
@@ -197,6 +203,11 @@ def test_an_unnamed_rule_still_reports_a_path_below_a_leaf():
     with pytest.raises(PathThroughLeaf) as exc:
         apply_dict_rule(rule("$$ = @ absent\n@ a = @ x\n@ a b = @ y\n"), "d", tree)
     assert (exc.value.path, exc.value.depth) == (("a", "b"), 1)
+
+
+def test_an_unnamed_rule_whose_writes_succeed_gives_no_entry():
+    tree = parse_tree("y = 2")
+    assert apply_dict_rule(rule("$$ = @ absent\n@ a b = @ y\n"), "d", tree) is None
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,13 @@ def test_delete_absent_path_is_noop():
     assert t.delete(("zzz", "q")) == t
 
 
+def test_trees_with_other_labels_or_no_tree_compare_unequal():
+    t = parse_tree("a = 1")
+    assert t == parse_tree("a = 1")
+    assert t != parse_tree("b = 1")
+    assert t != leaf("1") and t != "a = 1\n"
+
+
 def test_merge_overlay_wins():
     base = parse_tree("a = 1\nb x = 2")
     over = parse_tree("a = 9\nb y = 3")

@@ -576,10 +576,30 @@ def test_generate_indexes_the_features_it_is_given():
         "#WF-RULES\n\nWord -> Stem Ending\n  Stem cat = vl\n  Ending cat = vm\n"
         "  Word lemma = Stem lemma\n"
     )
-    assert generate("ka", EMPTY_TREE, dictionary, rules, "lemma", "cat") == ["kaa"]
+    assert generate("ka", EMPTY_TREE, dictionary, rules, "lemma") == ["kaa"]
     assert set(dictionary.value_indexes) == {"lemma", "cat"}
     # under the defaults no result holds the lemma
     assert generate("ka", EMPTY_TREE, dictionary, rules) == []
+
+
+def test_generate_draws_by_the_feature_the_rule_names(monkeypatch):
+    dictionary = small_dictionary(
+        [("ka", "lex = ka\ncat = vl"), ("a", "cat = vm"), ("o", "cat = x")]
+    )
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem Ending\n  Ending cat = vm\n  Word lex = Stem lex\n"
+    )
+    calls = []
+    original = ObjectDictionary.lookup_by_concat
+
+    def recorded(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ObjectDictionary, "lookup_by_concat", recorded)
+    got = generate("ka", EMPTY_TREE, dictionary, rules)
+    assert got == ["kaa"] == all_pairs_generation(dictionary, rules)("ka", EMPTY_TREE)
+    assert calls == [("vm", "cat")]
 
 
 def test_a_product_over_the_bound_is_refused_before_any_combination(monkeypatch):
@@ -628,6 +648,25 @@ def test_a_product_over_the_bound_only_before_the_constraints_is_answered(
     )
 
 
+@pytest.mark.parametrize("count,bound", [(400, MAX_COMBINATIONS), (8, 40)])
+def test_the_bound_counts_the_entries_a_value_equation_leaves(monkeypatch, count, bound):
+    # `Mid tag = m` leaves `Mid` the stem, which lacks `tag`, and 'x':
+    # 2 * (count + 2) combinations, where every entry would give
+    # (count + 2) ** 2, over the bound
+    monkeypatch.setattr(morph_engine, "MAX_COMBINATIONS", bound)
+    entries = [STEM, ("x", "tag = m")] + [("n%d" % i, "tag = n") for i in range(count)]
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nWord -> Stem Mid End\n  Word lex = Stem lex\n  Mid tag = m\n"
+    )
+    assert (count + 2) ** 2 > bound >= 2 * (count + 2)
+    got = generate("ka", EMPTY_TREE, dictionary, rules)
+    assert got == sorted("ka" + mid + end for mid in ("ka", "x") for end, _ in entries)
+    assert len(got) == 2 * (count + 2)
+    if count < 10:  # the oracle tries every triple of entries
+        assert got == all_pairs_generation(dictionary, rules)("ka", EMPTY_TREE)
+
+
 def test_generation_tries_entries_lacking_the_concat_feature():
     # the ending has no concat node; `Ending concat = vm` fills it in
     entries = [STEM, ("a", "agr = 1")]
@@ -637,6 +676,22 @@ def test_generation_tries_entries_lacking_the_concat_feature():
     # and analysis reads the same surface back
     readings = analyze("kaa", small_dictionary(entries), parse_wf_rules(STEM_ENDING))
     assert [a.lemma for a in readings] == ["ka"]
+
+
+def test_a_copy_through_a_leaf_fails_the_candidate():
+    entries = [STEM, ("a", "concat = vm\na = 1"), ("o", "concat = vm\na b = 2")]
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(STEM_ENDING + "  Word x = Ending a b\n")
+    assert ("x", "Ending", ("a", "b")) in rules[0].copies
+    # 'a' holds a leaf at `a`, so its copy `Ending a b` runs through it
+    readings = {}
+    for surface in ("kaa", "kao"):
+        got = {(a.category, a.tree.canonical_form()) for a in analyze(surface, dictionary, rules)}
+        assert got == all_pairs_analyses(surface, dictionary, rules)
+        readings[surface] = got
+    assert readings == {"kaa": set(), "kao": {("Word", "lex = ka\nx = 2\n")}}
+    run = small_base(entries, "Word x = Ending a b")
+    assert run(EMPTY_TREE) == ["kao"]
 
 
 def test_candidate_leaf_above_an_agreement_path():
