@@ -175,11 +175,12 @@ def compile_base(
                     entries.append(entry)
                     emitted = True
             if section == "lexemes" and rules and not emitted and not failed:
+                lexeme = base.lexemes[item.name]
                 diagnostics.append(
                     Diagnostic(
                         WARNING,
                         "lemma produced no object entries",
-                        entry=item.name,
+                        file=lexeme.file, line=lexeme.line, entry=item.name,
                     )
                 )
 

@@ -8,18 +8,20 @@ bare symbols, and then its equations on indented lines.  `Ci path = Cj
 path` equates two constituent nodes and `Ci path = v1 v2 ...` equates
 a constituent node with a literal value set.
 
-Every equation is one `feature_tree.meet` of the nodes at its two
-sides: an absent side takes the other side's node (these trees cannot
-share nodes, so it is copied), two leaves intersect, two subtrees meet
-label by label, and a path through a leaf, a leaf meeting a subtree or
-an empty result is BLOCKED and fails the candidate.  The outcome
-replaces every side a later equation or the result can see; each rule
-is planned once when it is built (`_plan`), and an equation with no
-such side is only tested, without building anything.
+An equation makes its two sides one node, as in a unification grammar:
+each rule is compiled once, when it is built (`_plan`), into classes of
+equated places, closed under extension, and a rule that equates a place
+with its own extension is refused.  A class's node is the
+`feature_tree.meet` of its members' original nodes and of its child
+classes' nodes: an absent node gives the other, two leaves intersect,
+two subtrees meet label by label, and a path through a leaf, a leaf
+meeting a subtree or an empty result is BLOCKED and fails the
+candidate.  `meet` is commutative and associative, so the order of the
+equations never matters.
 
 Analysis splits the surface, for every rule, into as many non-empty
 parts as the rule has constituents, each part stored in the object
-dictionary, and runs the equations over each combination of entries;
+dictionary, and meets the classes over each combination of entries;
 a combination survives when no meet fails.  Splits are walked left to
 right: for a surface of length L and a rule of n constituents, the
 first part is looked up at each of the L-n+1 first cuts that leave
@@ -28,27 +30,26 @@ most C(L-c-1, n-2) tails, and each tail's parts are looked up left to
 right until the first miss.
 Generation runs the same engine over candidate entries drawn from the
 lemma index, or from tables kept per dictionary (the entries that pass
-a constituent's value equations, drawn from the index its first
-one-label, one-value equation names, or from all), and keeps the
-candidates whose result tree unifies with the caller's constraints.
-Before any equation runs it drops candidates that must fail, by
-testing the meet on the entries' original nodes: an entry against a
-value equation's values or against the constraints' node through an
-equation `LHS p = Ci q`, and a pair of entries at the two paths of an
-equation `Ci p = Cj q`.  A meet only narrows a node that is present (a
-leaf stays a leaf, a subtree a subtree, a path below a leaf stays
-blocked), so a meet that fails on the original nodes fails the same
-candidate later; pruning never changes an answer.  A table-drawn
-constituent linked to an outer one is joined: its candidates that pass
-an outer row's nodes at the linked paths are kept per dictionary, in
-the tables' cache, by those nodes, so each test is run once per
-candidate or join key, and the equations then run only the steps the
-tests do not decide.  Analysis does no such pruning: its
-candidates are exact surface matches and mostly succeed.
+a constituent's value tests, drawn from the index its first one-label,
+one-value equation names, or from all), and keeps the candidates whose
+result tree unifies with the caller's constraints.  Before any class is
+met it drops candidates that must fail, by testing the meet on the
+entries' original nodes: a place against its class's values or the
+constraints' node at a result path of its class, and two places of one
+class.  A meet only narrows a node that is present (a leaf stays a
+leaf, a subtree a subtree, a path below a leaf stays blocked), so a
+meet that fails on the original nodes fails the same candidate later;
+pruning never changes an answer.  A table-drawn constituent linked to
+an outer one is joined: its candidates that pass an outer row's nodes
+at the linked places are kept per dictionary, in the tables' cache, by
+those nodes, so each test is run once per candidate or join key, not
+again by the engine.  Analysis does no such pruning: its candidates
+are exact surface matches and mostly succeed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import prod
@@ -84,7 +85,7 @@ class ValueEquation:
 class WFRule:
     """A word-formation rule.  Its plan is derived from the equations
     when it is built, and being no field it is left out of `==` and
-    `repr`: `steps` and `copies` (`_plan`) and `generation_plans`
+    `repr`: `classes` and `plan` (`_plan`) and `generation_plans`
     (`_generation_plan`)."""
 
     name: str
@@ -95,7 +96,7 @@ class WFRule:
     line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        self.steps, self.copies = _plan(self.lhs, self.equations)
+        self.classes, self.plan = _plan(self)
         self.generation_plans: dict = {}
 
 
@@ -190,103 +191,142 @@ def _peek(tree: FeatureTree, path: tuple[str, ...]):
     return node
 
 
-def _plan(lhs: str, equations: tuple) -> tuple[tuple, tuple]:
-    """The equations as `_execute`'s steps, (left root, left path, left
-    live, right root, right path, right live), and its result copies,
-    (label, root, path); a value equation has right root None and its
-    value set as right path.
+def _plan(rule: WFRule) -> tuple[tuple, tuple]:
+    """The rule's equations compiled into classes of equated places,
+    (root, path), by union-find.  Each equation unites its two sides; a
+    value equation's values join its side's class as one more member.
+    A class has a child class under each label that an equation names
+    below one of its places, and uniting two classes unites their
+    children label by label, so X l and Y l are equated whenever X and
+    Y are: the closure under extension.  A class below itself, a place
+    equated with its own extension directly (`A p = A p q`) or through
+    the closure (`A p = B q`, `B q x = A p`), is refused at the rule's
+    line.  A class's places are all the paths that lead to it, and its
+    values meet into one node, BLOCKED when they are disjoint or when
+    the class has children, since a leaf has none.
 
-    A side's write is live when its root is the LHS or a later equation
-    has a side on the same root at a path equal to, a prefix of or an
-    extension of this side's path.  Nodes are copied, not shared, so a
-    constituent's tree is seen only by later equations' `_peek`, and
-    `set` at a path changes what `_peek` returns only at that path, its
-    prefixes and its extensions: a write that is not live changes
-    nothing a later step or the result can see.
-
-    An equation between a one-label result path that no other result
-    side overlaps and a constituent side whose write is not live is a
-    copy: the result's node there is absent, so the meet gives the
-    constituent's node, and no step changes that node or the result's
-    label.  `_execute` reads it after the steps have run.
+    Returns each class but the roots as (constituent places (position,
+    path), result paths, values) for `_generation_plan`, and
+    `_execute`'s plan (tests, classes, tops):
+    - tests, (k, p, j, q) or (k, p, None, values): each class of two
+      members and no children that the result does not read; a place
+      alone in its class (`A p = A p`) is its own second member;
+    - classes, (places, values, children): the other classes of two
+      members or more that the result does not read, which can fail
+      above their children, then the classes it reads and does not take
+      as they are, children first, each child as (label, position here);
+    - tops, (label, k, p) for a class whose one member besides one-label
+      result paths is constituent k's place p, taken as it is, else
+      (label, None, i) for the class at position i.
     """
-    sides = [
-        (eq.root, eq.path, None, eq.values) if isinstance(eq, ValueEquation)
-        else (eq.left_root, eq.left_path, eq.right_root, eq.right_path)
-        for eq in equations
-    ]
-    result_labels = [
-        path[0] for left_root, left_path, right_root, right_path in sides
-        for root, path in ((left_root, left_path), (right_root, right_path)) if root == lhs
-    ]
+    lhs, rhs, n = rule.lhs, rule.rhs, len(rule.rhs)
+    # constituent k's root class is k and the result's n; `rep` maps an id to its class
+    rep = list(range(n + 1))
+    below: dict[int, dict[str, int]] = defaultdict(dict)  # child classes by label
+    values: dict[int, list[ValueSet]] = defaultdict(list)
+    root = {label: k for k, label in enumerate((*rhs, lhs))}
 
-    def live(k: int, root: str, path: tuple[str, ...]) -> bool:
-        return root == lhs or any(
-            later == root and (p[: len(path)] == path or path[: len(p)] == p)
-            for left_root, left_path, right_root, right_path in sides[k + 1 :]
-            for later, p in ((left_root, left_path), (right_root, right_path))
-        )
+    def walk(c: int, path: tuple[str, ...]) -> int:
+        for label in path:
+            c = below[rep[c]].setdefault(label, len(rep))
+            if c == len(rep):
+                rep.append(c)
+        return rep[c]
 
-    steps, copies = [], []
-    for k, (left_root, left_path, right_root, right_path) in enumerate(sides):
-        for root, path, other, other_path in (
-            (left_root, left_path, right_root, right_path),
-            (right_root, right_path, left_root, left_path),
-        ):
-            if (root == lhs and len(path) == 1 and result_labels.count(path[0]) == 1
-                    and other not in (lhs, None) and not live(k, other, other_path)):
-                copies.append((path[0], other, other_path))
-                break
-        else:
-            steps.append(
-                (left_root, left_path, live(k, left_root, left_path),
-                 right_root, right_path, right_root is not None and live(k, right_root, right_path))
-            )
-    return tuple(steps), tuple(copies)
-
-
-def _execute(rule: WFRule, entries: Iterable[ObjectEntry], steps=None) -> FeatureTree | None:
-    """The rule's result tree over one entry per constituent, or None
-    when the candidate fails.
-
-    Walks the rule's steps (`_plan`), or the subset given.  Each
-    equation is one `meet` of the nodes at its sides, a value
-    equation's right side being its value set, and the outcome is
-    written back to each live side where it differs from the node
-    already there.  An equation with no live
-    side is only tested with `_clash`, which builds nothing.  The
-    rule's copies are read last and join the result in one new tree.
-    Nodes are copied, not shared: a later equation that fills or
-    narrows one side does not reach the other, so where an equation
-    meets an absent node, equation order can change the result and
-    whether it fails.
-    """
-    trees = {label: entry.tree for label, entry in zip(rule.rhs, entries)}
-    trees[rule.lhs] = EMPTY_TREE
-    steps = rule.steps if steps is None else steps
-    for left_root, left_path, left_live, right_root, right_path, right_live in steps:
-        left = _peek(trees[left_root], left_path)
-        right = right_path if right_root is None else _peek(trees[right_root], right_path)
-        if not (left_live or right_live):
-            if _clash(left, right):
-                return None
+    sides = []
+    for eq in rule.equations:
+        if isinstance(eq, ValueEquation):
+            sides.append(walk(root[eq.root], eq.path))
+            values[sides[-1]].append(eq.values)
             continue
-        merged = meet(left, right)
-        if merged is BLOCKED:
+        sides += walk(root[eq.left_root], eq.left_path), walk(root[eq.right_root], eq.right_path)
+        pending = [sides[-2:]]
+        while pending:
+            a, b = (rep[c] for c in pending.pop())
+            if a != b:
+                rep[:] = [a if c == b else c for c in rep]
+                values[a] += values[b]
+                pending += [(below[a].setdefault(label, c), c) for label, c in below[b].items()]
+    members: dict[int, list] = defaultdict(list)
+    stack = [(k, rep[k], (), ()) for k in reversed(range(n + 1))]
+    while stack:
+        k, c, path, above = stack.pop()
+        if c in above:
+            message = "the equations equate a place with its own extension"
+            raise SourceSyntaxError(message, rule.file, rule.line)
+        members[c].append((k, path))
+        stack += [(k, rep[d], path + (lb,), above + (c,)) for lb, d in reversed(below[c].items())]
+    classes = {}
+    for c in dict.fromkeys([rep[c] for c in sides] + list(members)):
+        if c in rep[: n + 1]:
+            continue
+        places = tuple((k, path) for k, path in members[c] if k < n)
+        results = tuple(path for k, path in members[c] if k == n)
+        node = BLOCKED if values[c] and below[c] else None
+        for value_set in values[c]:
+            node = meet(node, value_set)
+        if len(places) == 1 and not (results or below[c]) and node is None:
+            places *= 2
+        classes[c] = places, results, node
+    tests, met, reads = [], [], {}
+    for c, (places, results, node) in classes.items():
+        size = len(places) + (node is not None)
+        if results:
+            if size == 1 and places and not below[c] and all(len(p) == 1 for p in results):
+                reads[c] = places[0]
+        elif size == 2 and not below[c]:
+            tests.append(places[0] + (places[1] if len(places) == 2 else (None, node)))
+        elif size > 1:
+            met.append(c)
+    # a child's longest result path is longer than its parent's
+    met += sorted(
+        (c for c in classes if classes[c][1] and c not in reads),
+        key=lambda c: -max(map(len, classes[c][1])),
+    )
+    position = {c: i for i, c in enumerate(met)}
+    return tuple(classes.values()), (
+        tuple(tests),
+        tuple((classes[c][0], classes[c][2], tuple(
+            (label, position[rep[d]]) for label, d in below[c].items() if classes[c][1]
+        )) for c in met),
+        tuple(
+            (label, *reads[rep[c]]) if rep[c] in reads else (label, None, position[rep[c]])
+            for label, c in below[rep[n]].items()
+        ),
+    )
+
+
+def _execute(rule: WFRule, entries: Iterable[ObjectEntry], tests=None) -> FeatureTree | None:
+    """The rule's result tree over one entry per constituent, or None
+    when the candidate fails: the rule's plan (`_plan`) run on the
+    entries' original nodes.  Each of its tests, or of those given, is
+    one `_clash`, which builds nothing; each class is the `meet` of its
+    places' nodes and its values, then of a tree of its children's
+    nodes; and the result is one new tree of its top places' nodes.
+    """
+    trees = [entry.tree for entry in entries]
+    own_tests, classes, tops = rule.plan
+    for k, path, j, other in own_tests if tests is None else tests:
+        if _clash(_peek(trees[k], path), other if j is None else _peek(trees[j], other)):
             return None
-        if left_live and merged is not left:
-            trees[left_root] = trees[left_root].set(left_path, merged)
-        if right_live and merged is not right:
-            trees[right_root] = trees[right_root].set(right_path, merged)
-    result = trees[rule.lhs]
-    copied = {}
-    for label, root, path in rule.copies:
-        node = _peek(trees[root], path)
+    nodes = []
+    for places, node, children in classes:
+        for k, path in places:
+            node = meet(node, _peek(trees[k], path))
+        below = {label: nodes[i] for label, i in children if nodes[i] is not None}
+        if below:
+            node = meet(node, FeatureTree(below))
+        if node is BLOCKED:
+            return None
+        nodes.append(node)
+    result = {}
+    for label, k, path in tops:
+        node = nodes[path] if k is None else _peek(trees[k], path)
         if node is BLOCKED:
             return None
         if node is not None:
-            copied[label] = node
-    return FeatureTree({**result.children, **copied}) if copied else result
+            result[label] = node
+    return FeatureTree(result) if result else EMPTY_TREE
 
 
 def _clash(a, b) -> bool:
@@ -413,59 +453,40 @@ def _admit(rows: list, tests) -> list:
 
 def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     """The facts `generate` needs that do not depend on the lemma or the
-    constraints, from one pass over the equations, kept on the rule per
-    lemma feature: per constituent whether it is drawn by lemma, its
-    table key and its constraint filters' (path, result path) sources.
-    The key is (index, paths, tests): the index (f, v) of the
-    constituent's first value equation `C f = v` with a one-label path
-    and one value, or None; the paths its checks, filters and value
-    tests read, each once; and those tests (path, value set).  In rule
-    order, a constituent not drawn by lemma is joined by each pair check
-    that links it to an outer one (drawn by lemma, or earlier and not
-    joined), as (outer position, outer path, own path).  Positions count
-    the outer constituents, then the joined ones (`order`).  The steps
-    leave out each test with no live side that no earlier step writes."""
+    constraints, read from the rule's classes and kept on the rule per
+    lemma feature: per constituent whether it is drawn by lemma (the
+    class of the result's lemma path holds one other place, its lemma
+    path, and no values), its table key, and its constraint filters,
+    each of its places paired with a result path of its class.  The key
+    is (index, paths, tests): the index (f, v) of the constituent's
+    first value equation `C f = v` with a one-label path and one value,
+    or None; the paths its checks, filters and tests read, each once;
+    and its value tests, each of its places paired with its class's
+    values.  The pair checks are the pairs of places within a class.
+    In rule order, a constituent not drawn by lemma is joined by each
+    pair check that links it to an outer one (drawn by lemma, or earlier
+    and not joined), as (outer position, outer path, own path).
+    Positions count the outer constituents, then the joined ones
+    (`order`).  These filters decide each test of the rule's plan."""
     plan = rule.generation_plans.get(lex_path)
     if plan is not None:
         return plan
     rhs = rule.rhs
-    linked: set[str] = set()
     indexes: dict[str, tuple[str, str]] = {}
-    sources: dict[str, list] = {label: [] for label in rhs}
-    tests: dict[str, list] = {label: [] for label in rhs}
-    checks = []
-    lemma_sides = []  # the root of each equation side at the lemma path
     for eq in rule.equations:
-        if isinstance(eq, ValueEquation):
-            if eq.path == lex_path:
-                lemma_sides.append(eq.root)
-            if len(eq.path) == 1 and len(eq.values) == 1:
-                indexes.setdefault(eq.root, (eq.path[0], eq.values.values[0].text))
-            if eq.root in tests:
-                tests[eq.root].append((eq.path, eq.values))
-            continue
-        if eq.left_path == lex_path:
-            lemma_sides.append(eq.left_root)
-        if eq.right_path == lex_path:
-            lemma_sides.append(eq.right_root)
-        if eq.left_root in rhs and eq.right_root in rhs:
-            i, j = rhs.index(eq.left_root), rhs.index(eq.right_root)
-            checks.append((i, eq.left_path, j, eq.right_path))
-            continue
-        for root, path, label, label_path in (
-            (eq.left_root, eq.left_path, eq.right_root, eq.right_path),
-            (eq.right_root, eq.right_path, eq.left_root, eq.left_path),
-        ):
-            if root != rule.lhs or label == rule.lhs:
-                continue
-            if path == lex_path and label_path == lex_path:
-                linked.add(label)
-            sources[label].append((label_path, path))
-    # only a link that alone names both lemma paths makes C hold the lemma
-    by_lemma = [
-        label in linked and lemma_sides.count(rule.lhs) == lemma_sides.count(label) == 1
-        for label in rhs
-    ]
+        if isinstance(eq, ValueEquation) and len(eq.path) == 1 and len(eq.values) == 1:
+            indexes.setdefault(eq.root, (eq.path[0], eq.values.values[0].text))
+    sources, tests = [[] for _ in rhs], [[] for _ in rhs]  # per constituent
+    checks = []
+    by_lemma = [False] * len(rhs)
+    for places, results, values in rule.classes:
+        checks += [(i, p, j, q) for n, (i, p) in enumerate(places) for j, q in places[n + 1 :]]
+        for k, path in places:
+            if values is not None:
+                tests[k].append((path, values))
+            sources[k] += [(path, result) for result in results]
+        if results == (lex_path,) and values is None and [p for _, p in places] == [lex_path]:
+            by_lemma[places[0][0]] = True
     outer = [k for k, drawn in enumerate(by_lemma) if drawn]
     joins = {}  # joined constituent -> its links, as pair checks
     for k in range(len(rhs)):
@@ -476,29 +497,11 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
             else:
                 outer.append(k)
     order = tuple(map((outer + list(joins)).index, range(len(rhs))))
-    steps, written = [], []  # the live sides written so far, (root, path)
-    for step in rule.steps:
-        left_root, left_path, left_live, right_root, right_path, right_live = step
-        sides = ((left_root, left_path), (right_root, right_path))
-        if left_live or right_live or any(
-            root == other and (path[: len(p)] == p or p[: len(path)] == path)
-            for root, path in sides for other, p in written
-        ):
-            steps.append(step)
-            written += [side for side, live in zip(sides, (left_live, right_live)) if live]
     constituents = tuple(
-        (
-            by_lemma[k],
-            (
-                indexes.get(label),
-                tuple(dict.fromkeys(
-                    [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
-                    + [path for path, _ in sources[label]] + [path for path, _ in tests[label]]
-                )),
-                tuple(tests[label]),
-            ),
-            tuple(sources[label]),
-        )
+        (by_lemma[k], (indexes.get(label), tuple(dict.fromkeys(
+            [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
+            + [path for path, _ in sources[k]] + [path for path, _ in tests[k]]
+        )), tuple(tests[k])), tuple(sources[k]))
         for k, label in enumerate(rhs)
     )
     unjoined = tuple(
@@ -509,9 +512,7 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
         (k, tuple((order[j], q, p) if i == k else (order[i], p, q) for i, p, j, q in found))
         for k, found in joins.items()
     )
-    plan = rule.generation_plans[lex_path] = (
-        tuple(steps), unjoined, constituents, tuple(outer), links, order
-    )
+    plan = rule.generation_plans[lex_path] = (unjoined, constituents, tuple(outer), links, order)
     return plan
 
 
@@ -539,19 +540,17 @@ def generate(
     """Surfaces derivable for the lemma whose result tree unifies with
     the constraints, deduplicated and sorted.
 
-    The rule's generation plan, one pass over its equations made once
-    per rule and lemma feature, gives each constituent's candidates:
-    the `lex_feature` index for a constituent whose lemma path is
-    equated with the result's (`W lex = C lex`) by the only equation
-    side at either path (a link from the result's lemma to another path
-    of C does not count, nor does one where another equation could give
-    W or C the lemma), else the index its rule names, that of its first
-    value equation `C f = v` with a one-label path and one value (the
-    entries whose f leaf holds v, plus those lacking f), else every
-    dictionary entry.  The last two kinds are table-drawn: their
-    candidates, each with its nodes at the paths the plan reads, are
-    peeked once per dictionary, and those that pass all of the
-    constituent's value equations are kept in its `node_tables` under
+    The rule's generation plan, read from its classes once per rule and
+    lemma feature, gives each constituent's candidates: the
+    `lex_feature` index for a constituent whose lemma path is the only
+    other member of the class of the result's (`W lex = C lex`, where
+    nothing else could give W or C the lemma), else the index its rule
+    names, that of its first value equation `C f = v` with a one-label
+    path and one value (the entries whose f leaf holds v, plus those
+    lacking f), else every dictionary entry.  The last two kinds are
+    table-drawn: their candidates, each with its nodes at the paths the
+    plan reads, are peeked once per dictionary, and those that pass all
+    of the constituent's value tests are kept in its `node_tables` under
     (key, ()).  So a table holds the same rows whichever index drew it.
     A constituent of the last kind can multiply the work by |D|, the
     dictionary size, so a rule whose product of tables, filtered by the
@@ -559,22 +558,22 @@ def generate(
     before any combination is tried.
 
     Candidates that must fail are dropped by `_clash` on the entries'
-    original nodes, which the equations only narrow: a C whose node
-    clashes with a value equation `C p = v`, or with the constraints'
-    node at p through an equation `LHS p = C q` (either way round; not
-    where the constraints have no node at p or a leaf above it, since
-    there a candidate lacking q still yields an accepted result), and a
-    combination whose entries clash at the paths of `Ci p = Cj q`.  A
-    joined constituent's candidates for one combination of the outer
-    ones are those clearing its links, kept in `node_tables` under
-    (key, probe) (`_joined`); `product` runs over the outer
-    constituents, then over the joined ones, and `_execute` runs the
-    steps no filter decides.
+    original nodes, which the classes only narrow: a C whose node at a
+    place clashes with its class's values, or with the constraints'
+    node at a result path of its class (not where the constraints have
+    no node there or a leaf above it, since there a candidate lacking
+    the place still yields an accepted result), and a combination whose
+    entries clash at two places of one class.  A joined constituent's
+    candidates for one combination of the outer ones are those clearing
+    its links, kept in `node_tables` under (key, probe) (`_joined`);
+    `product` runs over the outer constituents, then over the joined
+    ones, and `_execute` meets the classes, skipping the tests these
+    filters decide.
     """
     lex_path = (lex_feature,)
     surfaces: set[str] = set()
     for rule in rules:
-        steps, checks, constituents, outer, joins, order = _generation_plan(rule, lex_path)
+        checks, constituents, outer, joins, order = _generation_plan(rule, lex_path)
         keys, tables, wanted = [], [], []
         for by_lemma, key, sources in constituents:
             index, paths, tests = key
@@ -620,7 +619,7 @@ def generate(
                     ):
                         continue
                     entries = [combo[x][0] for x in order]
-                    tree = _execute(rule, entries, steps)
+                    tree = _execute(rule, entries, ())
                     if tree is None:
                         continue
                     lex = tree.get(lex_path)

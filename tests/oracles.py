@@ -312,9 +312,10 @@ def random_hierarchy(rng, max_classes=10, max_parents=4, max_depth=3):
 #
 # Equation semantics of its own, over plain nested values: an interior
 # node is a dict from label to node, a leaf a tuple of atoms.  Every
-# node stored is a fresh copy, and each equation walks its paths
-# again; no trick of the engine's (skipped writes, shared nodes,
-# candidate indexes or pruning) is reproduced here.
+# node stored is a fresh copy, each equation walks its paths again,
+# and the equations run pass after pass until none changes a place;
+# nothing of the engine's (classes of places, shared nodes, candidate
+# indexes or pruning) is reproduced here.
 
 _THROUGH_LEAF = object()
 
@@ -360,12 +361,36 @@ def _meet(x, y):
     return None
 
 
+def _frozen(node):
+    """A plain node as nested frozensets, for telling whether it changed."""
+    if isinstance(node, dict):
+        return frozenset((label, _frozen(child)) for label, child in node.items())
+    return frozenset(a.text for a in node)
+
+
 def run_equations(rule, trees):
-    """Plain trees after every equation of the rule, or None when one
-    fails.  `Ci p = Cj q` needs both paths clear of leaves; when both
-    nodes are present they must unify, and the result replaces both;
-    one present node is copied to the other side.  `Ci p = values`
-    needs a leaf or nothing at p and leaves their intersection."""
+    """Plain trees once a pass over the rule's equations changes no
+    place, or None when an equation fails.  So the order of the
+    equations does not matter.  A rule that equates a place with its
+    own extension would grow its trees on every pass; the engine
+    refuses such a rule, and no test brings one here.
+
+    In a pass, `Ci p = Cj q` needs both paths clear of leaves; when
+    both nodes are present they must unify, and the result replaces
+    both; one present node is copied to the other side.  `Ci p =
+    values` needs a leaf or nothing at p and leaves their
+    intersection."""
+    while True:
+        before = _frozen(trees)
+        if _copying_pass(rule, trees) is None:
+            return None
+        if _frozen(trees) == before:
+            return trees
+
+
+def _copying_pass(rule, trees):
+    """One pass over the equations in the order written, changing the
+    trees in place; None when an equation fails."""
     for eq in rule.equations:
         if hasattr(eq, "values"):
             node = _walk(trees[eq.root], eq.path)

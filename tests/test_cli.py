@@ -558,6 +558,23 @@ def test_malformed_rules_file(dic_path, tmp_path, capsys):
     assert "at least two constituents" in captured.err
 
 
+@pytest.mark.parametrize("command", [["analyze", "pido"], ["generate", "pedir"]])
+def test_a_rule_equating_a_place_with_its_extension_exits_2(dic_path, tmp_path, capsys, command):
+    rules = tmp_path / "cycle.rules"
+    rules.write_text(
+        "#WF-RULES\n\nWord -> Stem Ending\n  Word lex = Stem lex\n"
+        "\nW -> A B\n  A p = B q\n  B q x = A p\n",
+        encoding="utf-8",
+    )
+    code = main([command[0], dic_path, str(rules), command[1]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "%s:6: error: the equations equate a place with its own extension\n" % rules
+    )
+
+
 def test_carriage_return_in_a_rules_file_exits_2(dic_path, tmp_path, capsys):
     rules = tmp_path / "cr.rules"
     rules.write_bytes(b'#WF-RULES\nW -> A B\n  A p = "a\rb"\n')

@@ -327,12 +327,18 @@ def test_entries_without_a_dict_rules_section_are_warned_about():
 def test_lemma_with_no_output_warns():
     # 'sol' matches neither truncation nor alternation: no slots at all
     text = BASE.replace("amar (MV)", "amar (MV)\n\nsol (MV)")
-    parsed = parse_source_text(text)
+    parsed = parse_source_text(text, name="base.lex")
     assert parsed.ok
     result = compile_base(parsed.base)
     assert result.ok
     warnings = [d for d in result.diagnostics if d.message == "lemma produced no object entries"]
     assert [d.entry for d in warnings] == ["sol"]
+    # the warning sits at the lexeme's own line
+    (line,) = [n for n, text in enumerate(text.splitlines(), 1) if text == "sol (MV)"]
+    assert (warnings[0].file, warnings[0].line) == ("base.lex", line)
+    assert warnings[0].render() == (
+        "base.lex:%d: warning sol: lemma produced no object entries" % line
+    )
 
 
 def test_rule_errors_abort_the_dictionary():

@@ -1,7 +1,7 @@
 import gc
 import io
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -219,24 +219,23 @@ def test_equation_order_never_changes_the_outcome(spanish_dict, wf_rules):
             assert got == baseline[s], s
 
 
-def test_equation_order_can_change_a_reading_when_a_link_meets_an_absent_node():
-    # a link copies a node, it does not share it: `V lex = A lex` run
-    # while both sides are absent links nothing, so V can later take
-    # C's lemma; run after `A lex = B lex`, it copies x into V, which
-    # then clashes with C's y
-    dictionary = small_dictionary([("a", "cat = s"), ("b", "lex = x"), ("c", "lex = y")])
-    for equations, lemmas in (
-        (("V lex = A lex", "A lex = B lex", "V lex = C lex"), ["y"]),
-        (("A lex = B lex", "V lex = A lex", "V lex = C lex"), []),
-    ):
+def test_equation_order_never_changes_a_reading_when_a_link_meets_an_absent_node():
+    # the three links make V lex, A lex, B lex and C lex one node, whatever
+    # their order: it meets b's x and c's y, so `abc` has no reading,
+    # and it meets b's x and d's x, so `abd` reads lemma x
+    dictionary = small_dictionary(
+        [("a", "cat = s"), ("b", "lex = x"), ("c", "lex = y"), ("d", "lex = x")]
+    )
+    for equations in permutations(("V lex = A lex", "A lex = B lex", "V lex = C lex")):
         rules = parse_wf_rules(
             "#WF-RULES\n\nV -> A B C\n" + "".join("  %s\n" % eq for eq in equations)
         )
-        got = analyze("abc", dictionary, rules)
-        assert [a.lemma for a in got] == lemmas
-        assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
-            "abc", dictionary, rules
-        )
+        for surface, lemmas in (("abc", []), ("abd", ["x"])):
+            got = analyze(surface, dictionary, rules)
+            assert [a.lemma for a in got] == lemmas, equations
+            assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
+                surface, dictionary, rules
+            )
 
 
 def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
@@ -245,7 +244,8 @@ def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
     rebuilt = WFRule(rule.name, rule.lhs, rule.rhs, rule.equations, rule.file, rule.line)
     # the plan is derived from the equations and takes no part in == or repr
     assert rebuilt == rule and repr(rebuilt) == repr(rule)
-    assert rebuilt.steps == rule.steps and "steps" not in repr(rule)
+    assert rebuilt.classes == rule.classes and rebuilt.plan == rule.plan
+    assert "classes" not in repr(rule) and "plan" not in repr(rule)
     for surface in ["pedíamos", "pido", "amaba", "come", "pedo", "vivían", "era"]:
         assert [
             (a.category, a.lemma, a.tree.canonical_form(), a.segmentation)
@@ -262,18 +262,14 @@ def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
 
 
 def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, wf_rules):
-    # no later equation reads the constituents' concat, stt, sut or conj,
-    # so those equations are only tested; the three equations into Word
-    # are copies, joined in the one tree built, and no value set is
+    # the result reads no class of the constituents' concat, stt, sut or
+    # conj, so each of those is only tested; each class of the result
+    # is read from one entry as it is, the reads are joined in the one
+    # tree built, and no value set is
     (rule,) = wf_rules
-    assert [(left_live, right_live) for _, _, left_live, _, _, right_live in rule.steps] == (
-        [(False, False)] * 5
-    )
-    assert rule.copies == (
-        ("lex", "Stem", ("lex",)),
-        ("agr", "Ending", ("agr",)),
-        ("vinfo", "Ending", ("vinfo",)),
-    )
+    tests, classes, tops = rule.plan
+    assert len(tests) == 5 and classes == ()
+    assert tops == (("lex", 0, ("lex",)), ("agr", 1, ("agr",)), ("vinfo", 1, ("vinfo",)))
     (stem,) = spanish_dict.lookup("ped")
     (ending,) = spanish_dict.lookup("íamos")
     counts = count_constructions(monkeypatch)
@@ -682,7 +678,7 @@ def test_a_copy_through_a_leaf_fails_the_candidate():
     entries = [STEM, ("a", "concat = vm\na = 1"), ("o", "concat = vm\na b = 2")]
     dictionary = small_dictionary(entries)
     rules = parse_wf_rules(STEM_ENDING + "  Word x = Ending a b\n")
-    assert ("x", "Ending", ("a", "b")) in rules[0].copies
+    assert ("x", 1, ("a", "b")) in rules[0].plan[2]  # read from the ending as it is
     # 'a' holds a leaf at `a`, so its copy `Ending a b` runs through it
     readings = {}
     for surface in ("kaa", "kao"):
@@ -1085,9 +1081,9 @@ def test_a_tail_part_is_looked_up_once_per_rule(monkeypatch):
 # every way: a write at `agr` then a read at `agr pers` and the other
 # way round, both sides on one root, value equations after links,
 # equations that read the result back into a constituent, and the
-# README's order-dependent trio (`V lex = A lex`, `A lex = B lex`, `V
-# lex = C lex`).  The engine skips the writes no later equation reads;
-# the oracles write both sides every time.
+# README's trio (`V lex = A lex`, `A lex = B lex`, `V lex = C lex`).
+# The engine meets each class of places once; the oracles run the
+# equations as copies, pass after pass, until nothing changes.
 _LIVENESS_EQUATIONS = [
     "V lex = A lex",
     "A lex = B lex",
@@ -1129,13 +1125,22 @@ def test_skipped_writes_never_change_an_answer(data):
     equations = data.draw(
         st.lists(st.sampled_from(_LIVENESS_EQUATIONS), min_size=2, unique=True)
     )
-    rules = parse_wf_rules("#WF-RULES\n\nV -> A B C\n" + "".join("  %s\n" % eq for eq in equations))
+    shuffled = data.draw(st.permutations(equations))
+    rules, reordered = (
+        parse_wf_rules("#WF-RULES\n\nV -> A B C\n" + "".join("  %s\n" % eq for eq in eqs))
+        for eqs in (equations, shuffled)
+    )
     # every spelling of three entries, so every triple of entries runs
     for surface in sorted({"".join(parts) for parts in product([s for s, _ in entries], repeat=3)}):
         got = analyze(surface, dictionary, rules)
         assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
             surface, dictionary, rules
         ), surface
+        # the same readings in the same order, whatever the equation order
+        assert [
+            (a.category, a.tree.canonical_form(), a.segmentation)
+            for a in analyze(surface, dictionary, reordered)
+        ] == [(a.category, a.tree.canonical_form(), a.segmentation) for a in got], surface
     constraints = EMPTY_TREE
     for path in data.draw(st.lists(st.sampled_from(sorted(_LIVENESS_CONSTRAINTS)), unique=True)):
         texts = data.draw(
@@ -1144,4 +1149,91 @@ def test_skipped_writes_never_change_an_answer(data):
         constraints = constraints.set(path, leaf(*texts))
     oracle = all_pairs_generation(dictionary, rules)
     for lemma in ("x", "y"):
-        assert generate(lemma, constraints, dictionary, rules) == oracle(lemma, constraints)
+        expected = oracle(lemma, constraints)
+        assert generate(lemma, constraints, dictionary, rules) == expected
+        assert generate(lemma, constraints, dictionary, reordered) == expected
+
+
+# -- classes of places -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "equations",
+    [
+        ("A p = A p q",),
+        ("A p q = A p",),
+        ("A p = A p q", "V x = A p"),
+        # through the closure: A p and B q share a node, which B q x is below
+        ("A p = B q", "B q x = A p"),
+        ("B q x = A p", "A p = B q"),
+        ("A p = B q", "B q = V r", "V r x = A p"),
+    ],
+)
+def test_a_place_equated_with_its_own_extension_is_refused_at_the_rule_line(equations):
+    text = (
+        "#WF-RULES\n\nWord -> Stem Ending\n  Word lex = Stem lex\n\nV -> A B\n"
+        + "".join("  %s\n" % eq for eq in equations)
+    )
+    with pytest.raises(SourceSyntaxError) as caught:
+        parse_wf_rules(text, "cycle.rules")
+    assert (caught.value.file, caught.value.line) == ("cycle.rules", 6)
+    assert caught.value.message == "the equations equate a place with its own extension"
+
+
+# entries for `V -> A B`, with subtrees, leaves and gaps at A p and B q
+_CLASS_ENTRIES = [
+    ("a", "p x = 1 2\np y = 1"),
+    ("a", "p x = 2"),
+    ("a", "p = 1"),
+    ("a", "r = 1"),
+    ("b", "q x = 1"),
+    ("b", "q y = 2\nr = 1"),
+    ("b", "q = 1"),
+    ("b", "agr = 1"),
+    ("b", "agr num = s"),
+]
+
+
+@pytest.mark.parametrize(
+    "equations",
+    [
+        # no cycle: A p x and B q y share a node, below A p and B q
+        ("A p = B q", "A p x = B q y", "V x = A p"),
+        # a result place below another: V agr's class has a child pers
+        ("V agr = B agr", "V agr pers = A p x"),
+        # a class with values and a child: a leaf has no children, so
+        # no candidate passes
+        ("A p = 1", "A p x = B r", "V lex = B r"),
+        # a class of three places that the result does not read
+        ("A p x = B q x", "B q x = A r", "V lex = B r"),
+    ],
+)
+def test_classes_answer_like_the_oracle_in_every_order(equations):
+    dictionary = small_dictionary(_CLASS_ENTRIES)
+    answers = []
+    for order in permutations(equations):
+        rules = parse_wf_rules("#WF-RULES\n\nV -> A B\n" + "".join("  %s\n" % eq for eq in order))
+        got = {(a.category, a.tree.canonical_form()) for a in analyze("ab", dictionary, rules)}
+        assert got == all_pairs_analyses("ab", dictionary, rules), order
+        assert generate("1", EMPTY_TREE, dictionary, rules) == all_pairs_generation(
+            dictionary, rules
+        )("1", EMPTY_TREE), order
+        answers.append(got)
+    assert all(got == answers[0] for got in answers)
+
+
+def test_a_place_alone_in_its_class_must_not_lie_below_a_leaf():
+    # `A p x = A p x` equates a place only with itself, so it is tested
+    # against itself: the candidate whose p is a leaf fails
+    dictionary = small_dictionary(
+        [("a", "p = 1"), ("c", "p x = 1"), ("d", "r = 1"), ("b", "lex = 1")]
+    )
+    rules = parse_wf_rules("#WF-RULES\n\nV -> A B\n  A p x = A p x\n  V lex = B lex\n")
+    for surface, count in (("ab", 0), ("cb", 1), ("db", 1)):
+        got = analyze(surface, dictionary, rules)
+        assert len(got) == count
+        assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
+            surface, dictionary, rules
+        )
+    expected = all_pairs_generation(dictionary, rules)("1", EMPTY_TREE)
+    assert generate("1", EMPTY_TREE, dictionary, rules) == expected == ["bb", "cb", "db"]
