@@ -18,13 +18,14 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import posixpath
 import sys
 
 from .dict_compiler import compile_base
 from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf, leaf
 from .morph_engine import GenerationLimit, analyze, generate, parse_wf_rules
 from .object_dict import FormatError, ObjectDictionary, load, save
-from .source import SourceSyntaxError, parse_source
+from .source import SourceSyntaxError, parse_source, read_file
 
 UNKNOWN = "*UNKNOWN*"
 
@@ -90,9 +91,13 @@ def _run_pipeline(args, output: str | None = None):
     """The compiled dictionary, or None when any diagnostic, parse
     diagnostics included, is an error (`compile_base` decides); and
     every diagnostic.  An `output` that names the source root or a file
-    it includes is refused (exit 2) before anything is compiled."""
-    _read_text(args.source)  # an unusable root is exit 2, not a diagnostic
-    parsed = parse_source(args.source)
+    it includes is refused (exit 2) before anything is compiled.
+
+    The root is read once: an unusable root is exit 2, not a
+    diagnostic, and the parser gets the text that was read."""
+    text = _read_text(args.source)
+    root = posixpath.normpath(args.source)
+    parsed = parse_source(args.source, lambda path: text if path == root else read_file(path))
     if output is not None:
         real = os.path.realpath(output)
         for path in (args.source, *(target for _, target in parsed.base.includes)):

@@ -16,6 +16,13 @@ of its allomorph slots), so a rule first only reads the source paths
 its equations name.  Nothing is built unless `$$` gets a value or one
 of the writes could fail; then the writes run in equation order, and
 a rule that names nothing still reports its first failing write.
+
+`compile_base` runs each rule once per entry shape (see `inheritance`),
+with a marker for the entry's name and one at each hole.  Whether a
+rule emits or fails depends on the shape alone, since a hole's value
+is a one-atom leaf whatever it holds.  What depends on the values is
+left for each entry: its surface must not be empty and must be
+storable, and its values are set where the markers landed.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .feature_tree import (
     ValueSet,
     is_symbol_text,
 )
-from .inheritance import resolve_all
+from .inheritance import Marker, ResolvedEntry, Shape, resolve_all
 from .object_dict import ObjectDictionary, ObjectEntry, paused_gc, storable_surface
 from .source import DictEquation, DictRule, SourceBase
 from .type_checker import check_base
@@ -84,9 +91,7 @@ def apply_dict_rule(
     for eq, node in writes:
         if eq.source is None:
             if name_leaf is None:
-                name_leaf = ValueSet(
-                    [Atom(source_name, quoted=not is_symbol_text(source_name))]
-                )
+                name_leaf = _name_leaf(source_name)
             node = name_leaf
         elif isinstance(node, FeatureTree):
             for dpath in eq.deletions:
@@ -106,12 +111,20 @@ def apply_dict_rule(
         return None
     if isinstance(name_node, FeatureTree) or len(name_node) != 1:
         raise DictRuleError("'$$' must come out as a single atomic value")
-    surface = name_node.values[0].text
+    surface = _checked_surface(name_node.values[0].text)
+    return ObjectEntry(surface, target, section, source_name, rule_index)
+
+
+def _checked_surface(surface: str) -> str:
     if not surface:
         raise DictRuleError("the entry name came out empty")
     if not storable_surface(surface):
         raise DictRuleError("the entry name %r cannot be stored" % surface)
-    return ObjectEntry(surface, target, section, source_name, rule_index)
+    return surface
+
+
+def _name_leaf(name: str) -> ValueSet:
+    return ValueSet([Atom(name, quoted=not is_symbol_text(name))])
 
 
 @dataclass
@@ -122,6 +135,82 @@ class CompileResult:
     @property
     def ok(self) -> bool:
         return self.dictionary is not None
+
+
+_NAME = -1  # the marker index of the entry's name, beside a shape's holes
+
+
+class _Emission:
+    """What a rule emits for a shape: its entry with markers, the place
+    (path, hole index or _NAME) of each marker, and which of them names
+    the entry (None when its surface is the same for every entry)."""
+
+    __slots__ = ("entry", "places", "surface_from")
+
+    def __init__(
+        self,
+        entry: ObjectEntry,
+        places: list[tuple[tuple[str, ...], int]],
+        surface_from: int | None,
+    ):
+        self.entry = entry
+        self.places = places
+        self.surface_from = surface_from
+
+    def instantiate(self, item: ResolvedEntry) -> ObjectEntry:
+        """The entry for `item`; DictRuleError when its surface is
+        empty or cannot be stored."""
+        surface = self.entry.surface
+        if self.surface_from == _NAME:
+            surface = _checked_surface(item.name)
+        elif self.surface_from is not None:
+            surface = _checked_surface(item.values[self.surface_from].values[0].text)
+        tree = self.entry.tree
+        for path, index in self.places:
+            tree = tree.set(path, _name_leaf(item.name) if index == _NAME else item.values[index])
+        return ObjectEntry(surface, tree, self.entry.section, item.name, self.entry.rule_index)
+
+
+def _marker_index(text: str) -> int | None:
+    return int(text) if isinstance(text, Marker) else None
+
+
+def _marker_places(
+    tree: FeatureTree, prefix: tuple[str, ...] = ()
+) -> list[tuple[tuple[str, ...], int]]:
+    """(path, marker index) of each marker leaf in the tree."""
+    out = []
+    for label, node in tree.children.items():
+        if isinstance(node, FeatureTree):
+            out.extend(_marker_places(node, prefix + (label,)))
+        else:
+            index = _marker_index(node.values[0].text)
+            if index is not None:
+                out.append((prefix + (label,), index))
+    return out
+
+
+def _run_rules(
+    rules: tuple[DictRule, ...], shape: Shape, section: str
+) -> list[_Emission | str | None]:
+    """Each rule run once over the shape, with a marker for the entry's
+    name: what it emits, the message of its error, or None when it
+    names no entry."""
+    out: list[_Emission | str | None] = []
+    for index, rule in enumerate(rules):
+        try:
+            entry = apply_dict_rule(rule, Marker(_NAME), shape.tree, section, index)
+        except (DictRuleError, PathThroughLeaf) as exc:
+            out.append(str(exc))
+            continue
+        if entry is None:
+            out.append(None)
+            continue
+        # only a hole or an `@ path = $$` puts a marker in the tree
+        names = any(eq.source is None and eq.target is not None for eq in rule.equations)
+        places = _marker_places(entry.tree) if shape.holes or names else []
+        out.append(_Emission(entry, places, _marker_index(entry.surface)))
+    return out
 
 
 @paused_gc()
@@ -136,6 +225,9 @@ def compile_base(
     emits an entry for is warned about only when no rule failed on it,
     so one fault gives one report.  The cyclic garbage collector is
     paused throughout, as in `load`: no stage makes a reference cycle.
+
+    The rules run once per entry shape, and each entry gets its shape's
+    errors and emissions with its own name and values.
     """
     resolved, found = resolve_all(base)
     diagnostics = [*(diagnostics or ()), *found, *check_base(base, resolved)]
@@ -152,28 +244,31 @@ def compile_base(
                     % (section.upper(), len(items)),
                 )
             )
+        outcomes: dict[Shape, list[_Emission | str | None]] = {}
         for item in items:
+            shape_outcomes = outcomes.get(item.shape)
+            if shape_outcomes is None:
+                shape_outcomes = outcomes[item.shape] = _run_rules(rules, item.shape, section)
             emitted = failed = False
-            for index, rule in enumerate(rules):
-                try:
-                    entry = apply_dict_rule(
-                        rule, item.name, item.tree, section, index
-                    )
-                except (DictRuleError, PathThroughLeaf) as exc:
+            for index, (rule, outcome) in enumerate(zip(rules, shape_outcomes)):
+                if isinstance(outcome, _Emission):
+                    try:
+                        entries.append(outcome.instantiate(item))
+                        emitted = True
+                        continue
+                    except DictRuleError as exc:
+                        outcome = str(exc)
+                if outcome is not None:
                     failed = True
                     diagnostics.append(
                         Diagnostic(
                             ERROR,
-                            "rule %d: %s" % (index + 1, exc),
+                            "rule %d: %s" % (index + 1, outcome),
                             file=rule.file,
                             line=rule.line,
                             entry=item.name,
                         )
                     )
-                    continue
-                if entry is not None:
-                    entries.append(entry)
-                    emitted = True
             if section == "lexemes" and rules and not emitted and not failed:
                 lexeme = base.lexemes[item.name]
                 diagnostics.append(

@@ -10,12 +10,19 @@ rule to the resolving entry's own name (not the class that wrote the
 equation), and `$$` is that name itself.  A rule that does not match
 simply removes its leaf, and interior nodes emptied that way are
 pruned.
+
+`resolve` does all of this for one entry.  `resolve_all` does the
+part that depends on names once per entry *shape*: its parent list
+plus which of its placeholders give a value.  A shape's tree holds a
+marker leaf at each hole, the place of a placeholder that gave one, and
+each entry keeps only its hole values.  An entry with equations of its
+own is a shape by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .alo_rules import CompiledAloRule, compile_alo_rule
 from .diagnostics import ERROR, Diagnostic
@@ -34,10 +41,45 @@ class ResolveError(Exception):
     """An unknown class or allomorphy rule, or an inheritance cycle."""
 
 
+class Marker(str):
+    """The text of a marker leaf, a number that says whose value the
+    leaf stands for.  Every value is a plain `str`, so no value can
+    pass for a marker."""
+
+
+class Shape:
+    """The resolved tree shared by the entries of one shape.
+
+    `tree` holds a marker leaf at each path of `holes`, whose one atom
+    is the `Marker` of the hole's index.
+    """
+
+    __slots__ = ("tree", "holes")
+
+    def __init__(self, tree: FeatureTree, holes: tuple[tuple[str, ...], ...]):
+        self.tree = tree
+        self.holes = holes
+
+    def fill(self, values: Sequence[ValueSet]) -> FeatureTree:
+        """The tree with each hole's value set in place of its marker."""
+        tree = self.tree
+        for path, value in zip(self.holes, values):
+            tree = tree.set(path, value)
+        return tree
+
+
 @dataclass
 class ResolvedEntry:
+    """One entry's shape and its hole values, in the order of the
+    shape's holes."""
+
     name: str
-    tree: FeatureTree
+    shape: Shape
+    values: tuple[ValueSet, ...]
+
+    @property
+    def tree(self) -> FeatureTree:
+        return self.shape.fill(self.values)
 
 
 def linearize(entry: Entry, classes: Mapping[str, Entry]) -> tuple[str, ...]:
@@ -77,33 +119,80 @@ def _visit(
     active.pop()
 
 
-def _evaluate(
-    tree: FeatureTree,
+def _placeholders(
+    tree: FeatureTree, prefix: tuple[str, ...] = ()
+) -> list[tuple[tuple[str, ...], RuleCall | SelfRef]]:
+    """Each placeholder leaf with its path, in the order `_evaluate`
+    meets them."""
+    out: list[tuple[tuple[str, ...], RuleCall | SelfRef]] = []
+    for label, node in tree.children.items():
+        if isinstance(node, FeatureTree):
+            out.extend(_placeholders(node, prefix + (label,)))
+        elif isinstance(node, (RuleCall, SelfRef)):
+            out.append((prefix + (label,), node))
+    return out
+
+
+def _values(
+    placeholders: Sequence[tuple[tuple[str, ...], RuleCall | SelfRef]],
     entry_name: str,
     rules: Mapping[str, CompiledAloRule],
-) -> FeatureTree:
-    """Replace placeholders, dropping leaves whose rule does not match
-    and pruning interior nodes that lost all their children."""
+) -> list[ValueSet | None]:
+    """What each placeholder gives for the entry: None for a rule that
+    does not match."""
+    out: list[ValueSet | None] = []
+    for _, node in placeholders:
+        if isinstance(node, SelfRef):
+            out.append(ValueSet([Atom(entry_name)]))
+            continue
+        rule = rules.get(node.rule)
+        if rule is None:
+            raise ResolveError("unknown allomorphy rule '%s'" % node.rule)
+        result = rule.apply(entry_name)
+        out.append(
+            None if result is None
+            else ValueSet([Atom(result, quoted=not is_symbol_text(result))])
+        )
+    return out
+
+
+def _evaluate(tree: FeatureTree, values: Iterator[ValueSet | None]) -> FeatureTree:
+    """Replace each placeholder by the next of `values`, dropping the
+    leaf for None and pruning interior nodes that lost all their
+    children."""
     children: dict = {}
     for label, node in tree.children.items():
         if isinstance(node, FeatureTree):
-            sub = _evaluate(node, entry_name, rules)
+            sub = _evaluate(node, values)
             if sub.is_empty and not node.is_empty:
                 continue
             children[label] = sub
-        elif isinstance(node, RuleCall):
-            rule = rules.get(node.rule)
-            if rule is None:
-                raise ResolveError("unknown allomorphy rule '%s'" % node.rule)
-            result = rule.apply(entry_name)
-            if result is None:
-                continue
-            children[label] = ValueSet([Atom(result, quoted=not is_symbol_text(result))])
-        elif isinstance(node, SelfRef):
-            children[label] = ValueSet([Atom(entry_name)])
+        elif isinstance(node, (RuleCall, SelfRef)):
+            value = next(values)
+            if value is not None:
+                children[label] = value
         else:
             children[label] = node
     return FeatureTree(children)
+
+
+def _shape(
+    tree: FeatureTree,
+    placeholders: Sequence[tuple[tuple[str, ...], RuleCall | SelfRef]],
+    mask: Sequence[bool],
+) -> Shape:
+    """`tree` evaluated with a marker for each placeholder `mask` keeps."""
+    if not placeholders:
+        return Shape(tree, ())
+    holes: list[tuple[str, ...]] = []
+    markers: list[ValueSet | None] = []
+    for (path, _), kept in zip(placeholders, mask):
+        if kept:
+            markers.append(ValueSet([Atom(Marker(len(holes)))]))
+            holes.append(path)
+        else:
+            markers.append(None)
+    return Shape(_evaluate(tree, iter(markers)), tuple(holes))
 
 
 def compile_rules(base: SourceBase) -> dict[str, CompiledAloRule]:
@@ -127,21 +216,42 @@ def _inherited(
     return tree, frozenset(ancestors)
 
 
-def _finish(
-    entry: Entry, inherited: FeatureTree, rules: Mapping[str, CompiledAloRule]
-) -> ResolvedEntry:
-    tree = inherited.merge(entry.tree())
-    return ResolvedEntry(entry.name, _evaluate(tree, entry.name, rules))
-
-
 def resolve(entry: Entry, base: SourceBase) -> ResolvedEntry:
-    """Inherited view of one entry with all placeholders evaluated.
+    """Inherited view of one entry with all placeholders evaluated, as
+    a shape of its own with no holes.
 
     Raises ResolveError for an unknown class or rule or a cycle, and
     PathThroughLeaf for an internally inconsistent body.
     """
     inherited, _ = _inherited(entry, base.classes, {})
-    return _finish(entry, inherited, compile_rules(base))
+    tree = inherited.merge(entry.tree())
+    tree = _evaluate(tree, iter(_values(_placeholders(tree), entry.name, compile_rules(base))))
+    return ResolvedEntry(entry.name, Shape(tree, ()), ())
+
+
+def _finish(
+    entry: Entry,
+    tree: FeatureTree,
+    placeholders: list[tuple[tuple[str, ...], RuleCall | SelfRef]],
+    rules: Mapping[str, CompiledAloRule],
+    shapes: dict[tuple, Shape],
+) -> ResolvedEntry:
+    """The entry's own body merged over its merged class bodies `tree`,
+    whose placeholders are `placeholders`.  An entry with no body of
+    its own takes its shape from `shapes`, keyed by its parent list
+    and which placeholders give a value."""
+    own = tree.merge(entry.tree())
+    if own is not tree:
+        placeholders = _placeholders(own)
+    values = _values(placeholders, entry.name, rules)
+    mask = tuple(value is not None for value in values)
+    key = (entry.parents, mask)
+    shape = shapes.get(key) if own is tree else None
+    if shape is None:
+        shape = _shape(own, placeholders, mask)
+        if own is tree:
+            shapes[key] = shape
+    return ResolvedEntry(entry.name, shape, tuple(v for v in values if v is not None))
 
 
 def resolve_all(
@@ -154,7 +264,10 @@ def resolve_all(
     The merged class bodies depend only on an entry's parent list, so
     they are merged once per list, by the first entry with that list
     whose classes merge.  An entry named like one of those classes
-    merges them again, and so reports its own cycle.
+    merges them again, and so reports its own cycle.  Each entry then
+    applies the allomorphy rules to its name, and its shape is built
+    once per parent list and placeholder mask; an entry with a body of
+    its own gets a shape by itself.
     """
     diagnostics: list[Diagnostic] = []
     compiled = compile_rules(base)
@@ -166,18 +279,20 @@ def resolve_all(
             diagnostics.append(
                 Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
             )
-    inherited: dict[tuple[str, ...], tuple[FeatureTree, frozenset[str]]] = {}
+    inherited: dict[tuple[str, ...], tuple[FeatureTree, list, frozenset[str]]] = {}
+    shapes: dict[tuple, Shape] = {}
     resolved: dict[str, list[ResolvedEntry]] = {}
     for section in ("morphemes", "words", "lexemes"):
         out: list[ResolvedEntry] = []
         for entry in base.entries_in(section).values():
             shared = inherited.get(entry.parents)
             try:
-                if shared is None or entry.name in shared[1]:
-                    shared = inherited[entry.parents] = _inherited(
-                        entry, base.classes, class_trees
+                if shared is None or entry.name in shared[2]:
+                    tree, ancestors = _inherited(entry, base.classes, class_trees)
+                    shared = inherited[entry.parents] = (
+                        tree, _placeholders(tree), ancestors
                     )
-                out.append(_finish(entry, shared[0], compiled))
+                out.append(_finish(entry, shared[0], shared[1], compiled, shapes))
             except (ResolveError, PathThroughLeaf) as exc:
                 diagnostics.append(
                     Diagnostic(

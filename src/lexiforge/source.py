@@ -551,7 +551,8 @@ def _parse_dict_rule(block: list[tuple[int, str]], file: str | None) -> DictRule
 Loader = Callable[[str], str]
 
 
-def _fs_loader(path: str) -> str:
+def read_file(path: str) -> str:
+    """The default loader: the file's text, read as UTF-8."""
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -765,7 +766,7 @@ def parse_source(root: str, loader: Loader | None = None) -> ParseResult:
     filesystem as UTF-8.  All problems are reported as positioned
     diagnostics; a best-effort base is always returned.
     """
-    state = _State(loader or _fs_loader)
+    state = _State(loader or read_file)
     state.parse_file(str(root))
     return state.result()
 

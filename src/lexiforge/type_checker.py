@@ -7,15 +7,21 @@ declared alternative.  The label namespace is flat: a declaration
 constrains its label wherever it occurs.  Undeclared labels are
 warnings, everything else an error.  When the base has no `#DATA-DICT`
 section at all, checking is skipped.
+
+`check_tree` checks one tree.  `check_base` checks each entry shape's
+tree once, leaving out only the closed-set test of its holes, and per
+entry tests each hole's value against a closed declaration and sorts
+those reports in among the shape's.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import dataclasses
+from typing import Collection, Mapping
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .feature_tree import FeatureTree, PathThroughLeaf, ValueSet
-from .inheritance import ResolvedEntry
+from .feature_tree import Atom, FeatureTree, PathThroughLeaf, ValueSet
+from .inheritance import ResolvedEntry, Shape
 from .source import CLOSED, OPEN, RuleCall, SelfRef, SourceBase, TypeDecl
 
 
@@ -34,11 +40,17 @@ def check_tree(
     skipped: their values are unknowable before resolution.
     """
     out: list[Diagnostic] = []
-    _check(tree, (), decls, entry, out)
+    _check(tree, (), decls, entry, out, ())
     return out
 
 
-def _check(tree, prefix, decls, entry, out):
+def _not_in_closed_set(atom: Atom, decl: TypeDecl) -> str:
+    return "value %s not in closed set %s" % (atom.rendered(), _closed_set_text(decl))
+
+
+def _check(tree, prefix, decls, entry, out, holes: Collection[tuple[str, ...]]):
+    """`check_tree`, with the values at `holes` left untested."""
+
     def report(severity, path, message):
         out.append(Diagnostic(severity, message, entry=entry, path=path))
 
@@ -56,16 +68,11 @@ def _check(tree, prefix, decls, entry, out):
         elif decl.kind == CLOSED:
             if not isinstance(node, ValueSet):
                 report(ERROR, path, "closed feature '%s' has a structured value" % label)
-            else:
+            elif path not in holes:
                 allowed = decl.values.texts()
                 for atom in node:
                     if atom.text not in allowed:
-                        report(
-                            ERROR,
-                            path,
-                            "value %s not in closed set %s"
-                            % (atom.rendered(), _closed_set_text(decl)),
-                        )
+                        report(ERROR, path, _not_in_closed_set(atom, decl))
         else:  # structured
             if not isinstance(node, FeatureTree):
                 report(
@@ -86,7 +93,22 @@ def _check(tree, prefix, decls, entry, out):
                         ),
                     )
         if isinstance(node, FeatureTree):
-            _check(node, path, decls, entry, out)
+            _check(node, path, decls, entry, out, holes)
+
+
+def _check_shape(
+    shape: Shape, decls: Mapping[str, TypeDecl]
+) -> tuple[list[Diagnostic], list[tuple[int, tuple[str, ...], TypeDecl]]]:
+    """The shape's diagnostics, at no entry, and the holes (index, path,
+    declaration) whose values a closed declaration tests."""
+    out: list[Diagnostic] = []
+    _check(shape.tree, (), decls, None, out, frozenset(shape.holes))
+    closed = []
+    for index, path in enumerate(shape.holes):
+        decl = decls.get(path[-1])
+        if decl is not None and decl.kind == CLOSED:
+            closed.append((index, path, decl))
+    return out, closed
 
 
 def check_base(
@@ -95,6 +117,7 @@ def check_base(
 ) -> list[Diagnostic]:
     """Every resolved entry plus every class body, grouped by entry.
 
+    An entry's diagnostics are those `check_tree` gives for its tree.
     A broken class is reported at its own name and again at every
     heir, whose resolved tree carries the same fault.  A class body
     that cannot be built is left to the resolver, which reports it
@@ -103,9 +126,26 @@ def check_base(
     if "data-dict" not in base.sections_seen:
         return []
     out: list[Diagnostic] = []
+    checked: dict[Shape, tuple] = {}
     for section in ("morphemes", "words", "lexemes"):
         for item in resolved.get(section, ()):
-            out.extend(check_tree(item.tree, base.data_dict, entry=item.name))
+            found = checked.get(item.shape)
+            if found is None:
+                found = checked[item.shape] = _check_shape(item.shape, base.data_dict)
+            shared, closed = found
+            if not shared and not closed:
+                continue
+            own = [dataclasses.replace(d, entry=item.name) for d in shared]
+            for index, path, decl in closed:
+                allowed = decl.values.texts()
+                values = [
+                    Diagnostic(ERROR, _not_in_closed_set(atom, decl), entry=item.name, path=path)
+                    for atom in item.values[index]
+                    if atom.text not in allowed
+                ]
+                if values:
+                    own = sorted(own + values, key=lambda d: d.path)
+            out.extend(own)
     for cls in base.classes.values():
         try:
             body = cls.tree()

@@ -86,6 +86,90 @@ def test_compile_missing_source_is_unusable_input(capsys):
     assert "cannot read no/such/base.lex" in captured.err
 
 
+# Bases whose compiled result depends on each lemma's own values, not
+# only on its classes: (source, exit code, stdout, stderr lines, the
+# dictionary's text or None when none is written).  `{src}` and `{out}`
+# stand for the source and output paths.
+VALUE_CASES = {
+    "closed-set-value": (
+        "#CLASSES\n\nN\nlex = $$\n\n#LEXEMES\n\nar (N)\n\ncar (N)\n"
+        "\n#DATA-DICT\n\nlex = ar bar\n\n#DICT-RULES\n\nLEXEMES\n\n$$ = $$\n@ = @\n",
+        1,
+        "",
+        ["error car lex: value car not in closed set {ar,bar}"],
+        None,
+    ),
+    "empty-alo-result": (
+        "#CLASSES\n\nV\nstem = $rv\n\n#LEXEMES\n\namar (V)\n\nar (V)\n"
+        "\n#ALO-RULES\n\nrv\n{X = .*}\n$Xar -> $X\n"
+        "\n#DICT-RULES\n\nLEXEMES\n\n$$ = @ stem\n@ lex = $$\n",
+        1,
+        "",
+        ["{src}:22: error ar: rule 1: the entry name came out empty"],
+        None,
+    ),
+    "own-equation-over-a-hole": (
+        "#CLASSES\n\nV\nstem = $rv\nconj = 1\n\n#LEXEMES\n\namar (V)\n\nandar (V)\nstem = anduv\n"
+        "\n#ALO-RULES\n\nrv\n{X = .+}\n$Xar -> $X\n"
+        "\n#DICT-RULES\n\nLEXEMES\n\n$$ = @ stem\n@ = @ (- stem)\n@ lex = $$\n",
+        0,
+        "wrote 2 entries for 2 surfaces to {out}\n",
+        [],
+        "LEXIFORGE-OBJDICT 1\nam\n  conj = 1\n  lex = amar\n\nanduv\n  conj = 1\n  lex = andar\n\n",
+    ),
+    "entry-named-like-its-class": (
+        "#CLASSES\n\nV\nstem = $rv\n\nW (V)\n\n#LEXEMES\n\namar (W)\n\nV (W)\n"
+        "\n#ALO-RULES\n\nrv\n{X = .+}\n$Xar -> $X\n"
+        "\n#DICT-RULES\n\nLEXEMES\n\n$$ = @ stem\n@ lex = $$\n",
+        1,
+        "",
+        ["{src}:12: error V: inheritance cycle: V -> W -> V"],
+        None,
+    ),
+    "unknown-rule-at-every-heir": (
+        "#CLASSES\n\nV\nstem = $nope\n\n#LEXEMES\n\namar (V)\n\ntemer (V)\n"
+        "\n#DICT-RULES\n\nLEXEMES\n\n$$ = @ stem\n@ lex = $$\n",
+        1,
+        "",
+        [
+            "{src}:8: error amar: unknown allomorphy rule 'nope'",
+            "{src}:10: error temer: unknown allomorphy rule 'nope'",
+        ],
+        None,
+    ),
+    "one-parent-list-two-shapes": (
+        "#CLASSES\n\nMV\nalo 1 stem = $rv0\n\nMV8c (MV)\nalo 1 stt = 1\nalo 2 stem = $rv8c\n"
+        "alo 2 stt = 2\n\n#LEXEMES\n\npedir (MV8c)\n\nservir (MV8c)\n\nmedir (MV8c)\n"
+        "\n#ALO-RULES\n\nrv0\n{X = .+}\n$Xir -> $X\n"
+        "\nrv8c\n{X = .+}\n{C = [bcdfghjklmnpqrstvwxyz]}\n$Xe$Cir -> $Xi$C\n"
+        "\n#DICT-RULES\n\nLEXEMES\n\n$$ = @ alo 1 stem\n@ = @ alo 1 (- stem)\n@ lex = $$\n"
+        "\n$$ = @ alo 2 stem\n@ = @ alo 2 (- stem)\n@ lex = $$\n",
+        0,
+        "wrote 5 entries for 5 surfaces to {out}\n",
+        [],
+        "LEXIFORGE-OBJDICT 1\n"
+        "med\n  lex = medir\n  stt = 1\n\nmid\n  lex = medir\n  stt = 2\n\n"
+        "ped\n  lex = pedir\n  stt = 1\n\npid\n  lex = pedir\n  stt = 2\n\n"
+        "serv\n  lex = servir\n  stt = 1\n\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_CASES))
+def test_compile_of_lemma_dependent_values(tmp_path, capsys, case):
+    text, code, stdout, stderr, dic = VALUE_CASES[case]
+    src, out = tmp_path / "base.lex", tmp_path / "base.dic"
+    src.write_text(text, encoding="utf-8")
+    assert main(["compile", str(src), "-o", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout.replace("{out}", str(out))
+    assert captured.err.splitlines() == [line.replace("{src}", str(src)) for line in stderr]
+    if dic is None:
+        assert not out.exists()
+    else:
+        assert out.read_text(encoding="utf-8") == dic
+
+
 def test_check_clean_source(fixtures_dir, capsys):
     code = main(["check", str(fixtures_dir / "spanish.lex")])
     captured = capsys.readouterr()
@@ -281,6 +365,36 @@ def test_undecodable_source_is_unusable_input(tmp_path, capsys, command):
     assert captured.out == ""
     assert "invalid UTF-8 at byte 12" in captured.err
     assert not (tmp_path / "base.dic").exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "check"])
+@pytest.mark.parametrize("root", ["missing.lex", "."], ids=["missing", "directory"])
+def test_an_unreadable_source_root_is_unusable_input(tmp_path, capsys, command, root):
+    src = tmp_path / root
+    code = main([command, str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read %s: " % src)
+
+
+@pytest.mark.parametrize("command", ["compile", "check"])
+def test_the_source_root_is_read_once(fixtures_dir, tmp_path, monkeypatch, capsys, command):
+    # the parser gets the text whose reading decided exit 2
+    opened = []
+    real_open = open
+
+    def recorded(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recorded)
+    argv = [command, str(fixtures_dir / "spanish.lex")]
+    assert main(argv + (["-o", str(tmp_path / "x.dic")] if command == "compile" else [])) == 0
+    capsys.readouterr()
+    for name in ("spanish.lex", "classes.lex", "morphemes.lex"):
+        assert opened.count(os.path.realpath(fixtures_dir / name)) == 1
 
 
 def test_check_of_a_directory_is_unusable_input(tmp_path, capsys):

@@ -1,16 +1,39 @@
 import io
+import random
 
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexiforge import dict_compiler, inheritance
 from lexiforge.dict_compiler import DictRuleError, apply_dict_rule, compile_base
-from lexiforge.diagnostics import ERROR
-from lexiforge.feature_tree import FeatureTree, PathThroughLeaf, ValueSet, leaf
-from lexiforge.object_dict import load, save
-from lexiforge.source import Entry, parse_source_text
+from lexiforge.diagnostics import ERROR, WARNING, Diagnostic, has_errors
+from lexiforge.feature_tree import Atom, FeatureTree, PathThroughLeaf, ValueSet, leaf
+from lexiforge.inheritance import ResolveError, resolve
+from lexiforge.object_dict import ObjectDictionary, load, save
+from lexiforge.source import (
+    CLOSED,
+    OPEN,
+    STRUCTURED,
+    AloRule,
+    DictEquation,
+    DictRule,
+    DictRuleSet,
+    Entry,
+    Equation,
+    Production,
+    RuleCall,
+    SelfRef,
+    SourceBase,
+    TypeDecl,
+    parse_source,
+    parse_source_text,
+)
+from lexiforge.type_checker import check_tree
 
+from oracles import random_hierarchy
 from sources import parse_dict_rules, parse_tree
 
 
@@ -452,3 +475,229 @@ def test_custom_index_features_flow_through():
     save(result.dictionary, out)
     dictionary = load(io.StringIO(out.getvalue()))
     assert dictionary.lookup_by_lemma("pedir", "lemma")
+
+
+# -- compile_base against a per-entry reference --------------------------------------
+
+SECTIONS = ("morphemes", "words", "lexemes")
+
+
+def compile_each(base):
+    """What `compile_base` gives, one entry at a time: `resolve`,
+    `check_tree` and `apply_dict_rule` for every entry, nothing shared.
+    The saved text (None when there is an error) and every diagnostic,
+    rendered, in order."""
+    diagnostics = []
+    for name, cls in base.classes.items():
+        try:
+            cls.tree()
+        except PathThroughLeaf as exc:
+            diagnostics.append(
+                Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
+            )
+    resolved = {}
+    for section in SECTIONS:
+        resolved[section] = []
+        for entry in base.entries_in(section).values():
+            try:
+                resolved[section].append((entry.name, resolve(entry, base).tree))
+            except (ResolveError, PathThroughLeaf) as exc:
+                diagnostics.append(
+                    Diagnostic(
+                        ERROR, str(exc), file=entry.file, line=entry.line, entry=entry.name
+                    )
+                )
+    if "data-dict" in base.sections_seen:
+        for section in SECTIONS:
+            for name, tree in resolved[section]:
+                diagnostics += check_tree(tree, base.data_dict, entry=name)
+        for cls in base.classes.values():
+            try:
+                body = cls.tree()
+            except PathThroughLeaf:
+                continue
+            diagnostics += check_tree(body, base.data_dict, entry=cls.name)
+    entries = []
+    for section in SECTIONS:
+        rules = base.dict_rules.for_section(section)
+        if resolved[section] and not rules:
+            diagnostics.append(
+                Diagnostic(
+                    WARNING,
+                    "no dictionary rules for #%s; %d entries not emitted"
+                    % (section.upper(), len(resolved[section])),
+                )
+            )
+        for name, tree in resolved[section]:
+            emitted = failed = False
+            for index, rule in enumerate(rules):
+                try:
+                    entry = apply_dict_rule(rule, name, tree, section, index)
+                except (DictRuleError, PathThroughLeaf) as exc:
+                    failed = True
+                    diagnostics.append(
+                        Diagnostic(
+                            ERROR,
+                            "rule %d: %s" % (index + 1, exc),
+                            file=rule.file,
+                            line=rule.line,
+                            entry=name,
+                        )
+                    )
+                    continue
+                if entry is not None:
+                    entries.append(entry)
+                    emitted = True
+            if section == "lexemes" and rules and not emitted and not failed:
+                lexeme = base.lexemes[name]
+                diagnostics.append(
+                    Diagnostic(
+                        WARNING,
+                        "lemma produced no object entries",
+                        file=lexeme.file,
+                        line=lexeme.line,
+                        entry=name,
+                    )
+                )
+    text = None
+    if not has_errors(diagnostics):
+        dictionary = ObjectDictionary.build(entries)
+        diagnostics += dictionary.warnings
+        text = saved(dictionary)
+    return text, [d.render() for d in diagnostics]
+
+
+def saved(dictionary):
+    out = io.StringIO()
+    save(dictionary, out)
+    return out.getvalue()
+
+
+def compiled(base):
+    result = compile_base(base)
+    text = None if result.dictionary is None else saved(result.dictionary)
+    return text, [d.render() for d in result.diagnostics]
+
+
+# `rv` matches names in -ar (`ar` itself comes out empty), and `ri`
+# names in -ir with a leading space (no surface can start with one).
+ALO_RULES = {
+    "rv": AloRule("rv", {"X": ".*"}, (Production((("var", "X"), ("lit", "ar")), (("var", "X"),)),)),
+    "ri": AloRule(
+        "ri",
+        {"X": ".+"},
+        (Production((("var", "X"), ("lit", "ir")), (("lit", " "), ("var", "X"))),),
+    ),
+}
+HOLES = [
+    Equation(("b", "x"), (RuleCall("rv"),)),
+    Equation(("b", "y"), (RuleCall("ri"),)),
+    Equation(("a",), (RuleCall("rv"),)),
+    Equation(("d",), (SelfRef(),)),
+    Equation(("lex",), (SelfRef(),)),
+]
+CLASS_FAULTS = [
+    Equation(("e", "w"), (RuleCall("nope"),)),
+    Equation(("a", "z"), (Atom("1"),)),  # a path through the leaf at `a`
+    Equation(("b",), (Atom("p"),)),  # a leaf above the holes at `b x`, `b y`
+]
+NAMES = ("amar", "pedir", "temer", "hablar")
+FAULTY_NAMES = NAMES + ("ar", "lex", "C0", "C1")  # `lex` is no closed `lex` value
+DICT_EQUATIONS = [
+    DictEquation(None, ("b", "x")),  # $$ = @ b x
+    DictEquation(None, ("a",)),
+    DictEquation(None, ("d",)),
+    DictEquation(None, None),  # $$ = $$
+    DictEquation((), ()),  # @ = @
+    DictEquation((), ("b",), (("x",),)),  # @ = @ b (- x)
+    DictEquation(("lex",), None),  # @ lex = $$
+    DictEquation(("out",), ("b",)),
+    DictEquation(("o", "p"), ("b", "x")),
+    DictEquation(("o", "q"), ("d",)),
+]
+RULE_FAULTS = [
+    DictEquation(None, ("b", "y")),  # a surface that cannot be stored
+    DictEquation(None, ("b",)),  # not atomic where `b` is a tree
+    DictEquation((), ("a",)),  # a leaf for the whole entry
+    DictEquation(("o",), ("d",)),  # below it, `@ o p` runs through a leaf
+]
+DECLS = [
+    TypeDecl("x", CLOSED, values=leaf("1", "2", "3", "p", "q", "am", "habl")),
+    TypeDecl("lex", CLOSED, values=leaf("amar", "pedir", "temer", "hablar")),
+    TypeDecl("a", CLOSED, values=leaf("1", "2", "3", "p", "am", "habl")),
+    TypeDecl("b", STRUCTURED, alternatives=(("x", "y"),)),
+    TypeDecl("d", OPEN),
+    TypeDecl("y", OPEN),
+]
+
+
+def _with_line(item, line):
+    item.file, item.line = "base.lex", line
+    return item
+
+
+def _rarely(draw, faulty, pool):
+    """Now and then an item of `pool` when faults come in."""
+    return (draw(st.sampled_from(pool)),) if faulty and draw(st.integers(0, 3)) == 0 else ()
+
+
+@st.composite
+def shaped_bases(draw):
+    """A base over `random_hierarchy`'s classes with placeholders added;
+    lexemes and morphemes that share a few parent lists, some with
+    bodies of their own; drawn dictionary rules; and, often,
+    declarations at the holes' labels.  In half of the bases faults
+    come in too: in classes, in rules, and in names (one that comes out
+    empty, one outside a closed set, ones named like classes)."""
+    faulty = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    entry, classes = random_hierarchy(rng, max_classes=4, max_parents=2)
+    line = iter(range(1, 1000))
+    base_classes = {}
+    for name, cls in classes.items():
+        extra = tuple(draw(st.lists(st.sampled_from(HOLES), max_size=3)))
+        body = cls.equations + extra + _rarely(draw, faulty, CLASS_FAULTS)
+        base_classes[name] = _with_line(Entry(name, cls.parents, body, "classes"), next(line))
+    parent_lists = [entry.parents + _rarely(draw, faulty, ["Nope"])] + [
+        tuple(draw(st.permutations(sorted(classes))))[: draw(st.integers(0, 2))]
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    base = SourceBase(classes=base_classes, alo_rules=ALO_RULES)
+    for _ in range(draw(st.integers(1, 8))):
+        section = draw(st.sampled_from(("lexemes", "lexemes", "morphemes")))
+        name = draw(st.sampled_from(FAULTY_NAMES if faulty else NAMES))
+        body = ()
+        if draw(st.booleans()):
+            body = draw(st.sampled_from((entry.equations, ()))) + tuple(
+                draw(st.lists(st.sampled_from(HOLES), max_size=2))
+            )
+        base.entries_in(section)[name] = _with_line(
+            Entry(name, draw(st.sampled_from(parent_lists)), body, section), next(line)
+        )
+
+    @st.composite
+    def rule(draw):
+        equations = [draw(st.sampled_from(DICT_EQUATIONS[:4]))]  # one that names the entry
+        equations += draw(st.lists(st.sampled_from(DICT_EQUATIONS), max_size=3))
+        equations += _rarely(draw, faulty, RULE_FAULTS)
+        return _with_line(DictRule(tuple(draw(st.permutations(equations)))), next(line))
+
+    rules = st.lists(rule(), max_size=3).map(tuple)
+    base.dict_rules = DictRuleSet(lexemes=draw(rules), morphemes=draw(rules))
+    if draw(st.booleans()):
+        decls = draw(st.lists(st.sampled_from(DECLS), unique_by=lambda d: d.label))
+        base.data_dict = {decl.label: decl for decl in decls}
+        base.sections_seen = frozenset({"data-dict"})
+    return base
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_bases())
+def test_compile_base_matches_the_per_entry_reference(base):
+    assert compiled(base) == compile_each(base)
+
+
+@pytest.mark.parametrize("name", ["classes", "morphemes", "pedir_minimal", "spanish"])
+def test_compile_base_matches_the_per_entry_reference_on_the_fixtures(fixtures_dir, name):
+    base = parse_source(str(fixtures_dir / (name + ".lex"))).base
+    assert compiled(base) == compile_each(base)

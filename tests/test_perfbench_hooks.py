@@ -1,5 +1,5 @@
 """Every name the benchmark's tracer hooks still exists in lexiforge,
-and the engine's and the loader's hooks are still called.
+and the compiler's, the engine's and the loader's hooks are still called.
 
 `perfbench/tracer.py` wraps module and class attributes by name and
 stops a traced run with `MissingHook` when one is gone; `run.py`
@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from lexiforge import morph_engine, object_dict
+from lexiforge import cli, dict_compiler, morph_engine, object_dict
+from lexiforge.alo_rules import CompiledAloRule
 from lexiforge.feature_tree import EMPTY_TREE, FeatureTree, leaf
 from lexiforge.object_dict import ObjectDictionary, ObjectEntry
 from sources import parse_tree
@@ -161,3 +162,15 @@ def test_load_calls_the_parse_equation_hook(monkeypatch):
     object_dict.load(io.StringIO(text))
     distinct = {line for line in text.split("\n") if line.startswith("  ")}
     assert 0 < len(calls) <= len(distinct)
+
+
+def test_compile_calls_every_compile_hook(fixtures_dir, tmp_path, monkeypatch):
+    # each name the tracer hooks on `compile` is called at least once
+    calls = [
+        _counted(monkeypatch, cli, ("parse_source", "compile_base", "save")),
+        _counted(monkeypatch, dict_compiler, ("resolve_all", "check_base", "apply_dict_rule")),
+        _counted(monkeypatch, CompiledAloRule, ("apply",)),
+    ]
+    out = tmp_path / "spanish.dic"
+    assert cli.main(["compile", str(fixtures_dir / "spanish.lex"), "-o", str(out)]) == 0
+    assert [{name for name, n in counts.items() if n == 0} for counts in calls] == [set()] * 3
