@@ -11,18 +11,13 @@ reads an absent path is a no-op, so one rule per allomorph slot simply
 does not fire for entries lacking that slot: the rule emits an entry
 only when something gave `$$` a value.
 
-Most rules name no entry for a given source entry (a lexeme fills few
-of its allomorph slots), so a rule first only reads the source paths
-its equations name.  Nothing is built unless `$$` gets a value or one
-of the writes could fail; then the writes run in equation order, and
-a rule that names nothing still reports its first failing write.
-
 `compile_base` runs each rule once per entry shape (see `inheritance`),
-with a marker for the entry's name and one at each hole.  Whether a
-rule emits or fails depends on the shape alone, since a hole's value
-is a one-atom leaf whatever it holds.  What depends on the values is
-left for each entry: its surface must not be empty and must be
-storable, and its values are set where the markers landed.
+with the `NAME` marker as the entry's name.  Whether a rule emits or
+fails depends on the shape alone, since a hole's value is a one-atom
+leaf whatever it holds, and what it emits is a shape too.  What depends
+on the values is left for each entry: its surface must not be empty
+and must be storable, and `Shape.fill` sets its name and values in
+place of the markers.
 """
 
 from __future__ import annotations
@@ -30,18 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import ERROR, WARNING, Diagnostic, has_errors
-from .feature_tree import (
-    Atom,
-    EMPTY_TREE,
-    FeatureTree,
-    Node,
-    PathThroughLeaf,
-    ValueSet,
-    is_symbol_text,
-)
-from .inheritance import Marker, ResolvedEntry, Shape, resolve_all
+from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf
+from .inheritance import NAME, Marker, ResolvedEntry, Shape, marker_index, name_leaf, resolve_all
 from .object_dict import ObjectDictionary, ObjectEntry, paused_gc, storable_surface
-from .source import DictEquation, DictRule, SourceBase
+from .source import DictRule, SourceBase
 from .type_checker import check_base
 
 
@@ -60,42 +47,22 @@ def apply_dict_rule(
 
     Returns None when the rule never assigned `$$` (the normal skip).
     Raises DictRuleError on lexicographer errors, and lets
-    PathThroughLeaf from target assignment propagate.
-
-    The equations are read first, without building anything.  When no
-    present equation assigns `$$` and no write could fail, the rule
-    returns None right away.  A write could fail when its target path
-    has two or more labels (a leaf may sit above it) or when it puts a
-    leaf at the whole entry.  Otherwise every present equation runs in
-    order, so the first error raised is the first in equation order.
+    PathThroughLeaf from target assignment propagate.  The equations
+    run in order, so the first error raised is the first in equation
+    order, whether or not the rule names an entry.
     """
-    writes: list[tuple[DictEquation, Node | None]] = []
-    named = could_fail = False
+    name_node = None
+    target = EMPTY_TREE
     for eq in rule.equations:
         if eq.source is None:
-            node = None  # the name leaf, built below when needed
+            node = name_leaf(source_name)
         else:
             node = source_tree.get(eq.source)
             if node is None:
                 continue
-        writes.append((eq, node))
-        if eq.target is None:
-            named = True
-        elif len(eq.target) > 1 or (not eq.target and not isinstance(node, FeatureTree)):
-            could_fail = True
-    if not named and not could_fail:
-        return None
-
-    name_leaf = name_node = None
-    target = EMPTY_TREE
-    for eq, node in writes:
-        if eq.source is None:
-            if name_leaf is None:
-                name_leaf = _name_leaf(source_name)
-            node = name_leaf
-        elif isinstance(node, FeatureTree):
-            for dpath in eq.deletions:
-                node = node.delete(dpath)
+            if isinstance(node, FeatureTree):
+                for dpath in eq.deletions:
+                    node = node.delete(dpath)
         if eq.target is None:
             name_node = node
         elif eq.target == ():
@@ -123,10 +90,6 @@ def _checked_surface(surface: str) -> str:
     return surface
 
 
-def _name_leaf(name: str) -> ValueSet:
-    return ValueSet([Atom(name, quoted=not is_symbol_text(name))])
-
-
 @dataclass
 class CompileResult:
     dictionary: ObjectDictionary | None
@@ -137,57 +100,28 @@ class CompileResult:
         return self.dictionary is not None
 
 
-_NAME = -1  # the marker index of the entry's name, beside a shape's holes
-
-
 class _Emission:
-    """What a rule emits for a shape: its entry with markers, the place
-    (path, hole index or _NAME) of each marker, and which of them names
-    the entry (None when its surface is the same for every entry)."""
+    """What a rule emits for a shape: its entry, whose tree is kept as
+    a shape, and the marker index its surface comes from (None when
+    the surface is the same for every entry)."""
 
-    __slots__ = ("entry", "places", "surface_from")
+    __slots__ = ("entry", "shape", "surface_from")
 
-    def __init__(
-        self,
-        entry: ObjectEntry,
-        places: list[tuple[tuple[str, ...], int]],
-        surface_from: int | None,
-    ):
+    def __init__(self, entry: ObjectEntry):
         self.entry = entry
-        self.places = places
-        self.surface_from = surface_from
+        self.shape = Shape.of(entry.tree)
+        self.surface_from = marker_index(entry.surface)
 
     def instantiate(self, item: ResolvedEntry) -> ObjectEntry:
         """The entry for `item`; DictRuleError when its surface is
         empty or cannot be stored."""
         surface = self.entry.surface
-        if self.surface_from == _NAME:
+        if self.surface_from == NAME:
             surface = _checked_surface(item.name)
         elif self.surface_from is not None:
             surface = _checked_surface(item.values[self.surface_from].values[0].text)
-        tree = self.entry.tree
-        for path, index in self.places:
-            tree = tree.set(path, _name_leaf(item.name) if index == _NAME else item.values[index])
+        tree = self.shape.fill(item.name, item.values)
         return ObjectEntry(surface, tree, self.entry.section, item.name, self.entry.rule_index)
-
-
-def _marker_index(text: str) -> int | None:
-    return int(text) if isinstance(text, Marker) else None
-
-
-def _marker_places(
-    tree: FeatureTree, prefix: tuple[str, ...] = ()
-) -> list[tuple[tuple[str, ...], int]]:
-    """(path, marker index) of each marker leaf in the tree."""
-    out = []
-    for label, node in tree.children.items():
-        if isinstance(node, FeatureTree):
-            out.extend(_marker_places(node, prefix + (label,)))
-        else:
-            index = _marker_index(node.values[0].text)
-            if index is not None:
-                out.append((prefix + (label,), index))
-    return out
 
 
 def _run_rules(
@@ -199,17 +133,11 @@ def _run_rules(
     out: list[_Emission | str | None] = []
     for index, rule in enumerate(rules):
         try:
-            entry = apply_dict_rule(rule, Marker(_NAME), shape.tree, section, index)
+            entry = apply_dict_rule(rule, Marker(NAME), shape.tree, section, index)
         except (DictRuleError, PathThroughLeaf) as exc:
             out.append(str(exc))
             continue
-        if entry is None:
-            out.append(None)
-            continue
-        # only a hole or an `@ path = $$` puts a marker in the tree
-        names = any(eq.source is None and eq.target is not None for eq in rule.equations)
-        places = _marker_places(entry.tree) if shape.holes or names else []
-        out.append(_Emission(entry, places, _marker_index(entry.surface)))
+        out.append(None if entry is None else _Emission(entry))
     return out
 
 

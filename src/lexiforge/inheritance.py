@@ -17,11 +17,20 @@ plus which of its placeholders give a value.  A shape's tree holds a
 marker leaf at each hole, the place of a placeholder that gave one, and
 each entry keeps only its hole values.  An entry with equations of its
 own is a shape by itself.
+
+This module owns the marker convention.  A marker leaf's one atom is a
+`Marker`, the index of the value the leaf stands for: a hole's index,
+or `NAME` for the entry's name.  A `Shape` is a tree plus the place
+(path, marker index) of each marker in it, and `Shape.fill` puts the
+entry's name leaf (`name_leaf`) or hole value at every place.  The
+dictionary compiler runs its rules over a shape's tree with `NAME` as
+the entry name, so what a rule emits is a shape too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .alo_rules import CompiledAloRule, compile_alo_rule
@@ -47,31 +56,60 @@ class Marker(str):
     pass for a marker."""
 
 
+NAME = -1  # the marker index of the entry's name, beside a shape's holes
+
+
+def marker_index(text: str) -> int | None:
+    """The index a marker's text stands for; None for a value."""
+    return int(text) if isinstance(text, Marker) else None
+
+
+def name_leaf(name: str) -> ValueSet:
+    """The leaf `$$` reads: the entry's name, quoted when it is no
+    symbol."""
+    return ValueSet([Atom(name, quoted=not is_symbol_text(name))])
+
+
 class Shape:
-    """The resolved tree shared by the entries of one shape.
+    """A tree with marker leaves, and the place (path, marker index) of
+    each marker, in the tree's order."""
 
-    `tree` holds a marker leaf at each path of `holes`, whose one atom
-    is the `Marker` of the hole's index.
-    """
+    __slots__ = ("tree", "places")
 
-    __slots__ = ("tree", "holes")
-
-    def __init__(self, tree: FeatureTree, holes: tuple[tuple[str, ...], ...]):
+    def __init__(self, tree: FeatureTree, places: tuple[tuple[tuple[str, ...], int], ...]):
         self.tree = tree
-        self.holes = holes
+        self.places = places
 
-    def fill(self, values: Sequence[ValueSet]) -> FeatureTree:
-        """The tree with each hole's value set in place of its marker."""
+    @classmethod
+    def of(cls, tree: FeatureTree) -> Shape:
+        """The shape of a tree, its markers found by a scan."""
+        return cls(tree, tuple(_marker_places(tree, ())))
+
+    def fill(self, name: str, values: Sequence[ValueSet]) -> FeatureTree:
+        """The tree with the name leaf or hole value set in place of
+        each marker."""
         tree = self.tree
-        for path, value in zip(self.holes, values):
-            tree = tree.set(path, value)
+        for path, index in self.places:
+            tree = tree.set(path, name_leaf(name) if index == NAME else values[index])
         return tree
+
+
+def _marker_places(
+    tree: FeatureTree, prefix: tuple[str, ...]
+) -> Iterator[tuple[tuple[str, ...], int]]:
+    for label, node in tree.children.items():
+        if isinstance(node, FeatureTree):
+            yield from _marker_places(node, prefix + (label,))
+        else:
+            index = marker_index(node.values[0].text)
+            if index is not None:
+                yield prefix + (label,), index
 
 
 @dataclass
 class ResolvedEntry:
-    """One entry's shape and its hole values, in the order of the
-    shape's holes."""
+    """One entry's shape and its hole values, indexed by the shape's
+    markers."""
 
     name: str
     shape: Shape
@@ -79,7 +117,7 @@ class ResolvedEntry:
 
     @property
     def tree(self) -> FeatureTree:
-        return self.shape.fill(self.values)
+        return self.shape.fill(self.name, self.values)
 
 
 def linearize(entry: Entry, classes: Mapping[str, Entry]) -> tuple[str, ...]:
@@ -143,7 +181,7 @@ def _values(
     out: list[ValueSet | None] = []
     for _, node in placeholders:
         if isinstance(node, SelfRef):
-            out.append(ValueSet([Atom(entry_name)]))
+            out.append(name_leaf(entry_name))
             continue
         rule = rules.get(node.rule)
         if rule is None:
@@ -176,23 +214,13 @@ def _evaluate(tree: FeatureTree, values: Iterator[ValueSet | None]) -> FeatureTr
     return FeatureTree(children)
 
 
-def _shape(
-    tree: FeatureTree,
-    placeholders: Sequence[tuple[tuple[str, ...], RuleCall | SelfRef]],
-    mask: Sequence[bool],
-) -> Shape:
+def _shape(tree: FeatureTree, mask: Sequence[bool]) -> Shape:
     """`tree` evaluated with a marker for each placeholder `mask` keeps."""
-    if not placeholders:
+    if not mask:
         return Shape(tree, ())
-    holes: list[tuple[str, ...]] = []
-    markers: list[ValueSet | None] = []
-    for (path, _), kept in zip(placeholders, mask):
-        if kept:
-            markers.append(ValueSet([Atom(Marker(len(holes)))]))
-            holes.append(path)
-        else:
-            markers.append(None)
-    return Shape(_evaluate(tree, iter(markers)), tuple(holes))
+    holes = count()
+    markers = [ValueSet([Atom(Marker(next(holes)))]) if kept else None for kept in mask]
+    return Shape.of(_evaluate(tree, iter(markers)))
 
 
 def compile_rules(base: SourceBase) -> dict[str, CompiledAloRule]:
@@ -248,7 +276,7 @@ def _finish(
     key = (entry.parents, mask)
     shape = shapes.get(key) if own is tree else None
     if shape is None:
-        shape = _shape(own, placeholders, mask)
+        shape = _shape(own, mask)
         if own is tree:
             shapes[key] = shape
     return ResolvedEntry(entry.name, shape, tuple(v for v in values if v is not None))

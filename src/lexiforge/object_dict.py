@@ -186,11 +186,13 @@ def _check_quoting(entry: ObjectEntry) -> None:
             )
 
 
+@paused_gc()
 def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     """Write the canonical on-disk form (byte deterministic).
 
     Raises ValueError, before anything is written, for a dictionary the
-    format cannot carry back unchanged.
+    format cannot carry back unchanged.  The cyclic garbage collector
+    is paused throughout, as in `load`, and left as it was found.
     """
     rows = []
     for entry in dictionary.entries:

@@ -102,9 +102,9 @@ def _check_shape(
     """The shape's diagnostics, at no entry, and the holes (index, path,
     declaration) whose values a closed declaration tests."""
     out: list[Diagnostic] = []
-    _check(shape.tree, (), decls, None, out, frozenset(shape.holes))
+    _check(shape.tree, (), decls, None, out, frozenset(path for path, _ in shape.places))
     closed = []
-    for index, path in enumerate(shape.holes):
+    for path, index in shape.places:
         decl = decls.get(path[-1])
         if decl is not None and decl.kind == CLOSED:
             closed.append((index, path, decl))

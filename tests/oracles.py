@@ -3,9 +3,9 @@
 Each oracle recomputes an expected result by a different method than
 the production code: source text by a character-by-character scan,
 string rewriting by explicit split enumeration, inheritance by a
-per-path nearest-definer scan, and word analysis and
-generation by trying every entry combination without any index, with
-equation semantics of their own.  They are slow on purpose;
+per-path nearest-definer scan, dictionary rules over plain nested
+dicts, and word analysis and generation by trying every entry
+combination without any index, with equation semantics of their own.  They are slow on purpose;
 correctness over speed.
 """
 
@@ -533,3 +533,91 @@ def all_pairs_generation(dictionary, rules, lex_feature="lex"):
         return sorted(found)
 
     return generate
+
+
+# -- dictionary rules -----------------------------------------------------------
+#
+# `#DICT-RULES` semantics over plain trees (`_plain`), written apart from
+# `dict_compiler` and from `FeatureTree`'s operations: each equation
+# reads a deep copy of its source, deletes from that copy in place, and
+# writes into a dict that grows in place.
+
+
+class RuleFailure(Exception):
+    """A failing dictionary rule: `kind` names the error type the
+    compiler raises, `message` is its text."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+        self.message = message
+
+
+def _override(base, overlay):
+    """Merge `overlay` into `base` in place: where both hold a dict
+    under one label they merge, else the overlay's node replaces."""
+    for label, node in overlay.items():
+        if isinstance(base.get(label), dict) and isinstance(node, dict):
+            _override(base[label], node)
+        else:
+            base[label] = node
+
+
+def _write(entry, path, node):
+    where = entry
+    for depth, label in enumerate(path[:-1], 1):
+        where = where.setdefault(label, {})
+        if not isinstance(where, dict):
+            raise RuleFailure(
+                "PathThroughLeaf",
+                "path '%s' descends through the leaf at '%s'"
+                % (" ".join(path), " ".join(path[:depth])),
+            )
+    old = where.get(path[-1])
+    if isinstance(old, dict) and isinstance(node, dict):
+        _override(old, node)
+    else:
+        where[path[-1]] = node
+
+
+def run_dict_rule(rule, name, tree):
+    """(surface, canonical text) of the entry a dictionary rule builds
+    from the plain tree of an entry called `name`, or None when no
+    equation gave `$$` a value.  Every equation whose source is present
+    runs, in order, so the first failing write raises RuleFailure; a
+    bad name raises it after all the writes."""
+    entry = {}
+    surface = None
+    for eq in rule.equations:
+        if eq.source is None:
+            node = (Atom(name),)
+        else:
+            node = _walk(tree, eq.source)
+            if node is None or node is _THROUGH_LEAF:
+                continue
+            node = copy.deepcopy(node)
+            if isinstance(node, dict):
+                for path in eq.deletions:
+                    parent = _walk(node, path[:-1])
+                    if path and isinstance(parent, dict):
+                        parent.pop(path[-1], None)
+        if eq.target is None:
+            surface = node
+        elif not eq.target:
+            if not isinstance(node, dict):
+                raise RuleFailure(
+                    "DictRuleError", "cannot assign an atomic value to the whole entry"
+                )
+            _override(entry, node)
+        else:
+            _write(entry, eq.target, node)
+    if surface is None:
+        return None
+    if isinstance(surface, dict) or len(surface) != 1:
+        raise RuleFailure("DictRuleError", "'$$' must come out as a single atomic value")
+    text = surface[0].text
+    if not text:
+        raise RuleFailure("DictRuleError", "the entry name came out empty")
+    if text[0].isspace() or "\n" in text or "\r" in text:
+        raise RuleFailure("DictRuleError", "the entry name %r cannot be stored" % text)
+    return text, _canonical(entry)

@@ -33,7 +33,7 @@ from lexiforge.source import (
 )
 from lexiforge.type_checker import check_tree
 
-from oracles import random_hierarchy
+from oracles import RuleFailure, _plain, random_hierarchy, run_dict_rule
 from sources import parse_dict_rules, parse_tree
 
 
@@ -205,16 +205,6 @@ def count_constructions(monkeypatch):
     return counts
 
 
-def test_a_rule_whose_name_source_is_absent_builds_nothing(monkeypatch):
-    tree = parse_tree(PEDIR_RESOLVED).delete(("alo", "2"))
-    counts = count_constructions(monkeypatch)
-    assert apply_dict_rule(lexeme_rules()[1], "pedir", tree) is None
-    assert counts == {"FeatureTree": 0, "ValueSet": 0}
-    # the counter does see what a firing rule builds
-    assert apply_dict_rule(lexeme_rules()[0], "pedir", tree) is not None
-    assert counts["FeatureTree"] > 0 and counts["ValueSet"] == 1
-
-
 def test_an_unnamed_rule_still_refuses_a_leaf_for_the_whole_entry():
     with pytest.raises(DictRuleError) as exc:
         apply_dict_rule(rule("$$ = @ absent\n@ = @ p\n"), "d", parse_tree("p = 1"))
@@ -265,6 +255,68 @@ def test_compile_reports_a_failing_write_of_a_rule_that_names_nothing():
         for name in ("pedir", "amar")
     ]
     assert len({d.line for d in errors}) == 1
+
+
+# -- apply_dict_rule against a plain-dict oracle ----------------------------------------
+
+RULE_LABELS = ("a", "b", "c")
+RULE_PATHS = st.lists(st.sampled_from(RULE_LABELS + ("z",)), max_size=3).map(tuple)
+RULE_LEAVES = st.one_of(
+    st.lists(st.sampled_from(("1", "2", "p")), min_size=1, max_size=2).map(
+        lambda texts: leaf(*texts)
+    ),
+    st.sampled_from(("", " p", "a b")).map(lambda text: leaf(text, quoted=True)),
+)
+RULE_TREES = st.dictionaries(
+    st.sampled_from(RULE_LABELS),
+    st.recursive(
+        RULE_LEAVES,
+        lambda nodes: st.dictionaries(st.sampled_from(RULE_LABELS), nodes, max_size=3).map(
+            FeatureTree
+        ),
+        max_leaves=6,
+    ),
+    max_size=3,
+).map(FeatureTree)
+RULE_EQUATIONS = st.builds(
+    DictEquation,
+    # `$$`, the whole entry, or a path that may run below a leaf
+    target=st.sampled_from((None, (), ("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "b", "c"))),
+    # `$$`, or a path that may be absent (`z` never is present)
+    source=st.one_of(st.none(), RULE_PATHS),
+    deletions=st.lists(RULE_PATHS.filter(bool), max_size=2).map(tuple),
+)
+
+
+def compiler_outcome(rule, name, tree):
+    """No entry (None), an entry's surface and canonical form, or an
+    error's type and message."""
+    try:
+        entry = apply_dict_rule(rule, name, tree)
+    except (DictRuleError, PathThroughLeaf) as exc:
+        return "error", type(exc).__name__, str(exc)
+    return None if entry is None else (entry.surface, entry.tree.canonical_form())
+
+
+def oracle_outcome(rule, name, tree):
+    try:
+        return run_dict_rule(rule, name, _plain(tree))
+    except RuleFailure as exc:
+        return "error", exc.kind, exc.message
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    name=st.sampled_from(("d", "ped", "", " d", "a b")),
+    tree=RULE_TREES,
+    equations=st.lists(RULE_EQUATIONS, min_size=1, max_size=8),
+)
+def test_apply_dict_rule_matches_the_plain_dict_oracle(name, tree, equations):
+    """Absent sources, deletions on a copy, later writes overriding
+    earlier ones, merged subtrees and the first failing write, whether
+    or not the rule names an entry."""
+    rule = DictRule(tuple(equations))
+    assert compiler_outcome(rule, name, tree) == oracle_outcome(rule, name, tree)
 
 
 # -- whole-base compilation --------------------------------------------------------

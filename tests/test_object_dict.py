@@ -385,6 +385,41 @@ def test_load_leaves_the_cyclic_collector_as_it_found_it(monkeypatch, text, erro
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "surface, error",
+    [("ped", None), (" ped", "not serializable")],
+    ids=["writes", "refuses"],
+)
+def test_save_leaves_the_cyclic_collector_as_it_found_it(
+    monkeypatch, tmp_path, surface, error, enabled
+):
+    during = []
+    storable = object_dict.storable_surface
+
+    def recorded(text):
+        during.append(gc.isenabled())
+        return storable(text)
+
+    monkeypatch.setattr(object_dict, "storable_surface", recorded)
+    dictionary = ObjectDictionary([entry(surface, "lex = pedir")])
+    dest = tmp_path / "out.dic"
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            save(dictionary, str(dest))
+            assert dest.read_text(encoding="utf-8").endswith("ped\n  lex = pedir\n\n")
+        else:
+            with pytest.raises(ValueError, match=error):
+                save(dictionary, str(dest))
+            assert not dest.exists()
+        assert during == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_golden_file_loads(fixtures_dir):
     d = load(str(fixtures_dir.parent / "tests" / "golden" / "pedir_minimal.dic"))
     assert {e.surface for e in d.entries} == {"'abamos", "ped", "pid"}
