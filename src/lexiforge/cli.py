@@ -24,7 +24,7 @@ import sys
 from .dict_compiler import compile_base
 from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf, leaf
 from .morph_engine import GenerationLimit, analyze, generate, parse_wf_rules
-from .object_dict import FormatError, ObjectDictionary, load, save
+from .object_dict import FormatError, ObjectDictionary, indented, load, save
 from .source import SourceSyntaxError, parse_source, read_file
 
 UNKNOWN = "*UNKNOWN*"
@@ -154,9 +154,7 @@ def _print_answers(args, answers_for) -> int:
                 print(_record(surface, *fields, canon.rstrip("\n")))
             else:
                 print(" ".join((surface + ":",) + fields))
-                for line in canon.splitlines():
-                    print("  " + line)
-                print()
+                print(indented(canon))
     return 1 if missed else 0
 
 

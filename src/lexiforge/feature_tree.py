@@ -12,7 +12,9 @@ calls `meet` on the nodes at an equation's two sides.
 
 All operations are functional: they return new trees and never mutate
 their operands, so trees can be shared freely across entries, indexes
-and threads.
+and threads.  A tree keeps the text of its canonical form once made,
+and builds it from its subtrees' kept texts, so a subtree shared by
+many entries is rendered once.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class FeatureTree:
     that operand rather than a copy.
     """
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "_canon")
 
     def __init__(self, children: Mapping[str, "Node"] | None = None):
         items = dict(children) if children else {}
@@ -190,6 +192,7 @@ class FeatureTree:
                     raise ValueError("invalid feature label %r" % (label,))
             _LABELS.update(items)
         self.children = items
+        self._canon = None
 
     # -- structural operations ------------------------------------------
 
@@ -311,10 +314,35 @@ class FeatureTree:
         forms match, empty interior nodes aside (they contribute no
         lines).
         """
-        return "".join(
-            "%s = %s\n" % (" ".join(path), values.rendered())
-            for path, values in self.leaves()
-        )
+        text = self._canon
+        return self._composed(()) if text is None else text
+
+    def _composed(self, path: tuple[str, ...]) -> str:
+        """Canonical text built from the children's, kept on first use.
+
+        A leaf gives `label = values`; a subtree gives its own kept text
+        with `label ` put before each line (atoms and labels never hold
+        a newline).  A tree and a subtree shared by many entries are
+        each rendered once.  `path` places this tree for the error a
+        placeholder raises.
+        """
+        parts = []
+        for label in sorted(self.children):
+            node = self.children[label]
+            if isinstance(node, ValueSet):
+                parts.append(label + " = " + node.rendered() + "\n")
+            elif isinstance(node, FeatureTree):
+                text = node._canon
+                if text is None:
+                    text = node._composed(path + (label,))
+                if text:
+                    parts.append(label + " " + text[:-1].replace("\n", "\n" + label + " ") + "\n")
+            else:
+                raise ValueError(
+                    "tree holds an unevaluated placeholder at '%s'" % " ".join(path + (label,))
+                )
+        text = self._canon = "".join(parts)
+        return text
 
     def __eq__(self, other: object):
         if not isinstance(other, FeatureTree):

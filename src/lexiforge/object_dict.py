@@ -186,13 +186,22 @@ def _check_quoting(entry: ObjectEntry) -> None:
             )
 
 
+def indented(canon: str) -> str:
+    r"""Canonical text with each line indented by two spaces, by one
+    replace on "\n" alone: str.splitlines() would also split inside
+    quoted values at characters such as "\x0b" and "\u2028"."""
+    return "  " + canon[:-1].replace("\n", "\n  ") + "\n" if canon else ""
+
+
 @paused_gc()
 def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     """Write the canonical on-disk form (byte deterministic).
 
-    Raises ValueError, before anything is written, for a dictionary the
-    format cannot carry back unchanged.  The cyclic garbage collector
-    is paused throughout, as in `load`, and left as it was found.
+    Each entry's block is its surface line and its tree's kept
+    canonical text, indented by one replace.  Raises ValueError, before
+    anything is written, for a dictionary the format cannot carry back
+    unchanged.  The cyclic garbage collector is paused throughout, as
+    in `load`, and left as it was found.
     """
     rows = []
     for entry in dictionary.entries:
@@ -210,12 +219,7 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     out = io.StringIO()
     out.write(HEADER + "\n")
     for surface, canon in rows:
-        out.write(surface + "\n")
-        # Split on "\n" only: str.splitlines() would also split inside
-        # quoted values at characters such as "\x0b" and "\u2028".
-        for line in canon.split("\n")[:-1]:
-            out.write("  " + line + "\n")
-        out.write("\n")
+        out.write(surface + "\n" + indented(canon) + "\n")
     text = out.getvalue()
     if isinstance(dest, str):
         # Encode first: text that is not valid UTF-8 (a lone surrogate)

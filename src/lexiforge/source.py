@@ -20,6 +20,10 @@ an unterminated string is not joined to the next by a trailing
 backslash (tokenizing it then reports the unterminated string).  One
 symbol character class, `feature_tree.SYMBOL_CHAR`, decides what a bare
 symbol may hold, for the scanner and for `is_symbol_text` alike.
+Plain text skips the scans: a line with no `"`, `;` or backslash is
+passed on as it is (unless it continues a joined line), and a plain
+entry head `name (P1 P2)` or equation line is read by one match or
+split; any other line, and every error, goes through `tokenize`.
 
 Parses are total: any input produces a ParseResult whose diagnostics
 carry file and line positions.  `parse_equation`, the one reader that
@@ -247,6 +251,9 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     pending_line = 0
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     for i, raw in enumerate(text.split("\n"), start=1):
+        if pending is None and not ('"' in raw or ";" in raw or "\\" in raw):
+            out.append((i, raw))  # no string, comment or continuation
+            continue
         code = _CODE.match(raw).end()
         open_quote = raw.startswith('"', code)
         stripped = raw if open_quote else raw[:code]
@@ -345,6 +352,39 @@ def parse_equation(text: str, file: str | None = None, line: int | None = None) 
                 "a string value must be the only value", file, line
             )
     return Equation(tuple(t.text for t in lhs), tuple(values), file, line)
+
+
+# -- entry heads ---------------------------------------------------------
+
+# A plain entry head, `name` or `name (P1 P2 ...)`: symbols, whitespace
+# and one parenthesized list.  It holds no reserved character but the
+# parentheses, so it tokenizes to exactly these symbols.
+_PLAIN_HEAD = re.compile(
+    r"\s*(%s+)\s*(?:\(([^%s]*)\)\s*)?"
+    % (SYMBOL_CHAR, re.escape("".join(sorted(RESERVED_CHARS))))
+)
+
+
+def _entry_head(text: str, file: str | None, line: int | None) -> tuple[str, tuple[str, ...]]:
+    """The name and parents of an entry's first line.
+
+    A plain head is read by one match; any other head, and every error,
+    goes through `tokenize`.
+    """
+    plain = _PLAIN_HEAD.fullmatch(text)
+    if plain is not None:
+        name, inner = plain.groups()
+        return name, tuple(inner.split()) if inner else ()
+    head = tokenize(text, file, line)
+    if not head or head[0].kind != "sym":
+        raise SourceSyntaxError("expected an entry name", file, line)
+    rest = head[1:]
+    if rest and (rest[0].kind != "(" or rest[-1].kind != ")"):
+        raise SourceSyntaxError("expected '(parents)' or nothing after the entry name", file, line)
+    inner = rest[1:-1]
+    if any(t.kind != "sym" for t in inner):
+        raise SourceSyntaxError("parent lists hold bare names only", file, line)
+    return head[0].text, tuple(t.text for t in inner)
 
 
 # -- allomorphy rule blocks ----------------------------------------------
@@ -713,29 +753,10 @@ class _State:
     def _entry_block(self, file, section, block):
         first_line, first_text = block[0]
         try:
-            head = tokenize(first_text, file, first_line)
+            name, parents = _entry_head(first_text, file, first_line)
         except SourceSyntaxError as exc:
             self.syntax_error(exc)
             return
-        if not head or head[0].kind != "sym":
-            self.error("expected an entry name", file, first_line)
-            return
-        name = head[0].text
-        parents: tuple[str, ...] = ()
-        rest = head[1:]
-        if rest:
-            if rest[0].kind != "(" or rest[-1].kind != ")":
-                self.error(
-                    "expected '(parents)' or nothing after the entry name",
-                    file,
-                    first_line,
-                )
-                return
-            inner = rest[1:-1]
-            if any(t.kind != "sym" for t in inner):
-                self.error("parent lists hold bare names only", file, first_line)
-                return
-            parents = tuple(t.text for t in inner)
         equations: list[Equation] = []
         for line_no, text in block[1:]:
             try:

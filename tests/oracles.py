@@ -166,6 +166,68 @@ def reference_equation(text: str) -> tuple[tuple[str, ...], list[tuple[str, str]
     return tuple(token for _, token in lhs), rhs
 
 
+def reference_lexemes(text: str, file: str):
+    """(entries, rendered diagnostics) of a source file whose only
+    section header is `#LEXEMES`; any other `#` line is an unknown
+    directive that ends the section.  Lines come from
+    `reference_logical_lines`, heads from `reference_tokenize` and
+    equations from `reference_equation`.  An entry is (name, parents,
+    equations, "file:line"), an equation (path, value tokens,
+    "file:line"); the first definition of a name is kept."""
+    entries: dict[str, tuple] = {}
+    diagnostics: list[str] = []
+
+    def error(line, message):
+        diagnostics.append("%s:%d: error: %s" % (file, line, message))
+
+    def entry(block):
+        first, head = block[0]
+        try:
+            tokens = reference_tokenize(head)
+        except ValueError as exc:
+            return error(first, str(exc))
+        if not tokens or tokens[0][0] != "sym":
+            return error(first, "expected an entry name")
+        rest = tokens[1:]
+        if rest and (rest[0][0] != "(" or rest[-1][0] != ")"):
+            return error(first, "expected '(parents)' or nothing after the entry name")
+        if any(kind != "sym" for kind, _ in rest[1:-1]):
+            return error(first, "parent lists hold bare names only")
+        equations = []
+        for line, body in block[1:]:
+            try:
+                path, values = reference_equation(body)
+            except ValueError as exc:
+                error(line, str(exc))
+            else:
+                equations.append((path, values, "%s:%d" % (file, line)))
+        name = tokens[0][1]
+        if name in entries:
+            message = "duplicate entry '%s' in #LEXEMES (first defined at %s)"
+            return error(first, message % (name, entries[name][3]))
+        parents = tuple(token for _, token in rest[1:-1])
+        entries[name] = (name, parents, equations, "%s:%d" % (file, first))
+
+    section = None
+    block: list[tuple[int, str]] = []
+    for line, body in reference_logical_lines(text) + [(0, "")]:
+        if body.strip() and not body.startswith("#"):
+            block.append((line, body))
+            continue
+        if block and section == "lexemes":
+            entry(block)
+        elif block and section is None:
+            error(block[0][0], "content before any section header")
+        block = []
+        if body.startswith("#"):
+            if body.strip() == "#LEXEMES":
+                section = "lexemes"
+            else:
+                error(line, "unknown directive %r" % body.strip())
+                section = "invalid"
+    return list(entries.values()), diagnostics
+
+
 # -- allomorphy ---------------------------------------------------------------
 #
 # Exact for variable patterns where "longest first" equals the engine's

@@ -454,6 +454,32 @@ def test_lookup_porcelain_escapes_newlines(dic_path, capsys):
     assert nope == "nope\t*UNKNOWN*"
 
 
+# Characters str.splitlines() breaks at besides "\n" and "\r".
+LINE_BREAKS_IN_VALUES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize(
+    "command, surface, head",
+    [("lookup", "a", "a:\n  concat = s\n"), ("analyze", "ab", "ab: Word - a+b\n")],
+    ids=["lookup", "analyze"],
+)
+def test_queries_print_a_quoted_value_on_one_line(tmp_path, capsys, command, surface, head):
+    gloss = '  gloss = "x%sy"\n' % LINE_BREAKS_IN_VALUES
+    dic = tmp_path / "breaks.dic"
+    dic.write_text(
+        "LEXIFORGE-OBJDICT 1\na\n  concat = s\n" + gloss + "\nb\n  concat = e\n\n",
+        encoding="utf-8",
+    )
+    rules = tmp_path / "breaks.rules"
+    rules.write_text(
+        "#WF-RULES\n\nWord -> S E\n  S concat = s\n  E concat = e\n  Word gloss = S gloss\n",
+        encoding="utf-8",
+    )
+    argv = [command, str(dic)] + ([str(rules)] if command == "analyze" else []) + [surface]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == head + gloss + "\n"
+
+
 # -- analyze --------------------------------------------------------------------
 
 def test_analyze_human_output(dic_path, rules_path, capsys):

@@ -13,6 +13,7 @@ from lexiforge.feature_tree import (
     leaf,
     unify,
 )
+from lexiforge.source import RuleCall
 from oracles import _canonical, _meet, _plain
 from sources import parse_tree
 
@@ -396,6 +397,73 @@ def test_merge_keeps_every_overlay_leaf(a, b):
     got = _leaf_paths(merged)
     for path, values in _leaf_paths(b).items():
         assert got.get(path) == values
+
+
+# Leaves as `canonical_form` meets them: several bare values, or one
+# value spelled either way, holding '"', a backslash or a space.
+_spelled = st.one_of(
+    _leaves,
+    st.builds(
+        lambda text, quoted: ValueSet([Atom(text, quoted)]),
+        st.text(alphabet='ab "\\', max_size=3),
+        st.booleans(),
+    ),
+)
+
+
+def _subtrees(depth: int):
+    """Trees of up to three children, empty ones included."""
+    node = _spelled if depth <= 0 else st.one_of(_spelled, _subtrees(depth - 1))
+    return st.dictionaries(_labels, node, max_size=3).map(FeatureTree)
+
+
+@st.composite
+def _sharing_trees(draw):
+    """(tree, shared): `shared` sits under two labels in each of two
+    parents of `tree`."""
+    shared = draw(_subtrees(1))
+    children = dict(draw(_subtrees(1)).children)
+    for parent in draw(st.lists(_labels, min_size=2, max_size=2, unique=True)):
+        held = dict(draw(_subtrees(1)).children)
+        for label in draw(st.lists(_labels, min_size=2, max_size=2, unique=True)):
+            held[label] = shared
+        children[parent] = FeatureTree(held)
+    return FeatureTree(children), shared
+
+
+@settings(max_examples=300)
+@given(_sharing_trees(), st.booleans())
+def test_canonical_form_agrees_with_the_reference(drawn, shared_first):
+    tree, shared = drawn
+    expected, expected_shared = _canonical(_plain(tree)), _canonical(_plain(shared))
+    for _ in range(2):  # the second round reads the kept texts
+        if shared_first:
+            assert shared.canonical_form() == expected_shared
+        assert tree.canonical_form() == expected
+        assert shared.canonical_form() == expected_shared
+
+
+def test_a_nested_placeholder_is_named_by_its_full_path():
+    inner = FeatureTree({"b": FeatureTree({"c": RuleCall("r")}), "a": leaf("1")})
+    tree = FeatureTree({"a": inner, "z": FeatureTree({"y": leaf("2")})})
+    for node, path in [(inner, "b c"), (tree, "a b c"), (inner, "b c")]:
+        with pytest.raises(ValueError) as err:
+            node.canonical_form()
+        assert str(err.value) == "tree holds an unevaluated placeholder at '%s'" % path
+
+
+def test_a_canonical_form_call_counts_once_however_deep_the_tree(monkeypatch):
+    calls = []
+    original = FeatureTree.canonical_form
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FeatureTree, "canonical_form", counted)
+    tree = parse_tree("a b c = 1\na d = 2\ne = 3")
+    assert tree.canonical_form() == "a b c = 1\na d = 2\ne = 3\n"
+    assert calls == [tree]
 
 
 @settings(max_examples=200)

@@ -16,7 +16,12 @@ from lexiforge.source import (
     tokenize,
 )
 
-from oracles import reference_equation, reference_logical_lines, reference_tokenize
+from oracles import (
+    reference_equation,
+    reference_lexemes,
+    reference_logical_lines,
+    reference_tokenize,
+)
 from sources import parse_alo_rule, parse_dict_rules
 
 
@@ -181,6 +186,17 @@ _EQUATION_SIDES = st.one_of(
 ).map("".join)
 
 
+def _value_tokens(values):
+    """An equation's values as the (kind, text) tokens they were read from."""
+    tokens = []
+    for v in values:
+        if isinstance(v, Atom):
+            tokens.append(("str" if v.quoted else "sym", v.text))
+        else:
+            tokens.append(("call", v.rule) if isinstance(v, RuleCall) else ("self", "$$"))
+    return tokens
+
+
 def _equation(text):
     """Path and value tokens of parse_equation's result, or the message
     of the SourceSyntaxError it raised."""
@@ -188,13 +204,7 @@ def _equation(text):
         eq = parse_equation(text)
     except SourceSyntaxError as exc:
         return exc.message
-    values = []
-    for v in eq.values:
-        if isinstance(v, Atom):
-            values.append(("str" if v.quoted else "sym", v.text))
-        else:
-            values.append(("call", v.rule) if isinstance(v, RuleCall) else ("self", "$$"))
-    return eq.path, values
+    return eq.path, _value_tokens(eq.values)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -212,6 +222,63 @@ def test_parse_equation_agrees_with_the_reference(text):
 
 
 # -- sections and entries -----------------------------------------------------
+
+# Entry heads and equation lines: plain ones, which the parser reads
+# without tokenizing, and ones mixed with what sends a line to the
+# scanner (strings, comments, rule calls, a trailing backslash, a lone
+# `\r`) or ends a section (`#`), with whitespace str.isspace() accepts.
+_SOURCE_SYMBOLS = ["a", "b", "C1", "\xe9"]
+_SOURCE_SPACES = [" ", "\t", "\x1c", "\xa0", "\u2028"]
+_SOURCE_RESERVED = list('()$";\\#=\r') + ["$r", "$$", '"x y"', '\\"', "\\ "]
+
+
+def _joined(pieces, **size):
+    return st.lists(st.sampled_from(pieces), **size).map("".join)
+
+
+_gaps = _joined(_SOURCE_SPACES, max_size=2)
+_mixed = _joined(_SOURCE_SYMBOLS + _SOURCE_SPACES + _SOURCE_RESERVED, max_size=4)
+_names = st.one_of(_joined(_SOURCE_SYMBOLS, min_size=1, max_size=2), _mixed)
+_heads = st.tuples(
+    _gaps,
+    _names,
+    _gaps,
+    st.one_of(
+        st.just(""),
+        st.one_of(_joined(_SOURCE_SYMBOLS + _SOURCE_SPACES, max_size=5), _mixed).map("({})".format),
+    ),
+    _gaps,
+).map("".join)
+_lines = st.one_of(
+    st.tuples(
+        _joined(_SOURCE_SYMBOLS + _SOURCE_SPACES, min_size=1, max_size=4),
+        _joined(_SOURCE_SYMBOLS + _SOURCE_SPACES, min_size=1, max_size=4),
+    ).map("=".join),
+    _mixed,
+)
+_blocks = st.tuples(
+    st.sampled_from(["", " ", "\x1c", "\u2028"]),  # the blank line before the block
+    _heads,
+    st.lists(_lines, max_size=3),
+).map(lambda drawn: "\n%s\n%s" % (drawn[0], "\n".join([drawn[1]] + drawn[2])))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_blocks, max_size=4).map(lambda blocks: "#LEXEMES\n" + "".join(blocks)))
+def test_entry_sections_agree_with_the_reference(text):
+    result = parse_source_text(text, name="f.lex")
+    entries = [
+        (
+            e.name,
+            e.parents,
+            [(eq.path, _value_tokens(eq.values), "%s:%d" % (eq.file, eq.line)) for eq in e.equations],
+            "%s:%d" % (e.file, e.line),
+        )
+        for e in result.base.lexemes.values()
+    ]
+    diagnostics = [d.render() for d in result.diagnostics]
+    assert (entries, diagnostics) == reference_lexemes(text, "f.lex")
+
 
 def test_entry_blocks_split_on_blank_lines():
     result = parse_source_text("#CLASSES\n\nA\nx = 1\n\nB (A)\ny = 2\n")
