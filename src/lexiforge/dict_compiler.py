@@ -13,11 +13,11 @@ only when something gave `$$` a value.
 
 `compile_base` runs each rule once per entry shape (see `inheritance`),
 with the `NAME` marker as the entry's name.  Whether a rule emits or
-fails depends on the shape alone, since a hole's value is a one-atom
-leaf whatever it holds, and what it emits is a shape too.  What depends
-on the values is left for each entry: its surface must not be empty
-and must be storable, and `Shape.fill` sets its name and values in
-place of the markers.
+fails depends on the shape alone, since each of an entry's values is a
+one-atom leaf whatever it holds, and what it emits is a shape too.
+What depends on the values is left for each entry: its surface, read
+from the value its marker indexes, must not be empty and must be
+storable, and `Shape.fill` sets its values in place of the markers.
 """
 
 from __future__ import annotations
@@ -116,11 +116,9 @@ class _Emission:
         """The entry for `item`; DictRuleError when its surface is
         empty or cannot be stored."""
         surface = self.entry.surface
-        if self.surface_from == NAME:
-            surface = _checked_surface(item.name)
-        elif self.surface_from is not None:
+        if self.surface_from is not None:
             surface = _checked_surface(item.values[self.surface_from].values[0].text)
-        tree = self.shape.fill(item.name, item.values)
+        tree = self.shape.fill(item.values)
         return ObjectEntry(surface, tree, self.entry.section, item.name, self.entry.rule_index)
 
 

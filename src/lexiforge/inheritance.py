@@ -14,23 +14,23 @@ pruned.
 `resolve` does all of this for one entry.  `resolve_all` does the
 part that depends on names once per entry *shape*: its parent list
 plus which of its placeholders give a value.  A shape's tree holds a
-marker leaf at each hole, the place of a placeholder that gave one, and
-each entry keeps only its hole values.  An entry with equations of its
-own is a shape by itself.
+marker leaf at each placeholder that gave one, and each entry keeps
+only its values.  An entry with equations of its own is a shape by
+itself.
 
 This module owns the marker convention.  A marker leaf's one atom is a
-`Marker`, the index of the value the leaf stands for: a hole's index,
-or `NAME` for the entry's name.  A `Shape` is a tree plus the place
-(path, marker index) of each marker in it, and `Shape.fill` puts the
-entry's name leaf (`name_leaf`) or hole value at every place.  The
-dictionary compiler runs its rules over a shape's tree with `NAME` as
-the entry name, so what a rule emits is a shape too.
+`Marker`, the index of the value the leaf stands for in the entry's
+values: value `NAME` (0) is its name leaf (`name_leaf`), which every
+`$$` reads, and the values of its rule calls that match count from 1.
+A `Shape` is a tree plus the place (path, marker index) of each marker
+in it, and `Shape.fill` puts the entry's value at every place.  The
+dictionary compiler runs its rules over a shape's tree with the `NAME`
+marker as the entry name, so what a rule emits is a shape too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .alo_rules import CompiledAloRule, compile_alo_rule
@@ -56,7 +56,7 @@ class Marker(str):
     pass for a marker."""
 
 
-NAME = -1  # the marker index of the entry's name, beside a shape's holes
+NAME = 0  # the marker index of the entry's name; rule values count from 1
 
 
 def marker_index(text: str) -> int | None:
@@ -85,12 +85,11 @@ class Shape:
         """The shape of a tree, its markers found by a scan."""
         return cls(tree, tuple(_marker_places(tree, ())))
 
-    def fill(self, name: str, values: Sequence[ValueSet]) -> FeatureTree:
-        """The tree with the name leaf or hole value set in place of
-        each marker."""
+    def fill(self, values: Sequence[ValueSet]) -> FeatureTree:
+        """The tree with `values[i]` set in place of each marker i."""
         tree = self.tree
         for path, index in self.places:
-            tree = tree.set(path, name_leaf(name) if index == NAME else values[index])
+            tree = tree.set(path, values[index])
         return tree
 
 
@@ -108,8 +107,8 @@ def _marker_places(
 
 @dataclass
 class ResolvedEntry:
-    """One entry's shape and its hole values, indexed by the shape's
-    markers."""
+    """One entry's shape and its values, indexed by the shape's
+    markers: its name leaf, then what its rule calls gave."""
 
     name: str
     shape: Shape
@@ -117,7 +116,7 @@ class ResolvedEntry:
 
     @property
     def tree(self) -> FeatureTree:
-        return self.shape.fill(self.name, self.values)
+        return self.shape.fill(self.values)
 
 
 def linearize(entry: Entry, classes: Mapping[str, Entry]) -> tuple[str, ...]:
@@ -175,23 +174,26 @@ def _values(
     placeholders: Sequence[tuple[tuple[str, ...], RuleCall | SelfRef]],
     entry_name: str,
     rules: Mapping[str, CompiledAloRule],
-) -> list[ValueSet | None]:
-    """What each placeholder gives for the entry: None for a rule that
-    does not match."""
-    out: list[ValueSet | None] = []
+) -> tuple[tuple[ValueSet, ...], tuple[int | None, ...]]:
+    """The entry's values, its name leaf and then what each rule call
+    that matches gives, and the index of each placeholder's value:
+    `NAME` for `$$`, None for a rule call that does not match."""
+    values = [name_leaf(entry_name)]
+    indexes: list[int | None] = []
     for _, node in placeholders:
         if isinstance(node, SelfRef):
-            out.append(name_leaf(entry_name))
+            indexes.append(NAME)
             continue
         rule = rules.get(node.rule)
         if rule is None:
             raise ResolveError("unknown allomorphy rule '%s'" % node.rule)
         result = rule.apply(entry_name)
-        out.append(
-            None if result is None
-            else ValueSet([Atom(result, quoted=not is_symbol_text(result))])
-        )
-    return out
+        if result is None:
+            indexes.append(None)
+        else:
+            indexes.append(len(values))
+            values.append(name_leaf(result))
+    return tuple(values), tuple(indexes)
 
 
 def _evaluate(tree: FeatureTree, values: Iterator[ValueSet | None]) -> FeatureTree:
@@ -214,13 +216,12 @@ def _evaluate(tree: FeatureTree, values: Iterator[ValueSet | None]) -> FeatureTr
     return FeatureTree(children)
 
 
-def _shape(tree: FeatureTree, mask: Sequence[bool]) -> Shape:
-    """`tree` evaluated with a marker for each placeholder `mask` keeps."""
-    if not mask:
+def _shape(tree: FeatureTree, indexes: tuple[int | None, ...]) -> Shape:
+    """`tree` with a marker for each placeholder's index (see `_values`)."""
+    if not indexes:
         return Shape(tree, ())
-    holes = count()
-    markers = [ValueSet([Atom(Marker(next(holes)))]) if kept else None for kept in mask]
-    return Shape.of(_evaluate(tree, iter(markers)))
+    markers = (None if i is None else ValueSet([Atom(Marker(i))]) for i in indexes)
+    return Shape.of(_evaluate(tree, markers))
 
 
 def compile_rules(base: SourceBase) -> dict[str, CompiledAloRule]:
@@ -228,58 +229,59 @@ def compile_rules(base: SourceBase) -> dict[str, CompiledAloRule]:
     return {name: compile_alo_rule(rule) for name, rule in base.alo_rules.items()}
 
 
+@dataclass
+class _Parents:
+    """What the entries of one parent list share: their merged class
+    bodies, its placeholders, the classes' names, and a shape for each
+    tuple of placeholder value indexes (see `_values`)."""
+
+    tree: FeatureTree
+    placeholders: list[tuple[tuple[str, ...], RuleCall | SelfRef]]
+    ancestors: frozenset[str]
+    shapes: dict[tuple[int | None, ...], Shape]
+
+
 def _inherited(
     entry: Entry,
     classes: Mapping[str, Entry],
     class_trees: Mapping[str, FeatureTree],
-) -> tuple[FeatureTree, frozenset[str]]:
+) -> _Parents:
     """The bodies of the entry's classes merged from least to most
-    specific, and the names of those classes.  A class missing from
-    `class_trees` is folded from its equations."""
+    specific, with no shapes yet.  A class missing from `class_trees`
+    is folded from its equations."""
     ancestors = linearize(entry, classes)[1:]
     tree = EMPTY_TREE
     for name in reversed(ancestors):
         body = class_trees.get(name)
         tree = tree.merge(classes[name].tree() if body is None else body)
-    return tree, frozenset(ancestors)
+    return _Parents(tree, _placeholders(tree), frozenset(ancestors), {})
 
 
 def resolve(entry: Entry, base: SourceBase) -> ResolvedEntry:
     """Inherited view of one entry with all placeholders evaluated, as
-    a shape of its own with no holes.
+    a shape of its own with no markers.
 
     Raises ResolveError for an unknown class or rule or a cycle, and
     PathThroughLeaf for an internally inconsistent body.
     """
-    inherited, _ = _inherited(entry, base.classes, {})
-    tree = inherited.merge(entry.tree())
-    tree = _evaluate(tree, iter(_values(_placeholders(tree), entry.name, compile_rules(base))))
-    return ResolvedEntry(entry.name, Shape(tree, ()), ())
+    tree = _inherited(entry, base.classes, {}).tree.merge(entry.tree())
+    values, indexes = _values(_placeholders(tree), entry.name, compile_rules(base))
+    tree = _evaluate(tree, (None if i is None else values[i] for i in indexes))
+    return ResolvedEntry(entry.name, Shape(tree, ()), values)
 
 
-def _finish(
-    entry: Entry,
-    tree: FeatureTree,
-    placeholders: list[tuple[tuple[str, ...], RuleCall | SelfRef]],
-    rules: Mapping[str, CompiledAloRule],
-    shapes: dict[tuple, Shape],
-) -> ResolvedEntry:
-    """The entry's own body merged over its merged class bodies `tree`,
-    whose placeholders are `placeholders`.  An entry with no body of
-    its own takes its shape from `shapes`, keyed by its parent list
-    and which placeholders give a value."""
-    own = tree.merge(entry.tree())
-    if own is not tree:
-        placeholders = _placeholders(own)
-    values = _values(placeholders, entry.name, rules)
-    mask = tuple(value is not None for value in values)
-    key = (entry.parents, mask)
-    shape = shapes.get(key) if own is tree else None
+def _finish(entry: Entry, shared: _Parents, rules: Mapping[str, CompiledAloRule]) -> ResolvedEntry:
+    """The entry's own body merged over its parent list's merged class
+    bodies, with its shape from `shared`; an entry with a body of its
+    own gets a shape by itself."""
+    tree = shared.tree.merge(entry.tree())
+    if tree is not shared.tree:
+        shared = _Parents(tree, _placeholders(tree), shared.ancestors, {})
+    values, indexes = _values(shared.placeholders, entry.name, rules)
+    shape = shared.shapes.get(indexes)
     if shape is None:
-        shape = _shape(own, mask)
-        if own is tree:
-            shapes[key] = shape
-    return ResolvedEntry(entry.name, shape, tuple(v for v in values if v is not None))
+        shape = shared.shapes[indexes] = _shape(tree, indexes)
+    return ResolvedEntry(entry.name, shape, values)
 
 
 def resolve_all(
@@ -294,8 +296,8 @@ def resolve_all(
     whose classes merge.  An entry named like one of those classes
     merges them again, and so reports its own cycle.  Each entry then
     applies the allomorphy rules to its name, and its shape is built
-    once per parent list and placeholder mask; an entry with a body of
-    its own gets a shape by itself.
+    once per parent list and set of placeholders that give a value; an
+    entry with a body of its own gets a shape by itself.
     """
     diagnostics: list[Diagnostic] = []
     compiled = compile_rules(base)
@@ -307,20 +309,18 @@ def resolve_all(
             diagnostics.append(
                 Diagnostic(ERROR, str(exc), file=cls.file, line=cls.line, entry=name)
             )
-    inherited: dict[tuple[str, ...], tuple[FeatureTree, list, frozenset[str]]] = {}
-    shapes: dict[tuple, Shape] = {}
+    inherited: dict[tuple[str, ...], _Parents] = {}
     resolved: dict[str, list[ResolvedEntry]] = {}
     for section in ("morphemes", "words", "lexemes"):
         out: list[ResolvedEntry] = []
         for entry in base.entries_in(section).values():
             shared = inherited.get(entry.parents)
             try:
-                if shared is None or entry.name in shared[2]:
-                    tree, ancestors = _inherited(entry, base.classes, class_trees)
-                    shared = inherited[entry.parents] = (
-                        tree, _placeholders(tree), ancestors
+                if shared is None or entry.name in shared.ancestors:
+                    shared = inherited[entry.parents] = _inherited(
+                        entry, base.classes, class_trees
                     )
-                out.append(_finish(entry, shared[0], shared[1], compiled, shapes))
+                out.append(_finish(entry, shared, compiled))
             except (ResolveError, PathThroughLeaf) as exc:
                 diagnostics.append(
                     Diagnostic(

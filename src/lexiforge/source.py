@@ -21,9 +21,10 @@ backslash (tokenizing it then reports the unterminated string).  One
 symbol character class, `feature_tree.SYMBOL_CHAR`, decides what a bare
 symbol may hold, for the scanner and for `is_symbol_text` alike.
 Plain text skips the scans: a line with no `"`, `;` or backslash is
-passed on as it is (unless it continues a joined line), and a plain
-entry head `name (P1 P2)` or equation line is read by one match or
-split; any other line, and every error, goes through `tokenize`.
+passed on as it is (unless it continues a joined line), an entry head
+`name (P1 P2)` is read by one match, and a plain equation line by one
+split; any other equation line, and every error, goes through
+`tokenize`.
 
 Parses are total: any input produces a ParseResult whose diagnostics
 carry file and line positions.  `parse_equation`, the one reader that
@@ -356,9 +357,11 @@ def parse_equation(text: str, file: str | None = None, line: int | None = None) 
 
 # -- entry heads ---------------------------------------------------------
 
-# A plain entry head, `name` or `name (P1 P2 ...)`: symbols, whitespace
-# and one parenthesized list.  It holds no reserved character but the
-# parentheses, so it tokenizes to exactly these symbols.
+# An entry head, `name` or `name (P1 P2 ...)`: symbols, whitespace and
+# one parenthesized list.  It holds no reserved character but the
+# parentheses, so it tokenizes to exactly these symbols; and a line
+# that tokenizes to a symbol and a parenthesized list of symbols holds
+# only these characters, so it matches.
 _PLAIN_HEAD = re.compile(
     r"\s*(%s+)\s*(?:\(([^%s]*)\)\s*)?"
     % (SYMBOL_CHAR, re.escape("".join(sorted(RESERVED_CHARS))))
@@ -368,8 +371,9 @@ _PLAIN_HEAD = re.compile(
 def _entry_head(text: str, file: str | None, line: int | None) -> tuple[str, tuple[str, ...]]:
     """The name and parents of an entry's first line.
 
-    A plain head is read by one match; any other head, and every error,
-    goes through `tokenize`.
+    A head is read by one match.  Every head the tokens would accept
+    matches it, so any other head is an error, worded by `tokenize` or
+    by the checks below.
     """
     plain = _PLAIN_HEAD.fullmatch(text)
     if plain is not None:
@@ -381,10 +385,7 @@ def _entry_head(text: str, file: str | None, line: int | None) -> tuple[str, tup
     rest = head[1:]
     if rest and (rest[0].kind != "(" or rest[-1].kind != ")"):
         raise SourceSyntaxError("expected '(parents)' or nothing after the entry name", file, line)
-    inner = rest[1:-1]
-    if any(t.kind != "sym" for t in inner):
-        raise SourceSyntaxError("parent lists hold bare names only", file, line)
-    return head[0].text, tuple(t.text for t in inner)
+    raise SourceSyntaxError("parent lists hold bare names only", file, line)
 
 
 # -- allomorphy rule blocks ----------------------------------------------

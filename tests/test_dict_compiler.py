@@ -381,6 +381,30 @@ def test_compile_expands_every_slot_that_fires():
     assert result.diagnostics == []
 
 
+NAME_READS = (
+    "#CLASSES\n\nN\nlex = $$\nalt = $$\n\n#LEXEMES\n\n%s (N)\n"
+    "\n#DATA-DICT\n\nlex = ar bar\nalt =\nform =\n"
+    "\n#DICT-RULES\n\nLEXEMES\n\n$$ = $$\n@ = @\n@ form = $$\n"
+)
+
+
+def test_every_read_of_the_entry_name_is_one_leaf():
+    result = compile_base(parse_source_text(NAME_READS % "ar").base)
+    assert result.ok and result.diagnostics == []
+    (entry,) = result.dictionary.entries
+    lex, alt, form = (entry.tree.get((label,)) for label in ("lex", "alt", "form"))
+    assert lex == leaf("ar")
+    assert alt is lex and form is lex
+
+
+def test_a_name_outside_a_closed_set_is_still_reported():
+    result = compile_base(parse_source_text(NAME_READS % "car").base)
+    assert not result.ok
+    assert [d.render() for d in result.diagnostics] == [
+        "error car lex: value car not in closed set {ar,bar}"
+    ]
+
+
 def test_missing_section_rules_warn_once():
     text = BASE.replace("MORPHEMES\n\n@ = @\n$$ = $$\n", "")
     result = compile_base(parse_source_text(text).base)

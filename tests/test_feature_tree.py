@@ -452,6 +452,14 @@ def test_a_nested_placeholder_is_named_by_its_full_path():
         assert str(err.value) == "tree holds an unevaluated placeholder at '%s'" % path
 
 
+def test_leaves_name_a_nested_placeholder_by_its_full_path():
+    inner = FeatureTree({"b": FeatureTree({"c": RuleCall("r")})})
+    tree = FeatureTree({"a": inner, "z": leaf("1")})
+    with pytest.raises(ValueError) as err:
+        list(tree.leaves())
+    assert str(err.value) == "tree holds an unevaluated placeholder at 'a b c'"
+
+
 def test_a_canonical_form_call_counts_once_however_deep_the_tree(monkeypatch):
     calls = []
     original = FeatureTree.canonical_form
