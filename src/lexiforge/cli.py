@@ -1,11 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when the work itself fails (a source with
-any error, parse errors included, a query with no answer, or a
-`generate` rule over its bound on candidate combinations), 2 when an
-input cannot be used at all (a missing, unreadable or non-UTF-8 source
-root, dictionary or rule file, a malformed dictionary or rule file, or
-a `compile` output that names a file of the source).
+any error, parse errors included, a query with no answer, a `generate`
+rule over its bound on candidate combinations, or a closed stdout that
+cuts the output short), 2 when an input cannot be used at all (a
+missing, unreadable or non-UTF-8 source root, dictionary or rule file,
+a malformed dictionary or rule file, or a `compile` output that names
+a file of the source).
 
 Machine-readable output: `--porcelain` prints one tab-separated record
 per line, with backslash, tab and newline escaped as \\\\, \\t and \\n
@@ -16,7 +17,6 @@ whose whole point is printing them.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import posixpath
 import sys
@@ -53,9 +53,17 @@ def _read_text(path: str) -> str:
 
 
 def _load_dictionary(path: str) -> ObjectDictionary:
-    text = _read_text(path)
+    """`load` reading the open file, which it reads in blocks."""
     try:
-        return load(io.StringIO(text))
+        with open(path, encoding="utf-8", newline="") as handle:
+            return load(handle)
+    except UnicodeDecodeError as err:
+        # the error's offset is within the block being decoded: read
+        # the file whole, which reports the offset in the file
+        _read_text(path)
+        raise CliError("%s: invalid UTF-8" % path) from err
+    except OSError as err:
+        raise CliError("cannot read %s: %s" % (path, err.strerror or err))
     except FormatError as err:
         raise CliError("%s: %s" % (path, err))
 
@@ -278,10 +286,18 @@ def main(argv=None) -> int:
             stream.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except CliError as err:
         print(err, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader stopped reading (`| head`): the output is cut
+        # short.  What is still buffered goes to the null device, so the
+        # interpreter's flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

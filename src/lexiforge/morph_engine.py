@@ -337,7 +337,12 @@ def _clash(a, b) -> bool:
     if b is None:
         return a is BLOCKED
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
-        return a.texts().isdisjoint(b.texts())
+        # the leaves' sorted text tuples, nearly always of one text each
+        theirs = b._texts
+        for text in a._texts:
+            if text in theirs:
+                return False
+        return True
     if not isinstance(a, FeatureTree) or not isinstance(b, FeatureTree):
         return True
     children = a.children
@@ -623,7 +628,7 @@ def generate(
                     if tree is None:
                         continue
                     lex = tree.get(lex_path)
-                    if not isinstance(lex, ValueSet) or lemma not in lex.texts():
+                    if not isinstance(lex, ValueSet) or lemma not in lex._texts:
                         continue
                     if unify(tree, constraints) is None:
                         continue

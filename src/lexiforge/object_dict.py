@@ -14,13 +14,13 @@ Saving the same dictionary twice yields identical bytes.
 from __future__ import annotations
 
 import gc
-import io
 import os
 import stat
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from itertools import chain
+from typing import IO, Callable, Iterable, Iterator
 
 from .diagnostics import WARNING, Diagnostic
 from .feature_tree import FeatureTree, PathThroughLeaf, ValueSet, is_symbol_text
@@ -29,6 +29,9 @@ from .source import SourceSyntaxError, parse_equation, term_node
 MAGIC = "LEXIFORGE-OBJDICT"
 FORMAT_VERSION = "1"
 HEADER = "%s %s" % (MAGIC, FORMAT_VERSION)
+
+# Characters `load` reads, and `save` writes, at a time.
+BLOCK_SIZE = 1 << 16
 
 
 class FormatError(Exception):
@@ -200,8 +203,12 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     Each entry's block is its surface line and its tree's kept
     canonical text, indented by one replace.  Raises ValueError, before
     anything is written, for a dictionary the format cannot carry back
-    unchanged.  The cyclic garbage collector is paused throughout, as
-    in `load`, and left as it was found.
+    unchanged.  The text is written `BLOCK_SIZE` characters or so at a
+    time and never held whole.  To a path it goes through a temporary
+    file renamed over `dest`, so a failure part way (a lone surrogate
+    raises UnicodeEncodeError) leaves `dest` as it was.  The cyclic
+    garbage collector is paused throughout, as in `load`, and left as
+    it was found.
     """
     rows = []
     for entry in dictionary.entries:
@@ -216,25 +223,32 @@ def save(dictionary: ObjectDictionary, dest: str | IO[str]) -> None:
     for row, following in zip(rows, rows[1:]):
         if row == following:  # load would collapse the two
             raise ValueError("duplicate entry %r" % row[0])
-    out = io.StringIO()
-    out.write(HEADER + "\n")
-    for surface, canon in rows:
-        out.write(surface + "\n" + indented(canon) + "\n")
-    text = out.getvalue()
+
+    def write(handle: IO[str]) -> None:
+        parts = [HEADER + "\n"]
+        size = 0
+        for surface, canon in rows:
+            part = surface + "\n" + indented(canon) + "\n"
+            parts.append(part)
+            size += len(part)
+            if size >= BLOCK_SIZE:
+                handle.write("".join(parts))
+                parts, size = [], 0
+        handle.write("".join(parts))
+
     if isinstance(dest, str):
-        # Encode first: text that is not valid UTF-8 (a lone surrogate)
-        # raises UnicodeEncodeError before any file is made.
-        _replace(dest, text.encode("utf-8"))
+        _replace(dest, write)
     else:
-        dest.write(text)
+        write(dest)
 
 
-def _replace(dest: str, data: bytes) -> None:
-    """Write `data` to a new file beside `dest` and rename it over
-    `dest`, so an interrupted write leaves the old file whole.  The
-    file gets the mode `open` would give it: the old file's, or for a
-    new file 0o666 less the umask.  A link is written through, as
-    `open` would; the temporary file is removed on any failure."""
+def _replace(dest: str, write: Callable[[IO[str]], None]) -> None:
+    """Have `write` write UTF-8 text to a new file beside `dest` and
+    rename that over `dest`, so an interrupted write leaves the old
+    file whole.  The file gets the mode `open` would give it: the old
+    file's, or for a new file 0o666 less the umask.  A link is written
+    through, as `open` would; the temporary file is removed on any
+    failure."""
     dest = os.path.realpath(dest)
     try:
         mode = stat.S_IMODE(os.stat(dest).st_mode)
@@ -244,8 +258,8 @@ def _replace(dest: str, data: bytes) -> None:
     # os.open applies the umask, as open does; mkstemp would give 0o600
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as handle:
-            handle.write(data)
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
         if mode is not None:
             os.chmod(tmp, mode)
         os.replace(tmp, dest)
@@ -257,41 +271,75 @@ def _replace(dest: str, data: bytes) -> None:
 def load(src: str | IO[str]) -> ObjectDictionary:
     """Read the on-disk form back; indexes are rebuilt from scratch.
 
-    Each distinct equation line is parsed once per call, and every
-    entry holding that line shares the one (immutable) leaf it yields.
-    Each entry's tree is built once, when its block ends, with children
-    in the order of its lines.  The cyclic garbage collector is paused
-    while the entries are built and indexed, and left as it was found
-    on return and on error.  Raises FormatError, with the line
+    The text is read `BLOCK_SIZE` characters at a time and never held
+    whole: each block's complete lines are parsed before the next block
+    is read.  Each distinct equation line is parsed once per call, and
+    every entry holding that line shares the one (immutable) leaf it
+    yields.  Each entry's tree is built once, when its block ends, with
+    children in the order of its lines.  The cyclic garbage collector is
+    paused while the entries are built and indexed, and left as it was
+    found on return and on error.  Raises FormatError, with the line
     number, for a missing or unsupported header and for anything `save`
     would not write: a carriage return, a malformed line, a placeholder
     value, a path given twice, and a path that runs through a leaf or
-    ends above features already given.
+    ends above features already given.  A carriage return anywhere is
+    the error reported, whatever else is wrong: after any other error
+    the rest of the input is read, looking for one.
     """
     if isinstance(src, str):
         # newline="": read "\r" as written, as a stream would give it
         with open(src, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
-    else:
-        text = src.read()
-    cr = text.find("\r")
-    if cr >= 0:
-        raise FormatError(
-            "carriage return (lines end with '\\n' alone)",
-            line=text.count("\n", 0, cr) + 1,
-        )
-    lines = text.split("\n")
-    if lines[0] != HEADER:
-        if lines[0].startswith(MAGIC):
-            raise FormatError("unsupported dictionary version %r" % lines[0], line=1)
-        raise FormatError("missing dictionary header", line=1)
-    with paused_gc():
-        return ObjectDictionary.build(_entries(lines))
+            return _load(handle)
+    return _load(src)
 
 
-def _entries(lines: list[str]) -> list[ObjectEntry]:
-    """The entries of a dictionary file's lines (the first line, the
-    header, is skipped)."""
+def _load(handle: IO[str]) -> ObjectDictionary:
+    blocks = _blocks(handle)
+    try:
+        _, lines = next(blocks)
+        if lines[0] != HEADER:
+            if lines[0].startswith(MAGIC):
+                raise FormatError("unsupported dictionary version %r" % lines[0], line=1)
+            raise FormatError("missing dictionary header", line=1)
+        del lines[0]
+        with paused_gc():
+            return ObjectDictionary.build(_entries(chain([(2, lines)], blocks)))
+    except FormatError:
+        for _ in blocks:  # raises the carriage return's error, if the rest holds one
+            pass
+        raise
+
+
+def _blocks(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """The input's lines, a block at a time: (number of the block's
+    first line, its lines).  Every block holds at least one line, and
+    the last one ends with an empty line, which ends the last entry.
+    Raises FormatError at the first carriage return."""
+    line_no = 1
+    rest = ""  # the line the previous block ended inside
+    while True:
+        chunk = handle.read(BLOCK_SIZE)
+        text = rest + chunk
+        cr = text.find("\r")
+        if cr >= 0:
+            raise FormatError(
+                "carriage return (lines end with '\\n' alone)",
+                line=line_no + text.count("\n", 0, cr),
+            )
+        lines = text.split("\n")
+        if not chunk:
+            lines.append("")
+            yield line_no, lines
+            return
+        rest = lines.pop()
+        if lines:
+            start, line_no = line_no, line_no + len(lines)
+            yield start, lines
+
+
+def _entries(blocks: Iterable[tuple[int, list[str]]]) -> list[ObjectEntry]:
+    """The entries of a dictionary file's blocks of lines, each with the
+    number of its first line; the header is not among them."""
     entries: list[ObjectEntry] = []
     # Local to this call: a cache that outlived it would make later
     # loads in the same process cheaper than the first.
@@ -300,27 +348,27 @@ def _entries(lines: list[str]) -> list[ObjectEntry]:
     root: dict[str, dict | ValueSet] = {}
     flat = True  # every line so far has a one-label path
 
-    lines.append("")  # ends the last entry
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line.startswith("  "):
-            if surface is None:
-                raise FormatError("indented line outside an entry", line=line_no)
-            equation = parsed.get(line)
-            if equation is None:
-                equation = parsed[line] = _parse_line(line[2:], line_no)
-            path, values = equation
-            if len(path) == 1 and path[0] not in root:
-                root[path[0]] = values
-            else:
-                flat = False
-                _insert(root, path, values, line_no)
-            continue
-        if line and line[0].isspace():
-            raise FormatError("bad indentation", line=line_no)
-        if surface is not None:
-            entries.append(ObjectEntry(surface, FeatureTree(root) if flat else _tree(root)))
-        # A blank line ends the entry; any other line starts the next.
-        surface, root, flat = line or None, {}, True
+    for start, lines in blocks:
+        for line_no, line in enumerate(lines, start=start):
+            if line.startswith("  "):
+                if surface is None:
+                    raise FormatError("indented line outside an entry", line=line_no)
+                equation = parsed.get(line)
+                if equation is None:
+                    equation = parsed[line] = _parse_line(line[2:], line_no)
+                path, values = equation
+                if len(path) == 1 and path[0] not in root:
+                    root[path[0]] = values
+                else:
+                    flat = False
+                    _insert(root, path, values, line_no)
+                continue
+            if line and line[0].isspace():
+                raise FormatError("bad indentation", line=line_no)
+            if surface is not None:
+                entries.append(ObjectEntry(surface, FeatureTree(root) if flat else _tree(root)))
+            # A blank line ends the entry; any other line starts the next.
+            surface, root, flat = line or None, {}, True
     return entries
 
 

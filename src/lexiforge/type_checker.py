@@ -98,16 +98,16 @@ def _check(tree, prefix, decls, entry, out, holes: Collection[tuple[str, ...]]):
 
 def _check_shape(
     shape: Shape, decls: Mapping[str, TypeDecl]
-) -> tuple[list[Diagnostic], list[tuple[int, tuple[str, ...], TypeDecl]]]:
+) -> tuple[list[Diagnostic], list[tuple[int, tuple[str, ...], TypeDecl, frozenset[str]]]]:
     """The shape's diagnostics, at no entry, and the holes (index, path,
-    declaration) whose values a closed declaration tests."""
+    declaration, its values) whose values a closed declaration tests."""
     out: list[Diagnostic] = []
     _check(shape.tree, (), decls, None, out, frozenset(path for path, _ in shape.places))
     closed = []
     for path, index in shape.places:
         decl = decls.get(path[-1])
         if decl is not None and decl.kind == CLOSED:
-            closed.append((index, path, decl))
+            closed.append((index, path, decl, decl.values.texts()))
     return out, closed
 
 
@@ -136,8 +136,7 @@ def check_base(
             if not shared and not closed:
                 continue
             own = [dataclasses.replace(d, entry=item.name) for d in shared]
-            for index, path, decl in closed:
-                allowed = decl.values.texts()
+            for index, path, decl, allowed in closed:
                 values = [
                     Diagnostic(ERROR, _not_in_closed_set(atom, decl), entry=item.name, path=path)
                     for atom in item.values[index]

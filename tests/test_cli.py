@@ -671,6 +671,21 @@ def test_undecodable_dictionary(tmp_path, capsys):
     assert "invalid UTF-8 at byte 20" in captured.err
 
 
+@pytest.mark.parametrize("first", ["x\n  a = 1\n\n", "x\n  a = 1\n  a = 2\n\n"], ids=["valid", "malformed"])
+def test_a_bad_byte_past_the_first_block_is_reported_at_its_offset(tmp_path, capsys, first):
+    # load reads the file in blocks of 64 KiB characters; the offset is
+    # the byte's in the whole file, and it is reported even after a
+    # malformed entry, as when the file was read whole
+    head = ("LEXIFORGE-OBJDICT 1\n" + first + "é\n  a = 1\n\n" * 20000).encode("utf-8")
+    assert len(head) > 2 * 65536
+    bad = tmp_path / "bad.dic"
+    bad.write_bytes(head + b"\xff\n  a = 1\n\n")
+    code = main(["stats", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "%s: invalid UTF-8 at byte %d\n" % (bad, len(head))
+
+
 def test_malformed_dictionary(tmp_path, capsys):
     bad = tmp_path / "bad.dic"
     bad.write_text("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  a = 2\n\n", encoding="utf-8")
@@ -754,3 +769,28 @@ def test_module_runs_as_a_subprocess(dic_path, rules_path):
     )
     assert result.returncode == 0
     assert result.stdout.decode("utf-8") == "pedíamos\n"
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly(tmp_path):
+    # `lexiforge check base.lex | head -2`: stdout's pipe closes while
+    # thousands of diagnostics are still to be printed
+    src = tmp_path / "base.lex"
+    src.write_text(
+        "#DATA-DICT\n\nlex =\n\n#WORDS\n\n"
+        + "".join("w%d\ncolour = red\n\n" % i for i in range(5000)),
+        encoding="utf-8",
+    )
+    package = os.path.dirname(os.path.dirname(lexiforge.__file__))
+    path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "lexiforge.cli", "check", str(src)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert first == b"warning w0 colour: feature 'colour' is not declared\n"
+    assert err == b""

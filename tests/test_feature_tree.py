@@ -84,6 +84,39 @@ def test_value_set_intersection_keeps_left_order():
     assert a.intersect(leaf("1", "2", "3", "4")) is a
 
 
+# Few texts, so that drawn lists share some; "a b" and "é" need quotes.
+_set_texts = st.lists(st.sampled_from(["a", "b", "c", "a b", "é"]), min_size=1, max_size=4)
+
+
+@settings(max_examples=300)
+@given(_set_texts, _set_texts, st.randoms(use_true_random=False))
+def test_value_sets_behave_as_sets_of_their_texts(xs, ys, rnd):
+    a = ValueSet([Atom(t) for t in xs])
+    b = ValueSet([Atom(t) for t in ys])
+    assert isinstance(a.texts(), frozenset)
+    assert a.texts() == set(xs)
+    assert (a == b) == (set(xs) == set(ys))
+    if a == b:
+        assert hash(a) == hash(b)
+    # order and repeats do not matter
+    shuffled = xs + xs
+    rnd.shuffle(shuffled)
+    again = ValueSet([Atom(t) for t in shuffled])
+    assert again == a and hash(again) == hash(a)
+    # nor does quoting, which only a leaf of one value may use
+    if len(set(xs)) == 1:
+        quoted = leaf(xs[0], quoted=True)
+        assert quoted == a and hash(quoted) == hash(a)
+    # intersect keeps this side's order, and is this side when it drops nothing
+    kept = [t for t in dict.fromkeys(xs) if t in set(ys)]
+    met = a.intersect(b)
+    if not kept:
+        assert met is None
+    else:
+        assert [v.text for v in met] == kept
+        assert (met is a) == (set(xs) <= set(ys))
+
+
 def test_value_set_rendering_sorts():
     assert leaf("2", "1", "11").rendered() == "1 11 2"
 

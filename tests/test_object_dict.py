@@ -3,6 +3,7 @@ import io
 import os
 import random
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -536,3 +537,107 @@ def test_load_rejects_malformed_equations_with_positions():
     with pytest.raises(FormatError) as exc:
         load(io.StringIO(text))
     assert exc.value.line == 3
+
+
+# -- reading and writing in blocks --------------------------------------------------
+
+# Inputs `load` refuses, each with the line and the message it refuses
+# them with.  A carriage return is the error whatever else is wrong,
+# even when the other fault comes first.
+_REFUSED = [
+    ("x\n  a = 1\n\n", 1, "missing dictionary header"),
+    ("LEXIFORGE-OBJDICT 2\nx\n", 1, "unsupported dictionary version 'LEXIFORGE-OBJDICT 2'"),
+    ("LEXIFORGE-OBJDICT", 1, "unsupported dictionary version 'LEXIFORGE-OBJDICT'"),
+    ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  a = 2\n\n", 4, "duplicate feature path 'a'"),
+    ("LEXIFORGE-OBJDICT 1\n\n  a = 1\n", 3, "indented line outside an entry"),
+    ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n\ny\n b = 2", 6, "bad indentation"),
+    ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n\ny\n  b", 6, "an equation needs exactly one '='"),
+    ("LEXIFORGE-OBJDICT 1\r\nx\n", 1, "carriage return"),
+    ("x\n  a = 1\n\r\n", 3, "carriage return"),
+    ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  a = 2\n\ny\n  b = 1\r\n\n", 7, "carriage return"),
+]
+
+# Block sizes that cut the header, lines and line ends everywhere.
+_BLOCK_SIZES = [1, 2, 3, 5, 8, 13, 21]
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "text, line, message", _REFUSED, ids=["%d-%s" % (line, m[:12]) for _, line, m in _REFUSED]
+)
+def test_load_in_small_blocks_refuses_at_the_same_line(monkeypatch, size, text, line, message):
+    monkeypatch.setattr(object_dict, "BLOCK_SIZE", size)
+    with pytest.raises(FormatError) as exc:
+        load(io.StringIO(text))
+    assert exc.value.line == line
+    assert str(exc.value).startswith("line %d: %s" % (line, message))
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_load_and_save_in_small_blocks_give_the_same_dictionary(
+    monkeypatch, tmp_path, fixtures_dir, size
+):
+    golden = (fixtures_dir.parent / "tests" / "golden" / "pedir_minimal.dic").read_text(
+        encoding="utf-8"
+    )
+    out = io.StringIO()
+    save(ObjectDictionary.build(SAMPLE), out)
+    monkeypatch.setattr(object_dict, "BLOCK_SIZE", size)
+    for text in (golden, out.getvalue(), MULTI):
+        # a file read in blocks, and one without its final newline
+        path = tmp_path / "in.dic"
+        path.write_text(text, encoding="utf-8")
+        for d in (load(str(path)), load(io.StringIO(text.rstrip("\n")))):
+            again = io.StringIO()
+            save(d, again)
+            assert again.getvalue() == text
+            save(d, str(path))
+            assert path.read_text(encoding="utf-8") == text
+
+
+def test_a_failing_write_to_a_stream_leaves_whole_entries(monkeypatch):
+    # the first block reaches the bad value; what was written before it stays
+    monkeypatch.setattr(object_dict, "BLOCK_SIZE", 1)
+    entries = [entry("a", "gloss = x"), entry("b", 'gloss = "\ud800"')]
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    with pytest.raises(UnicodeEncodeError):
+        save(ObjectDictionary(entries), stream)
+    stream.flush()
+    assert raw.getvalue() == b"LEXIFORGE-OBJDICT 1\na\n  gloss = x\n\n"
+
+
+def test_load_holds_little_more_than_it_keeps(tmp_path):
+    # the text is read in blocks, so at its peak load holds the entries
+    # it keeps, one block and one run's caches; a whole text and a list
+    # of its lines came to half as much again as the entries
+    rng = random.Random(3)
+    entries = [
+        ObjectEntry(
+            "s%05d" % i,
+            FeatureTree(
+                {
+                    "lex": leaf("l%d" % (i // 4)),
+                    "stt": leaf(*rng.sample(["11", "12", "13", "21", "22"], rng.randint(1, 2))),
+                    "agr": FeatureTree(
+                        {
+                            "num": leaf(rng.choice(["sing", "plu"])),
+                            "pers": leaf(str(rng.randint(1, 3))),
+                        }
+                    ),
+                }
+            ),
+        )
+        for i in range(8000)
+    ]
+    path = tmp_path / "synthetic.dic"
+    save(ObjectDictionary.build(entries), str(path))
+    del entries
+    tracemalloc.start()
+    try:
+        d = load(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(d.entries) == 8000
+    assert peak <= 1.25 * kept, (kept, peak)
