@@ -43,8 +43,15 @@ pruning never changes an answer.  A table-drawn constituent linked to
 an outer one is joined: its candidates that pass an outer row's nodes
 at the linked places are kept per dictionary, in the tables' cache, by
 those nodes, so each test is run once per candidate or join key, not
-again by the engine.  Analysis does no such pruning: its candidates
-are exact surface matches and mostly succeed.
+again by the engine.  When the filters decide every combination, an
+unconstrained call builds no result tree.  That is so under a rule
+that meets no class and reads each result feature from one label of
+one constituent, and the lemma from the lemma-drawn constituent's own
+leaf: no such read can be blocked, the lemma index put the lemma in
+that leaf, and the empty constraints unify with any tree.  A
+constrained call builds each tree and unifies it with the constraints.
+Analysis does no such pruning: its candidates are exact surface
+matches and mostly succeed.
 """
 
 from __future__ import annotations
@@ -472,7 +479,11 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     pair check that links it to an outer one (drawn by lemma, or earlier
     and not joined), as (outer position, outer path, own path).
     Positions count the outer constituents, then the joined ones
-    (`order`).  These filters decide each test of the rule's plan."""
+    (`order`).  These filters decide each test of the rule's plan.
+    Last comes whether they decide each combination (`settled`): the
+    plan meets no class, each top is a one-label read, which no leaf
+    can block, and a constituent is drawn by lemma, whose own `lex_path`
+    leaf the lemma top then reads and the lemma index gave the lemma."""
     plan = rule.generation_plans.get(lex_path)
     if plan is not None:
         return plan
@@ -502,6 +513,8 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
             else:
                 outer.append(k)
     order = tuple(map((outer + list(joins)).index, range(len(rhs))))
+    _, met, tops = rule.plan
+    settled = not met and any(by_lemma) and all(len(path) == 1 for _, _, path in tops)
     constituents = tuple(
         (by_lemma[k], (indexes.get(label), tuple(dict.fromkeys(
             [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
@@ -517,7 +530,9 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
         (k, tuple((order[j], q, p) if i == k else (order[i], p, q) for i, p, j, q in found))
         for k, found in joins.items()
     )
-    plan = rule.generation_plans[lex_path] = (unjoined, constituents, tuple(outer), links, order)
+    plan = rule.generation_plans[lex_path] = (
+        unjoined, constituents, tuple(outer), links, order, settled
+    )
     return plan
 
 
@@ -573,12 +588,17 @@ def generate(
     its links, kept in `node_tables` under (key, probe) (`_joined`);
     `product` runs over the outer constituents, then over the joined
     ones, and `_execute` meets the classes, skipping the tests these
-    filters decide.
+    filters decide.  With no constraints, a rule whose plan they settle
+    (`_generation_plan`) runs no `_execute`, lemma test or `unify`: each
+    combination that clears them gives a tree holding the lemma, and
+    the empty constraints unify with it, so its surface is kept as it
+    is.  A constrained call keeps the final `unify` of each tree.
     """
     lex_path = (lex_feature,)
     surfaces: set[str] = set()
     for rule in rules:
-        checks, constituents, outer, joins, order = _generation_plan(rule, lex_path)
+        checks, constituents, outer, joins, order, settled = _generation_plan(rule, lex_path)
+        settled = settled and not constraints.children
         keys, tables, wanted = [], [], []
         for by_lemma, key, sources in constituents:
             index, paths, tests = key
@@ -624,6 +644,9 @@ def generate(
                     ):
                         continue
                     entries = [combo[x][0] for x in order]
+                    if settled:
+                        surfaces.add("".join(entry.surface for entry in entries))
+                        continue
                     tree = _execute(rule, entries, ())
                     if tree is None:
                         continue

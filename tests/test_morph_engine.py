@@ -1028,6 +1028,92 @@ def test_a_dictionary_answers_a_drawn_sequence_of_generate_calls_like_the_oracle
         assert generate(lemma, constraints, dictionary, rules) == oracle(lemma, constraints)
 
 
+# Unconstrained generation builds no result tree for a rule whose
+# filters decide every combination: no class to meet, every top a
+# one-label read, and the lemma read from the lemma-drawn constituent.
+# Rules on both sides of that line: two inside it (the second joins a
+# category constituent before the lemma-linked one and tests a value),
+# then a nested read through a leaf `agr` of some endings, the lemma
+# taken from a stem's `id`, two sources of the lemma, and a class of
+# three places.
+_BOUNDARY_RULES = [
+    "W -> S E\n  S concat = s\n  E concat = e\n  W lex = S lex\n  S agr = E agr\n"
+    "  W end = E id\n",
+    "Y -> E S\n  E concat = e\n  S concat = s\n  Y lex = S lex\n  E agr = S agr\n"
+    "  S id = 1\n  Y end = E id\n",
+    "N -> S E\n  S concat = s\n  E concat = e\n  N lex = S lex\n  N p = E agr pers\n",
+    "U -> S E\n  S concat = s\n  E concat = e\n  U lex = S id\n  U end = E id\n",
+    "T -> S E\n  S concat = s\n  E concat = e\n  T lex = S lex\n  T lex = E lex\n",
+    "C -> A B E\n  A concat = s\n  E concat = e\n  C lex = A lex\n  A agr = B agr\n"
+    "  B agr = E agr\n",
+]
+
+
+def test_the_boundary_rules_sit_on_both_sides_of_the_settled_line():
+    rules = parse_wf_rules("#WF-RULES\n\n" + "\n".join(_BOUNDARY_RULES))
+    settled = [morph_engine._generation_plan(rule, ("lex",))[-1] for rule in rules]
+    assert settled == [True, True, False, False, False, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unconstrained_generation_equals_the_oracle_on_both_sides_of_the_settled_line(data):
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_GEN_TREE_TEXTS)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(
+        "#WF-RULES\n\n"
+        + "\n".join(data.draw(st.lists(st.sampled_from(_BOUNDARY_RULES), min_size=1, unique=True)))
+    )
+    oracle = all_pairs_generation(dictionary, rules)
+    for lemma in ("x", "y", "1"):
+        assert generate(lemma, EMPTY_TREE, dictionary, rules) == oracle(lemma, EMPTY_TREE)
+
+
+def _counting_engine(monkeypatch):
+    calls = {"_execute": 0, "unify": 0}
+    for name in calls:
+        original = getattr(morph_engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(morph_engine, name, counted)
+    return calls
+
+
+def test_an_unconstrained_paradigm_under_the_fixture_rules_builds_no_result_tree(
+    spanish_dict, wf_rules, spanish_oracle, monkeypatch
+):
+    expected = spanish_oracle("pedir", EMPTY_TREE)
+    assert "pedíamos" in expected and "pido" in expected
+    calls = _counting_engine(monkeypatch)
+    assert generate("pedir", EMPTY_TREE, spanish_dict, wf_rules) == expected
+    assert calls == {"_execute": 0, "unify": 0}
+    # a constrained call builds its trees and unifies them
+    assert generate("pedir", imperfect_cells()[1], spanish_dict, wf_rules) == ["pedíamos"]
+    assert calls["_execute"] > 0 and calls["unify"] > 0
+
+
+def test_an_unconstrained_paradigm_under_a_nested_read_builds_its_trees(
+    spanish_dict, fixtures_dir, monkeypatch
+):
+    # `Word pers = Ending agr pers` reads below the ending's `agr`,
+    # which an ending could hold as a leaf
+    text = (fixtures_dir / "wf.rules").read_text(encoding="utf-8")
+    rules = parse_wf_rules(text + "  Word pers = Ending agr pers\n")
+    expected = all_pairs_generation(spanish_dict, rules)("pedir", EMPTY_TREE)
+    calls = _counting_engine(monkeypatch)
+    assert generate("pedir", EMPTY_TREE, spanish_dict, rules) == expected
+    assert calls["_execute"] > 0 and calls["unify"] > 0
+
+
 def _counting_lookups(monkeypatch):
     calls = []
     lookup = ObjectDictionary.lookup
