@@ -11,12 +11,13 @@ from .alo_rules import CompiledAloRule, compile_alo_rule
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
 from .dict_compiler import CompileResult, apply_dict_rule, compile_base
 from .feature_tree import (
-    Atom,
     EMPTY_TREE,
     FeatureTree,
     PathThroughLeaf,
+    Quoted,
     ValueSet,
     leaf,
+    render_value,
     unify,
 )
 from .inheritance import ResolveError, ResolvedEntry, linearize, resolve, resolve_all
@@ -36,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Analysis",
-    "Atom",
     "CompileResult",
     "CompiledAloRule",
     "Diagnostic",
@@ -50,6 +50,7 @@ __all__ = [
     "ObjectEntry",
     "ParseResult",
     "PathThroughLeaf",
+    "Quoted",
     "ResolveError",
     "ResolvedEntry",
     "SourceBase",
@@ -71,6 +72,7 @@ __all__ = [
     "parse_source",
     "parse_source_text",
     "parse_wf_rules",
+    "render_value",
     "resolve",
     "resolve_all",
     "save",

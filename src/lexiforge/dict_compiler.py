@@ -14,7 +14,7 @@ only when something gave `$$` a value.
 `compile_base` runs each rule once per entry shape (see `inheritance`),
 with the `NAME` marker as the entry's name.  Whether a rule emits or
 fails depends on the shape alone, since each of an entry's values is a
-one-atom leaf whatever it holds, and what it emits is a shape too.
+one-value leaf whatever it holds, and what it emits is a shape too.
 What depends on the values is left for each entry: its surface, read
 from the value its marker indexes, must not be empty and must be
 storable, and `Shape.fill` sets its values in place of the markers.
@@ -37,11 +37,7 @@ class DictRuleError(Exception):
 
 
 def apply_dict_rule(
-    rule: DictRule,
-    source_name: str,
-    source_tree: FeatureTree,
-    section: str = "",
-    rule_index: int = -1,
+    rule: DictRule, source_name: str, source_tree: FeatureTree
 ) -> ObjectEntry | None:
     """Run one rule against one resolved entry.
 
@@ -78,8 +74,8 @@ def apply_dict_rule(
         return None
     if isinstance(name_node, FeatureTree) or len(name_node) != 1:
         raise DictRuleError("'$$' must come out as a single atomic value")
-    surface = _checked_surface(name_node.values[0].text)
-    return ObjectEntry(surface, target, section, source_name, rule_index)
+    surface = _checked_surface(name_node.values[0])
+    return ObjectEntry(surface, target, source_name)
 
 
 def _checked_surface(surface: str) -> str:
@@ -117,21 +113,19 @@ class _Emission:
         empty or cannot be stored."""
         surface = self.entry.surface
         if self.surface_from is not None:
-            surface = _checked_surface(item.values[self.surface_from].values[0].text)
+            surface = _checked_surface(item.values[self.surface_from].values[0])
         tree = self.shape.fill(item.values)
-        return ObjectEntry(surface, tree, self.entry.section, item.name, self.entry.rule_index)
+        return ObjectEntry(surface, tree, item.name)
 
 
-def _run_rules(
-    rules: tuple[DictRule, ...], shape: Shape, section: str
-) -> list[_Emission | str | None]:
+def _run_rules(rules: tuple[DictRule, ...], shape: Shape) -> list[_Emission | str | None]:
     """Each rule run once over the shape, with a marker for the entry's
     name: what it emits, the message of its error, or None when it
     names no entry."""
     out: list[_Emission | str | None] = []
-    for index, rule in enumerate(rules):
+    for rule in rules:
         try:
-            entry = apply_dict_rule(rule, Marker(NAME), shape.tree, section, index)
+            entry = apply_dict_rule(rule, Marker(NAME), shape.tree)
         except (DictRuleError, PathThroughLeaf) as exc:
             out.append(str(exc))
             continue
@@ -174,7 +168,7 @@ def compile_base(
         for item in items:
             shape_outcomes = outcomes.get(item.shape)
             if shape_outcomes is None:
-                shape_outcomes = outcomes[item.shape] = _run_rules(rules, item.shape, section)
+                shape_outcomes = outcomes[item.shape] = _run_rules(rules, item.shape)
             emitted = failed = False
             for index, (rule, outcome) in enumerate(zip(rules, shape_outcomes)):
                 if isinstance(outcome, _Emission):

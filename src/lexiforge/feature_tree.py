@@ -2,7 +2,8 @@
 
 This is the vocabulary every other module speaks: immutable trees whose
 interior nodes map labels to children and whose leaves hold non-empty
-sets of atomic values.  A leaf with several values is a disjunction.
+sets of values.  A value is a `str`, and a `Quoted` one was written as
+a quoted string.  A leaf with several values is a disjunction.
 
 `meet` is the one place that decides what equating two nodes leaves:
 two leaves intersect their value sets, two trees meet label by label,
@@ -55,66 +56,52 @@ class PathThroughLeaf(Exception):
         )
 
 
-class Atom:
-    """A single atomic value.
+class Quoted(str):
+    """A value that was written as a quoted string.
 
-    `quoted` records whether the value was written as a quoted string.
-    It drives parsing and printing only: two atoms with equal text are
-    the same value no matter how they were spelled.
+    The spelling drives parsing and printing only: a `Quoted` value
+    equals, and hashes as, the plain `str` with the same text.
     """
 
-    __slots__ = ("text", "quoted")
+    __slots__ = ()
 
-    def __init__(self, text: str, quoted: bool = False):
-        if "\n" in text or "\r" in text:
-            raise ValueError("atomic values may not contain newlines")
-        self.text = text
-        self.quoted = quoted
 
-    def __eq__(self, other: object):
-        if isinstance(other, Atom):
-            return self.text == other.text
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.text)
-
-    def __repr__(self):
-        return "Atom(%r)" % self.text
-
-    def rendered(self) -> str:
-        """Source text for this value: bare when possible, else quoted."""
-        if is_symbol_text(self.text) and not self.quoted:
-            return self.text
-        return '"%s"' % self.text.replace("\\", "\\\\").replace('"', '\\"')
+def render_value(text: str) -> str:
+    """Source text for a value: bare when possible, else quoted."""
+    if is_symbol_text(text) and not isinstance(text, Quoted):
+        return text
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 class ValueSet:
-    """Non-empty set of atoms held by a leaf.
+    """Non-empty set of values held by a leaf.
 
+    A value is a `str`; a `Quoted` one was written as a quoted string.
     Source order is kept for display, but equality and every semantic
     operation treat the values as a set.  A quoted-string member must be
-    the only member.  The set itself is `_texts`, the sorted tuple of
-    the distinct texts: nearly every leaf holds one value, and a tuple
-    of one is a quarter the size of a frozenset.  Hot paths (`intersect`,
-    the word-formation engine) read it directly.
+    the only member, and no value may hold a newline.  The set itself
+    is `_texts`, the sorted tuple of the distinct values: nearly every
+    leaf holds one value, and then `_texts` is `values` itself.  Hot
+    paths (`intersect`, the word-formation engine) read it directly.
     """
 
     __slots__ = ("values", "_texts", "_rendered")
 
-    def __init__(self, values: Iterable[Atom]):
-        vals: list[Atom] = []
-        texts: set[str] = set()
+    def __init__(self, values: Iterable[str]):
+        vals: list[str] = []
+        seen: set[str] = set()
         for v in values:
-            if v.text not in texts:
-                texts.add(v.text)
+            if "\n" in v or "\r" in v:
+                raise ValueError("values may not contain newlines")
+            if v not in seen:
+                seen.add(v)
                 vals.append(v)
         if not vals:
             raise ValueError("a leaf needs at least one value")
-        if len(vals) > 1 and any(v.quoted for v in vals):
+        if len(vals) > 1 and any(isinstance(v, Quoted) for v in vals):
             raise ValueError("a string value must be the only value of its leaf")
         self.values = tuple(vals)
-        self._texts = tuple(sorted(texts))
+        self._texts = self.values if len(vals) == 1 else tuple(sorted(vals))
         self._rendered: str | None = None
 
     def texts(self) -> frozenset[str]:
@@ -131,7 +118,7 @@ class ValueSet:
             return self
         kept = []
         for v in self.values:
-            if v.text in theirs:
+            if v in theirs:
                 kept.append(v)
         if not kept:
             return None
@@ -139,7 +126,7 @@ class ValueSet:
             return self
         return ValueSet(kept)
 
-    def __iter__(self) -> Iterator[Atom]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.values)
 
     def __len__(self):
@@ -154,7 +141,7 @@ class ValueSet:
         return hash(self._texts)
 
     def __repr__(self):
-        return "ValueSet(%s)" % " ".join(v.rendered() for v in self.values)
+        return "ValueSet(%s)" % " ".join(map(render_value, self.values))
 
     def rendered(self) -> str:
         """Values in canonical (sorted) order, space separated.
@@ -168,14 +155,12 @@ class ValueSet:
         """
         text = self._rendered
         if text is None:
-            text = self._rendered = " ".join(
-                v.rendered() for v in sorted(self.values, key=lambda a: a.text)
-            )
+            text = self._rendered = " ".join(map(render_value, self._texts))
         return text
 
 
 def leaf(*texts: str, quoted: bool = False) -> ValueSet:
-    return ValueSet([Atom(t, quoted) for t in texts])
+    return ValueSet(map(Quoted, texts) if quoted else texts)
 
 
 class FeatureTree:
@@ -331,7 +316,7 @@ class FeatureTree:
         """Canonical text built from the children's, kept on first use.
 
         A leaf gives `label = values`; a subtree gives its own kept text
-        with `label ` put before each line (atoms and labels never hold
+        with `label ` put before each line (values and labels never hold
         a newline).  A tree and a subtree shared by many entries are
         each rendered once.  `path` places this tree for the error a
         placeholder raises.

@@ -18,7 +18,7 @@ marker leaf at each placeholder that gave one, and each entry keeps
 only its values.  An entry with equations of its own is a shape by
 itself.
 
-This module owns the marker convention.  A marker leaf's one atom is a
+This module owns the marker convention.  A marker leaf's one value is a
 `Marker`, the index of the value the leaf stands for in the entry's
 values: value `NAME` (0) is its name leaf (`name_leaf`), which every
 `$$` reads, and the values of its rule calls that match count from 1.
@@ -37,11 +37,9 @@ from .alo_rules import CompiledAloRule, compile_alo_rule
 from .diagnostics import ERROR, Diagnostic
 from .feature_tree import (
     EMPTY_TREE,
-    Atom,
     FeatureTree,
     PathThroughLeaf,
     ValueSet,
-    is_symbol_text,
 )
 from .source import Entry, RuleCall, SelfRef, SourceBase
 
@@ -52,8 +50,8 @@ class ResolveError(Exception):
 
 class Marker(str):
     """The text of a marker leaf, a number that says whose value the
-    leaf stands for.  Every value is a plain `str`, so no value can
-    pass for a marker."""
+    leaf stands for.  Every value is a plain `str` or a `Quoted`, so no
+    value can pass for a marker."""
 
 
 NAME = 0  # the marker index of the entry's name; rule values count from 1
@@ -65,9 +63,8 @@ def marker_index(text: str) -> int | None:
 
 
 def name_leaf(name: str) -> ValueSet:
-    """The leaf `$$` reads: the entry's name, quoted when it is no
-    symbol."""
-    return ValueSet([Atom(name, quoted=not is_symbol_text(name))])
+    """The leaf `$$` reads: the entry's name."""
+    return ValueSet([name])
 
 
 class Shape:
@@ -100,7 +97,7 @@ def _marker_places(
         if isinstance(node, FeatureTree):
             yield from _marker_places(node, prefix + (label,))
         else:
-            index = marker_index(node.values[0].text)
+            index = marker_index(node.values[0])
             if index is not None:
                 yield prefix + (label,), index
 
@@ -220,7 +217,7 @@ def _shape(tree: FeatureTree, indexes: tuple[int | None, ...]) -> Shape:
     """`tree` with a marker for each placeholder's index (see `_values`)."""
     if not indexes:
         return Shape(tree, ())
-    markers = (None if i is None else ValueSet([Atom(Marker(i))]) for i in indexes)
+    markers = (None if i is None else ValueSet([Marker(i)]) for i in indexes)
     return Shape.of(_evaluate(tree, markers))
 
 

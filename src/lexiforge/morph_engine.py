@@ -62,7 +62,7 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterable
 
-from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, ValueSet, meet, unify
+from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, Quoted, ValueSet, meet, unify
 from .object_dict import ObjectDictionary, ObjectEntry
 from .source import (
     SourceSyntaxError,
@@ -146,9 +146,9 @@ def _parse_wf_equation(text: str, roots: set[str], file, line):
     node = term_node(eq.values)
     if not isinstance(node, ValueSet):
         raise SourceSyntaxError("rule calls are not allowed here", file, line)
-    if first.text in roots and not first.quoted:
-        right_root = first.text
-        right_path = tuple(a.text for a in eq.values[1:])
+    if first in roots and not isinstance(first, Quoted):
+        right_root = first
+        right_path = eq.values[1:]
         if not right_path:
             raise SourceSyntaxError(
                 "expected a path after '%s'" % right_root, file, line
@@ -436,7 +436,7 @@ def analyze(
                         continue
                     seen.add(key)
                 lex = tree.get((lex_feature,))
-                lemma = lex.values[0].text if isinstance(lex, ValueSet) and len(lex) == 1 else None
+                lemma = lex.values[0] if isinstance(lex, ValueSet) and len(lex) == 1 else None
                 out.append(Analysis(surface, lemma, category, tree, tuple(zip(parts, combo))))
     return out
 
@@ -491,7 +491,7 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     indexes: dict[str, tuple[str, str]] = {}
     for eq in rule.equations:
         if isinstance(eq, ValueEquation) and len(eq.path) == 1 and len(eq.values) == 1:
-            indexes.setdefault(eq.root, (eq.path[0], eq.values.values[0].text))
+            indexes.setdefault(eq.root, (eq.path[0], eq.values.values[0]))
     sources, tests = [[] for _ in rhs], [[] for _ in rhs]  # per constituent
     checks = []
     by_lemma = [False] * len(rhs)

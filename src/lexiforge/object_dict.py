@@ -44,9 +44,7 @@ class FormatError(Exception):
 class ObjectEntry:
     surface: str
     tree: FeatureTree
-    section: str = field(default="", compare=False)
     source_name: str = field(default="", compare=False)
-    rule_index: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,8 @@ class ObjectDictionary:
                 if node is None:
                     lacking.append(entry)
                 elif isinstance(node, ValueSet):
-                    for atom in node:
-                        holders.setdefault(atom.text, []).append(entry)
+                    for value in node:
+                        holders.setdefault(value, []).append(entry)
             index = self.value_indexes[feature] = (holders, lacking)
         return index
 
@@ -182,7 +180,7 @@ def _check_quoting(entry: ObjectEntry) -> None:
     quoted among others: a quoted string must be the only value of its
     leaf, so `load` could not read the line back."""
     for path, values in entry.tree.leaves():
-        if len(values) > 1 and not all(is_symbol_text(v.text) for v in values):
+        if len(values) > 1 and not all(map(is_symbol_text, values)):
             raise ValueError(
                 "leaf '%s' of %r holds a value that needs quotes among others"
                 % (" ".join(path), entry.surface)

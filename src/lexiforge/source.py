@@ -43,8 +43,8 @@ from .alo_rules import check_pattern
 from .diagnostics import ERROR, Diagnostic, has_errors
 from .feature_tree import (
     EMPTY_TREE,
-    Atom,
     FeatureTree,
+    Quoted,
     RESERVED_CHARS,
     SYMBOL_CHAR,
     ValueSet,
@@ -90,7 +90,8 @@ class SelfRef:
 
 
 def term_node(values: tuple) -> object:
-    """Leaf node for an equation's values: a marker or a ValueSet."""
+    """Leaf node for an equation's values: a placeholder, or a ValueSet
+    of the values, each a `str` (a `Quoted` one when written in quotes)."""
     first = values[0]
     if isinstance(first, (RuleCall, SelfRef)):
         return first
@@ -318,7 +319,7 @@ def parse_equation(text: str, file: str | None = None, line: int | None = None) 
     if eq and "=" not in rhs and _NOT_PLAIN.search(text) is None:
         path, symbols = tuple(lhs.split()), rhs.split()
         if path and symbols:
-            return Equation(path, tuple(map(Atom, symbols)), file, line)
+            return Equation(path, tuple(symbols), file, line)
     tokens = tokenize(text, file, line)
     split = [i for i, t in enumerate(tokens) if t.kind == "="]
     if len(split) != 1:
@@ -334,25 +335,30 @@ def parse_equation(text: str, file: str | None = None, line: int | None = None) 
     values: list = []
     for t in rhs:
         if t.kind == "sym":
-            values.append(Atom(t.text))
+            values.append(t.text)
         elif t.kind == "str":
-            values.append(Atom(t.text, quoted=True))
+            values.append(Quoted(t.text))
         elif t.kind == "call":
             values.append(RuleCall(t.text))
         elif t.kind == "self":
             values.append(SelfRef())
         else:
             raise SourceSyntaxError("unexpected %r in value list" % t.text, file, line)
+    _check_alone(values, file, line)
+    return Equation(tuple(t.text for t in lhs), tuple(values), file, line)
+
+
+def _check_alone(values: list, file: str | None, line: int | None) -> None:
+    """Refuse a rule call, `$$` or quoted string among other values."""
     if len(values) > 1:
         if any(isinstance(v, (RuleCall, SelfRef)) for v in values):
             raise SourceSyntaxError(
                 "a rule call or '$$' must be the only value", file, line
             )
-        if any(v.quoted for v in values):
+        if any(isinstance(v, Quoted) for v in values):
             raise SourceSyntaxError(
                 "a string value must be the only value", file, line
             )
-    return Equation(tuple(t.text for t in lhs), tuple(values), file, line)
 
 
 # -- entry heads ---------------------------------------------------------
@@ -512,15 +518,16 @@ def _parse_decl(text: str, file: str | None, line: int | None) -> TypeDecl:
             alternatives.append(tuple(labels))
             i += 1
         return TypeDecl(label, STRUCTURED, alternatives=tuple(alternatives), file=file, line=line)
-    atoms: list[Atom] = []
+    values: list[str] = []
     for t in rest:
         if t.kind == "sym":
-            atoms.append(Atom(t.text))
+            values.append(t.text)
         elif t.kind == "str":
-            atoms.append(Atom(t.text, quoted=True))
+            values.append(Quoted(t.text))
         else:
             raise SourceSyntaxError("declared values must be atoms", file, line)
-    return TypeDecl(label, CLOSED, values=ValueSet(atoms), file=file, line=line)
+    _check_alone(values, file, line)
+    return TypeDecl(label, CLOSED, values=ValueSet(values), file=file, line=line)
 
 
 # -- dictionary generation rules -----------------------------------------

@@ -20,13 +20,13 @@ import dataclasses
 from typing import Collection, Mapping
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .feature_tree import Atom, FeatureTree, PathThroughLeaf, ValueSet
+from .feature_tree import FeatureTree, PathThroughLeaf, ValueSet, render_value
 from .inheritance import ResolvedEntry, Shape
 from .source import CLOSED, OPEN, RuleCall, SelfRef, SourceBase, TypeDecl
 
 
 def _closed_set_text(decl: TypeDecl) -> str:
-    return "{%s}" % ",".join(a.rendered() for a in decl.values)
+    return "{%s}" % ",".join(map(render_value, decl.values))
 
 
 def check_tree(
@@ -44,8 +44,8 @@ def check_tree(
     return out
 
 
-def _not_in_closed_set(atom: Atom, decl: TypeDecl) -> str:
-    return "value %s not in closed set %s" % (atom.rendered(), _closed_set_text(decl))
+def _not_in_closed_set(value: str, decl: TypeDecl) -> str:
+    return "value %s not in closed set %s" % (render_value(value), _closed_set_text(decl))
 
 
 def _check(tree, prefix, decls, entry, out, holes: Collection[tuple[str, ...]]):
@@ -70,9 +70,9 @@ def _check(tree, prefix, decls, entry, out, holes: Collection[tuple[str, ...]]):
                 report(ERROR, path, "closed feature '%s' has a structured value" % label)
             elif path not in holes:
                 allowed = decl.values.texts()
-                for atom in node:
-                    if atom.text not in allowed:
-                        report(ERROR, path, _not_in_closed_set(atom, decl))
+                for value in node:
+                    if value not in allowed:
+                        report(ERROR, path, _not_in_closed_set(value, decl))
         else:  # structured
             if not isinstance(node, FeatureTree):
                 report(
@@ -138,9 +138,9 @@ def check_base(
             own = [dataclasses.replace(d, entry=item.name) for d in shared]
             for index, path, decl, allowed in closed:
                 values = [
-                    Diagnostic(ERROR, _not_in_closed_set(atom, decl), entry=item.name, path=path)
-                    for atom in item.values[index]
-                    if atom.text not in allowed
+                    Diagnostic(ERROR, _not_in_closed_set(value, decl), entry=item.name, path=path)
+                    for value in item.values[index]
+                    if value not in allowed
                 ]
                 if values:
                     own = sorted(own + values, key=lambda d: d.path)

@@ -15,7 +15,7 @@ import copy
 import re
 from itertools import accumulate, product
 
-from lexiforge.feature_tree import Atom, FeatureTree
+from lexiforge.feature_tree import FeatureTree, render_value
 from lexiforge.source import AloRule, Entry, Equation
 
 
@@ -344,7 +344,7 @@ def _random_body(rng) -> tuple[Equation, ...]:
     for path in _PATH_POOL:
         if rng.random() < 0.5:
             count = rng.randrange(1, 3)
-            values = tuple(Atom(a) for a in rng.sample(_ATOM_POOL, count))
+            values = tuple(rng.sample(_ATOM_POOL, count))
             equations.append(Equation(path, values))
     return tuple(equations)
 
@@ -373,7 +373,7 @@ def random_hierarchy(rng, max_classes=10, max_parents=4, max_depth=3):
 # -- word formation ---------------------------------------------------------------
 #
 # Equation semantics of its own, over plain nested values: an interior
-# node is a dict from label to node, a leaf a tuple of atoms.  Every
+# node is a dict from label to node, a leaf a tuple of values.  Every
 # node stored is a fresh copy, each equation walks its paths again,
 # and the equations run pass after pass until none changes a place;
 # nothing of the engine's (classes of places, shared nodes, candidate
@@ -407,7 +407,7 @@ def _store(tree, path, node):
 
 
 def _meet(x, y):
-    """Unification of two plain nodes, keeping x's atoms; None on failure."""
+    """Unification of two plain nodes, keeping x's values; None on failure."""
     if isinstance(x, dict) and isinstance(y, dict):
         out = copy.deepcopy(x)
         for label, ynode in y.items():
@@ -427,7 +427,7 @@ def _frozen(node):
     """A plain node as nested frozensets, for telling whether it changed."""
     if isinstance(node, dict):
         return frozenset((label, _frozen(child)) for label, child in node.items())
-    return frozenset(a.text for a in node)
+    return frozenset(node)
 
 
 def run_equations(rule, trees):
@@ -496,8 +496,8 @@ def _canonical(tree) -> str:
     visit(tree, ())
     return "".join(
         "%s = %s\n"
-        % (" ".join(path), " ".join(a.rendered() for a in sorted(atoms, key=lambda a: a.text)))
-        for path, atoms in sorted(leaves, key=lambda item: item[0])
+        % (" ".join(path), " ".join(map(render_value, sorted(values))))
+        for path, values in sorted(leaves, key=lambda item: item[0])
     )
 
 
@@ -588,7 +588,7 @@ def all_pairs_generation(dictionary, rules, lex_feature="lex"):
             lemmas = _walk(tree, lex)
             if (
                 isinstance(lemmas, tuple)
-                and lemma in {a.text for a in lemmas}
+                and lemma in lemmas
                 and _meet(tree, wanted) is not None
             ):
                 found.add(surface)
@@ -652,7 +652,7 @@ def run_dict_rule(rule, name, tree):
     surface = None
     for eq in rule.equations:
         if eq.source is None:
-            node = (Atom(name),)
+            node = (name,)
         else:
             node = _walk(tree, eq.source)
             if node is None or node is _THROUGH_LEAF:
@@ -677,7 +677,7 @@ def run_dict_rule(rule, name, tree):
         return None
     if isinstance(surface, dict) or len(surface) != 1:
         raise RuleFailure("DictRuleError", "'$$' must come out as a single atomic value")
-    text = surface[0].text
+    text = surface[0]
     if not text:
         raise RuleFailure("DictRuleError", "the entry name came out empty")
     if text[0].isspace() or "\n" in text or "\r" in text:

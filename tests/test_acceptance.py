@@ -18,7 +18,6 @@ import pytest
 from lexiforge.dict_compiler import compile_base
 from lexiforge.feature_tree import (
     EMPTY_TREE,
-    Atom,
     FeatureTree,
     ValueSet,
     leaf,
@@ -136,7 +135,7 @@ def random_tree(rng, depth):
     for label in rng.sample(_LAW_LABELS, rng.randrange(0, 4)):
         if depth <= 1 or rng.random() < 0.6:
             texts = rng.sample(_LAW_ATOMS, rng.randrange(1, 3))
-            children[label] = ValueSet([Atom(t) for t in texts])
+            children[label] = ValueSet(texts)
         else:
             children[label] = random_tree(rng, depth - 1)
     return FeatureTree(children)
@@ -219,7 +218,8 @@ def test_analysis_matches_all_pairs_filter(capsys):
     with criterion(capsys, 5, "analyzer equals all-pairs filter") as note:
         dictionary, rules = spanish()
         lemmas = sorted_lemmas(dictionary)
-        lemmas = [l for l in lemmas if dictionary.lookup_by_lemma(l)[0].section == "lexemes"]
+        lexemes = parse_source(str(FIXTURES / "spanish.lex")).base.lexemes
+        lemmas = [l for l in lemmas if dictionary.lookup_by_lemma(l)[0].source_name in lexemes]
         conjugations = set()
         for lemma in lemmas:
             for entry in dictionary.lookup_by_lemma(lemma):
@@ -396,7 +396,7 @@ def test_scale_smoke(capsys):
         elapsed = time.perf_counter() - started
         dictionary = compiled.dictionary
         lemma_entries = sum(
-            1 for e in dictionary.entries if e.section == "lexemes"
+            1 for e in dictionary.entries if e.source_name in parsed.base.lexemes
         )
         note("compiled %d lemmas in %.1fs (bound 30s)" % (lemma_entries, elapsed))
         assert elapsed < 30.0

@@ -291,6 +291,19 @@ def test_check_reports_a_bad_pattern_at_its_declaration(tmp_path, capsys):
     ]
 
 
+def test_check_reports_a_string_among_declared_values_at_its_line(tmp_path, capsys):
+    src = tmp_path / "bad.lex"
+    src.write_text('#DATA-DICT\n\npers = 1 "two"\n', encoding="utf-8")
+    code = main(["check", str(src)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "%s:3: error: a string value must be the only value" % src,
+        "1 errors, 0 warnings",
+    ]
+
+
 def test_compile_to_a_missing_directory_is_unusable_output(fixtures_dir, tmp_path, capsys):
     out = tmp_path / "missing_dir" / "x.dic"
     code = main(["compile", str(fixtures_dir / "pedir_minimal.lex"), "-o", str(out)])

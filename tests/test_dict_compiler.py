@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lexiforge import dict_compiler, inheritance
 from lexiforge.dict_compiler import DictRuleError, apply_dict_rule, compile_base
 from lexiforge.diagnostics import ERROR, WARNING, Diagnostic, has_errors
-from lexiforge.feature_tree import Atom, FeatureTree, PathThroughLeaf, ValueSet, leaf
+from lexiforge.feature_tree import FeatureTree, PathThroughLeaf, ValueSet, leaf
 from lexiforge.inheritance import ResolveError, resolve
 from lexiforge.object_dict import ObjectDictionary, load, save
 from lexiforge.source import (
@@ -71,7 +71,7 @@ def lexeme_rules():
 
 def test_allomorph_slot_expands_to_an_object_entry():
     rule = lexeme_rules()[0]
-    entry = apply_dict_rule(rule, "pedir", parse_tree(PEDIR_RESOLVED), "lexemes", 0)
+    entry = apply_dict_rule(rule, "pedir", parse_tree(PEDIR_RESOLVED))
     assert entry is not None
     assert entry.surface == "ped"
     assert entry.tree.canonical_form() == (
@@ -81,7 +81,7 @@ def test_allomorph_slot_expands_to_an_object_entry():
         "stt = 0 14 15\n"
         "sut = reg\n"
     )
-    assert (entry.section, entry.source_name, entry.rule_index) == ("lexemes", "pedir", 0)
+    assert entry.source_name == "pedir"
 
 
 def test_second_slot_rule_picks_the_other_allomorph():
@@ -407,11 +407,12 @@ def test_a_name_outside_a_closed_set_is_still_reported():
 
 def test_missing_section_rules_warn_once():
     text = BASE.replace("MORPHEMES\n\n@ = @\n$$ = $$\n", "")
-    result = compile_base(parse_source_text(text).base)
+    base = parse_source_text(text).base
+    result = compile_base(base)
     assert result.ok
     messages = [d.message for d in result.diagnostics]
     assert messages == ["no dictionary rules for #MORPHEMES; 1 entries not emitted"]
-    assert all(e.section != "morphemes" for e in result.dictionary.entries)
+    assert all(e.source_name not in base.morphemes for e in result.dictionary.entries)
 
 
 def test_entries_without_a_dict_rules_section_are_warned_about():
@@ -608,7 +609,7 @@ def compile_each(base):
             emitted = failed = False
             for index, rule in enumerate(rules):
                 try:
-                    entry = apply_dict_rule(rule, name, tree, section, index)
+                    entry = apply_dict_rule(rule, name, tree)
                 except (DictRuleError, PathThroughLeaf) as exc:
                     failed = True
                     diagnostics.append(
@@ -674,8 +675,8 @@ HOLES = [
 ]
 CLASS_FAULTS = [
     Equation(("e", "w"), (RuleCall("nope"),)),
-    Equation(("a", "z"), (Atom("1"),)),  # a path through the leaf at `a`
-    Equation(("b",), (Atom("p"),)),  # a leaf above the holes at `b x`, `b y`
+    Equation(("a", "z"), ("1",)),  # a path through the leaf at `a`
+    Equation(("b",), ("p",)),  # a leaf above the holes at `b x`, `b y`
 ]
 NAMES = ("amar", "pedir", "temer", "hablar")
 FAULTY_NAMES = NAMES + ("ar", "lex", "C0", "C1")  # `lex` is no closed `lex` value

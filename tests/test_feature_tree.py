@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from lexiforge.feature_tree import (
     EMPTY_TREE,
     RESERVED_CHARS,
-    Atom,
     FeatureTree,
     PathThroughLeaf,
+    Quoted,
     ValueSet,
     is_symbol_text,
     leaf,
+    render_value,
     unify,
 )
 from lexiforge.source import RuleCall
@@ -18,25 +19,25 @@ from oracles import _canonical, _meet, _plain
 from sources import parse_tree
 
 
-# -- atoms and value sets ---------------------------------------------------
+# -- values and value sets --------------------------------------------------
 
 def test_atom_equality_ignores_quoting():
-    assert Atom("ped") == Atom("ped", quoted=True)
-    assert hash(Atom("ped")) == hash(Atom("ped", quoted=True))
-    assert Atom("ped") != Atom("pid")
+    assert "ped" == Quoted("ped")
+    assert hash("ped") == hash(Quoted("ped"))
+    assert "ped" != Quoted("pid")
 
 
 def test_atom_rejects_newlines():
     with pytest.raises(ValueError):
-        Atom("a\nb")
+        ValueSet(["a\nb"])
 
 
 def test_atom_rendering_quotes_only_when_needed():
-    assert Atom("ped").rendered() == "ped"
-    assert Atom("ped", quoted=True).rendered() == '"ped"'
-    assert Atom("a b").rendered() == '"a b"'
-    assert Atom('say "hi"').rendered() == '"say \\"hi\\""'
-    assert Atom("back\\slash").rendered() == '"back\\\\slash"'
+    assert render_value("ped") == "ped"
+    assert render_value(Quoted("ped")) == '"ped"'
+    assert render_value("a b") == '"a b"'
+    assert render_value('say "hi"') == '"say \\"hi\\""'
+    assert render_value("back\\slash") == '"back\\\\slash"'
 
 
 def test_symbol_charset():
@@ -54,8 +55,8 @@ def test_symbol_charset_agrees_with_its_definition_on_every_code_point():
 
 
 def test_value_set_deduplicates_and_keeps_order():
-    vs = ValueSet([Atom("2"), Atom("1"), Atom("2")])
-    assert [a.text for a in vs] == ["2", "1"]
+    vs = ValueSet(["2", "1", "2"])
+    assert list(vs) == ["2", "1"]
     assert len(vs) == 2
 
 
@@ -67,7 +68,7 @@ def test_value_set_requires_values():
 def test_value_set_string_must_stand_alone():
     leaf("a b", quoted=True)  # sole value: fine
     with pytest.raises(ValueError):
-        ValueSet([Atom("a b", quoted=True), Atom("c")])
+        ValueSet([Quoted("a b"), "c"])
 
 
 def test_value_set_equality_is_set_equality():
@@ -77,9 +78,9 @@ def test_value_set_equality_is_set_equality():
 
 
 def test_value_set_intersection_keeps_left_order():
-    a = ValueSet([Atom("3"), Atom("1"), Atom("2")])
+    a = ValueSet(["3", "1", "2"])
     b = leaf("2", "3")
-    assert [x.text for x in a.intersect(b)] == ["3", "2"]
+    assert list(a.intersect(b)) == ["3", "2"]
     assert a.intersect(leaf("9")) is None
     assert a.intersect(leaf("1", "2", "3", "4")) is a
 
@@ -91,8 +92,8 @@ _set_texts = st.lists(st.sampled_from(["a", "b", "c", "a b", "é"]), min_size=1,
 @settings(max_examples=300)
 @given(_set_texts, _set_texts, st.randoms(use_true_random=False))
 def test_value_sets_behave_as_sets_of_their_texts(xs, ys, rnd):
-    a = ValueSet([Atom(t) for t in xs])
-    b = ValueSet([Atom(t) for t in ys])
+    a = ValueSet(xs)
+    b = ValueSet(ys)
     assert isinstance(a.texts(), frozenset)
     assert a.texts() == set(xs)
     assert (a == b) == (set(xs) == set(ys))
@@ -101,7 +102,7 @@ def test_value_sets_behave_as_sets_of_their_texts(xs, ys, rnd):
     # order and repeats do not matter
     shuffled = xs + xs
     rnd.shuffle(shuffled)
-    again = ValueSet([Atom(t) for t in shuffled])
+    again = ValueSet(shuffled)
     assert again == a and hash(again) == hash(a)
     # nor does quoting, which only a leaf of one value may use
     if len(set(xs)) == 1:
@@ -113,7 +114,7 @@ def test_value_sets_behave_as_sets_of_their_texts(xs, ys, rnd):
     if not kept:
         assert met is None
     else:
-        assert [v.text for v in met] == kept
+        assert list(met) == kept
         assert (met is a) == (set(xs) <= set(ys))
 
 
@@ -131,7 +132,7 @@ def test_value_set_rendering_is_made_once_per_object():
 
 
 def test_equal_leaves_keep_their_own_spelling():
-    bare, quoted = leaf("a"), ValueSet([Atom("a", quoted=True)])
+    bare, quoted = leaf("a"), ValueSet([Quoted("a")])
     assert bare == quoted and hash(bare) == hash(quoted)
     for _ in range(2):
         assert bare.rendered() == "a"
@@ -304,7 +305,7 @@ def test_unify_recurses():
 _labels = st.sampled_from(list("abcdef"))
 _atoms = st.sampled_from(["1", "2", "3", "x", "y", "z"])
 _leaves = st.builds(
-    lambda texts: ValueSet([Atom(t) for t in texts]),
+    ValueSet,
     st.lists(_atoms, min_size=1, max_size=3, unique=True),
 )
 
@@ -437,7 +438,7 @@ def test_merge_keeps_every_overlay_leaf(a, b):
 _spelled = st.one_of(
     _leaves,
     st.builds(
-        lambda text, quoted: ValueSet([Atom(text, quoted)]),
+        lambda text, quoted: leaf(text, quoted=quoted),
         st.text(alphabet='ab "\\', max_size=3),
         st.booleans(),
     ),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lexiforge import inheritance
 from lexiforge.diagnostics import ERROR, Diagnostic
-from lexiforge.feature_tree import Atom, FeatureTree, PathThroughLeaf, ValueSet, leaf
+from lexiforge.feature_tree import FeatureTree, PathThroughLeaf, ValueSet, leaf
 from lexiforge.inheritance import ResolveError, linearize, resolve, resolve_all
 from lexiforge.source import (
     Entry,
@@ -259,10 +259,10 @@ def test_resolve_all_matches_resolve_on_the_fixtures(fixtures_dir, name):
 CLASS_NAMES = ("A", "B", "C", "D")
 PARENTS = st.sampled_from(CLASS_NAMES + ("Nope",))  # Nope is no class
 EQUATIONS = [
-    Equation(("x",), (Atom("1"),)),
-    Equation(("x",), (Atom("2"), Atom("3"))),
-    Equation(("y",), (Atom("4"),)),
-    Equation(("y", "z"), (Atom("5"),)),  # below a leaf y: PathThroughLeaf
+    Equation(("x",), ("1",)),
+    Equation(("x",), ("2", "3")),
+    Equation(("y",), ("4",)),
+    Equation(("y", "z"), ("5",)),  # below a leaf y: PathThroughLeaf
     Equation(("y", "w"), (RuleCall("rv"),)),
     Equation(("lex",), (SelfRef(),)),
 ]

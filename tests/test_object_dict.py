@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiforge import object_dict
-from lexiforge.feature_tree import EMPTY_TREE, Atom, FeatureTree, ValueSet, is_symbol_text, leaf
+from lexiforge.feature_tree import EMPTY_TREE, FeatureTree, ValueSet, is_symbol_text, leaf
 from lexiforge.object_dict import FormatError, ObjectDictionary, ObjectEntry, load, save
 
 from sources import parse_tree
@@ -275,7 +275,7 @@ def _utf8(text):
 _leaves = st.one_of(
     _quoted_values.map(lambda text: leaf(text, quoted=True)),
     st.lists(st.sampled_from(["a", "b", "a b"]) | _quoted_values, min_size=1, max_size=3).map(
-        lambda texts: ValueSet([Atom(text) for text in texts])
+        ValueSet
     ),
 )
 
@@ -288,7 +288,7 @@ _leaves = st.one_of(
 def test_whatever_save_accepts_loads_back_equal(surface, leaves):
     tree = FeatureTree(leaves)
     original = ObjectEntry(surface, tree)
-    texts = [atom.text for values in leaves.values() for atom in values]
+    texts = [text for values in leaves.values() for text in values]
     saveable = (
         surface != ""
         and not surface[0].isspace()
@@ -296,7 +296,7 @@ def test_whatever_save_accepts_loads_back_equal(surface, leaves):
         and "\r" not in surface
         and all(_utf8(text) for text in (surface, *texts))
         and all(
-            len(values) == 1 or all(is_symbol_text(atom.text) for atom in values)
+            len(values) == 1 or all(map(is_symbol_text, values))
             for values in leaves.values()
         )
     )
@@ -496,7 +496,7 @@ def test_load_refuses_a_leaf_above_or_below_given_features(first, second, messag
 @pytest.mark.parametrize(
     "text, line",
     [
-        # a quoted value used to escape as a bare ValueError from Atom
+        # a quoted value used to escape as a bare ValueError from its leaf
         ('LEXIFORGE-OBJDICT 1\nx\n  a = "p\rq"\n\n', 3),
         # an unquoted one used to load as the two values p and q
         ("LEXIFORGE-OBJDICT 1\nx\n  a = 1\n  b = p\rq\n\n", 4),

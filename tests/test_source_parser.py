@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiforge.feature_tree import Atom, ValueSet, leaf
+from lexiforge.feature_tree import Quoted, ValueSet, leaf
 from lexiforge.source import (
     _logical_lines,
     Entry,
@@ -45,7 +45,7 @@ def test_tokenize_rejects_unterminated_string():
 def test_parse_equation_paths_and_values():
     eq = parse_equation("agr pers = 1 3")
     assert eq.path == ("agr", "pers")
-    assert eq.values == (Atom("1"), Atom("3"))
+    assert eq.values == ("1", "3")
 
 
 def test_parse_equation_markers():
@@ -74,7 +74,7 @@ def test_parse_equation_rejects(text):
 
 
 def test_term_node_wraps_atoms_and_passes_markers():
-    assert term_node((Atom("1"), Atom("2"))) == ValueSet([Atom("1"), Atom("2")])
+    assert term_node(("1", "2")) == ValueSet(["1", "2"])
     call = term_node((RuleCall("rv0"),))
     assert isinstance(call, RuleCall)
 
@@ -85,21 +85,20 @@ def test_comments_are_stripped_outside_strings():
     result = parse_source_text("#MORPHEMES\n\nped ; a stem\nstt = 11 ; slot code\n")
     assert result.ok
     entry = result.base.morphemes["ped"]
-    assert entry.equations[0].values == (Atom("11"),)
+    assert entry.equations[0].values == ("11",)
 
 
 def test_semicolon_inside_string_is_not_a_comment():
     result = parse_source_text('#MORPHEMES\n\nped\ngloss = "a; b"\n')
     assert result.ok
-    assert result.base.morphemes["ped"].equations[0].values == (
-        Atom("a; b", quoted=True),
-    )
+    values = result.base.morphemes["ped"].equations[0].values
+    assert values == ("a; b",) and isinstance(values[0], Quoted)
 
 
 def test_backslash_joins_continuation_lines():
     result = parse_source_text("#MORPHEMES\n\nped\nstt = 11 \\\n      12\n")
     assert result.ok
-    assert result.base.morphemes["ped"].equations[0].values == (Atom("11"), Atom("12"))
+    assert result.base.morphemes["ped"].equations[0].values == ("11", "12")
 
 
 def test_continuation_reports_first_physical_line():
@@ -190,8 +189,8 @@ def _value_tokens(values):
     """An equation's values as the (kind, text) tokens they were read from."""
     tokens = []
     for v in values:
-        if isinstance(v, Atom):
-            tokens.append(("str" if v.quoted else "sym", v.text))
+        if isinstance(v, str):
+            tokens.append(("str" if isinstance(v, Quoted) else "sym", v))
         else:
             tokens.append(("call", v.rule) if isinstance(v, RuleCall) else ("self", "$$"))
     return tokens
@@ -314,7 +313,7 @@ def test_duplicate_entry_reports_first_site():
     msg = result.diagnostics[0].message
     assert "duplicate entry 'ped'" in msg and "dup.lex:3" in msg
     # first definition survives
-    assert result.base.morphemes["ped"].equations[0].values == (Atom("11"),)
+    assert result.base.morphemes["ped"].equations[0].values == ("11",)
 
 
 def test_malformed_parent_list_is_reported():
@@ -476,7 +475,7 @@ def test_data_dict_kinds():
     assert dd["pers"].values == leaf("1", "2", "3")
     assert dd["agr"].kind == "structured"
     assert dd["agr"].alternatives == (("gen", "num"), ("num", "pers"))
-    assert dd["gloss"].values == ValueSet([Atom("a b", quoted=True)])
+    assert dd["gloss"].values == leaf("a b", quoted=True)
 
 
 def test_data_dict_redeclaration_is_an_error():
@@ -487,11 +486,19 @@ def test_data_dict_redeclaration_is_an_error():
 
 @pytest.mark.parametrize(
     "line",
-    ["@(gen) pers = 1", "agr = @(gen) extra", "agr = @( )", "agr = @(gen num", "agr = @ @"],
+    [
+        "@(gen) pers = 1",
+        "agr = @(gen) extra",
+        "agr = @( )",
+        "agr = @(gen num",
+        "agr = @ @",
+        'pers = 1 "two"',  # a string cannot share the closed set
+    ],
 )
 def test_data_dict_rejects_malformed_declarations(line):
     result = parse_source_text("#DATA-DICT\n\n%s\n" % line)
     assert not result.ok
+    assert [d.line for d in result.diagnostics] == [3]
 
 
 # -- dictionary generation rules -----------------------------------------------------
@@ -629,7 +636,8 @@ def test_sections_seen_tracks_headers():
 _section_words = st.sampled_from(
     ["#MORPHEMES", "#CLASSES", "#LEXEMES", "#ALO-RULES", "#DATA-DICT",
      "#DICT-RULES", "LEXEMES", "ped", "(MV)", "stt = 11", "a = $x", "$$ = @",
-     "{X = .+}", "$Xar -> $X", '"open', "= = =", "@ = @ (-", "a\\", ";c", ""]
+     "{X = .+}", "$Xar -> $X", '"open', "= = =", "@ = @ (-", "a\\", ";c", "",
+     'pers = 1 "two"']
 )
 
 
