@@ -86,7 +86,13 @@ def _parse_constraints(tokens) -> FeatureTree:
             raise CliError(
                 "bad constraint %r, expected path.to.feature=value[,value...]" % token
             )
-        if tree.get(path) is not None:
+        held = tree.get(path)
+        if isinstance(held, FeatureTree):
+            raise CliError(
+                "bad constraint %r: leaf '%s' would replace the features below it"
+                % (token, " ".join(path))
+            )
+        if held is not None:
             raise CliError("bad constraint %r: path given twice" % token)
         try:
             tree = tree.set(path, leaf(*values))

@@ -174,7 +174,8 @@ class FeatureTree:
 
     Every tree is built here, and each label is checked the first time
     a tree holds it.  Operations that leave an operand unchanged return
-    that operand rather than a copy.
+    that operand rather than a copy.  Equal trees hash equal, so a tree
+    can be a dict key.
     """
 
     __slots__ = ("children", "_canon")
@@ -345,6 +346,11 @@ class FeatureTree:
         if self.children.keys() != other.children.keys():
             return False
         return all(self.children[k] == other.children[k] for k in self.children)
+
+    def __hash__(self):
+        # from the children, as `==` compares them: not from the
+        # canonical text, which equal leaves spelled `a` and `"a"` differ in
+        return hash(frozenset(self.children.items()))
 
     def __repr__(self):
         return "FeatureTree(%r)" % (self.children,)

@@ -39,17 +39,21 @@ constraints' node at a result path of its class, and two places of one
 class.  A meet only narrows a node that is present (a leaf stays a
 leaf, a subtree a subtree, a path below a leaf stays blocked), so a
 meet that fails on the original nodes fails the same candidate later;
-pruning never changes an answer.  A table-drawn constituent linked to
-an outer one is joined: its candidates that pass an outer row's nodes
-at the linked places are kept per dictionary, in the tables' cache, by
-those nodes, so each test is run once per candidate or join key, not
-again by the engine.  When the filters decide every combination, an
-unconstrained call builds no result tree.  That is so under a rule
-that meets no class and reads each result feature from one label of
-one constituent, and the lemma from the lemma-drawn constituent's own
-leaf: no such read can be blocked, the lemma index put the lemma in
-that leaf, and the empty constraints unify with any tree.  A
-constrained call builds each tree and unifies it with the constraints.
+pruning never changes an answer.  A table-drawn constituent's table
+is kept narrowed by the constraints' nodes at its result paths, keyed
+by those nodes, and one linked to an outer constituent is joined: the
+rows of its narrowed table that pass an outer row's nodes at the linked
+places are kept per dictionary, in the tables' cache, by those nodes.
+So each test is run once per candidate and constraint or join key, not
+again by the engine or a later call; the cache holds a bounded number
+of entries (`MAX_NODE_TABLES`).  When the filters decide every
+combination, an unconstrained call builds no result tree.  That is so
+under a rule that meets no class and reads each result feature from
+one label of one constituent, and the lemma from the lemma-drawn
+constituent's own leaf: no such read can be blocked, the lemma index
+put the lemma in that leaf, and the empty constraints unify with any
+tree.  A constrained call builds each tree and unifies it with the
+constraints.
 Analysis does no such pruning: its candidates are exact surface
 matches and mostly succeed.
 """
@@ -446,6 +450,13 @@ def analyze(
 # The most candidate combinations `generate` tries for one rule in one call.
 MAX_COMBINATIONS = 100_000
 
+# The most entries `generate` keeps in a dictionary's `node_tables`.  The
+# keys hold the caller's constraints, so without a bound a stream of
+# new constraint values would grow the cache for the life of the
+# process; past the bound, a table or join not kept is made on each
+# call that needs it and then dropped.
+MAX_NODE_TABLES = 4096
+
 
 class GenerationLimit(Exception):
     """A rule whose candidate product exceeds `MAX_COMBINATIONS`."""
@@ -536,17 +547,45 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     return plan
 
 
+def _kept(tables: dict, key: tuple, rows: list) -> list:
+    """The rows, kept in `tables` (a dictionary's `node_tables`) under
+    key while it holds fewer than `MAX_NODE_TABLES` entries."""
+    if len(tables) < MAX_NODE_TABLES:
+        tables[key] = rows
+    return rows
+
+
+def _table(dictionary: ObjectDictionary, key: tuple, wanted: tuple) -> list:
+    """A table-drawn constituent's rows narrowed by its constraint
+    filters, kept in the dictionary's `node_tables` under (key, wanted):
+    its candidates, each with its nodes at the key's paths, that pass
+    the key's value tests, kept under (key, ()), then those that clear
+    each (path, node) of `wanted`."""
+    tables = dictionary.node_tables
+    table = tables.get((key, wanted))
+    if table is not None:
+        return table
+    index, paths, tests = key
+    table = tables.get((key, ()))
+    if table is None:
+        entries = (
+            dictionary.entries if index is None
+            else dictionary.lookup_by_concat(index[1], index[0])
+        )
+        table = _kept(tables, (key, ()), _admit(_node_rows(entries, paths), tests))
+    return _kept(tables, (key, wanted), _admit(table, wanted)) if wanted else table
+
+
 def _joined(dictionary: ObjectDictionary, key: tuple, table: list, links: tuple, head: tuple):
-    """A joined constituent's table rows that clear the outer rows'
-    nodes at the linked paths (the probe), kept in the dictionary's
-    `node_tables` under (key, probe) unless a node is an (unhashable)
-    subtree."""
+    """The rows of a joined constituent's narrowed table, the one kept
+    under `key`, that clear the outer rows' nodes at the linked paths
+    (the probe), a leaf, a subtree, or a missing or blocked node each:
+    kept in the dictionary's `node_tables` under (key, probe)."""
     probe = tuple((path, head[x][1][p]) for x, p, path in links)
-    if any(isinstance(node, FeatureTree) for _, node in probe):
-        return _admit(table, probe)
-    rows = dictionary.node_tables.get((key, probe))
+    tables = dictionary.node_tables
+    rows = tables.get((key, probe))
     if rows is None:
-        rows = dictionary.node_tables[key, probe] = _admit(table, probe)
+        rows = _kept(tables, (key, probe), _admit(table, probe))
     return rows
 
 
@@ -572,67 +611,69 @@ def generate(
     plan reads, are peeked once per dictionary, and those that pass all
     of the constituent's value tests are kept in its `node_tables` under
     (key, ()).  So a table holds the same rows whichever index drew it.
-    A constituent of the last kind can multiply the work by |D|, the
-    dictionary size, so a rule whose product of tables, filtered by the
-    constraints, exceeds `MAX_COMBINATIONS` raises `GenerationLimit`
-    before any combination is tried.
+    Its rows that also clear the constituent's constraint filters
+    (`wanted`, below) are its narrowed table, kept under (key, wanted)
+    (`_table`): a repeated cell tests no candidate again.  The
+    lemma-drawn constituent's candidates are read per call and filtered
+    once by its value tests and constraint filters together.  A
+    constituent of the last kind can multiply the work by |D|, the
+    dictionary size, so a rule whose product of narrowed tables exceeds
+    `MAX_COMBINATIONS` raises `GenerationLimit` before any combination
+    is tried.
 
     Candidates that must fail are dropped by `_clash` on the entries'
     original nodes, which the classes only narrow: a C whose node at a
     place clashes with its class's values, or with the constraints'
-    node at a result path of its class (not where the constraints have
-    no node there or a leaf above it, since there a candidate lacking
-    the place still yields an accepted result), and a combination whose
-    entries clash at two places of one class.  A joined constituent's
-    candidates for one combination of the outer ones are those clearing
-    its links, kept in `node_tables` under (key, probe) (`_joined`);
-    `product` runs over the outer constituents, then over the joined
-    ones, and `_execute` meets the classes, skipping the tests these
-    filters decide.  With no constraints, a rule whose plan they settle
-    (`_generation_plan`) runs no `_execute`, lemma test or `unify`: each
-    combination that clears them gives a tree holding the lemma, and
-    the empty constraints unify with it, so its surface is kept as it
-    is.  A constrained call keeps the final `unify` of each tree.
+    node at a result path of its class (its constraint filters; not
+    where the constraints have no node there or a leaf above it, since
+    there a candidate lacking the place still yields an accepted
+    result), and a combination whose entries clash at two places of one
+    class.  A joined constituent's candidates for one combination of
+    the outer ones are the rows of its narrowed table clearing its
+    links, kept in `node_tables` under ((key, wanted), probe)
+    (`_joined`).  The cache keeps at most `MAX_NODE_TABLES` entries;
+    past that, a table or join it lacks is made for the call and not
+    kept.  `product` runs over the outer constituents, then over the
+    joined ones, and `_execute` meets the classes, skipping the tests
+    these filters decide.  With no constraints, a rule whose plan they
+    settle (`_generation_plan`) runs no `_execute`, lemma test or
+    `unify`: each combination that clears them gives a tree holding the
+    lemma, and the empty constraints unify with it, so its surface is
+    kept as it is.  A constrained call keeps the final `unify` of each
+    tree.
     """
     lex_path = (lex_feature,)
     surfaces: set[str] = set()
     for rule in rules:
         checks, constituents, outer, joins, order, settled = _generation_plan(rule, lex_path)
         settled = settled and not constraints.children
-        keys, tables, wanted = [], [], []
+        keys, tables = [], []
         for by_lemma, key, sources in constituents:
-            index, paths, tests = key
-            table = None if by_lemma else dictionary.node_tables.get((key, ()))
-            if table is None:
-                table = _admit(_node_rows(
-                    dictionary.lookup_by_lemma(lemma, lex_feature) if by_lemma
-                    else dictionary.entries if index is None
-                    else dictionary.lookup_by_concat(index[1], index[0]),
-                    paths,
-                ), tests)
-                if not by_lemma:
-                    dictionary.node_tables[key, ()] = table
-            keys.append(key)
-            tables.append(table)
             peeked = [(path, _peek(constraints, result_path)) for path, result_path in sources]
-            wanted.append(
-                [(path, node) for path, node in peeked if node is not None and node is not BLOCKED]
+            wanted = tuple(
+                (path, node) for path, node in peeked if node is not None and node is not BLOCKED
             )
-        if prod(map(len, tables)) > MAX_COMBINATIONS:
-            size = prod(len(_admit(table, tests)) for table, tests in zip(tables, wanted))
-            if size > MAX_COMBINATIONS:
-                where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
-                raise GenerationLimit(
-                    "%srule '%s' has %d candidate combinations, more than the %d generation tries"
-                    % (where, rule.name, size, MAX_COMBINATIONS)
-                )
-        heads = [_admit(tables[k], wanted[k]) for k in outer]
+            if by_lemma:
+                _, paths, tests = key
+                rows = _node_rows(dictionary.lookup_by_lemma(lemma, lex_feature), paths)
+                tables.append(_admit(rows, tests + wanted))
+            else:
+                tables.append(_table(dictionary, key, wanted))
+            keys.append((key, wanted))
+        size = prod(map(len, tables))
+        if size > MAX_COMBINATIONS:
+            where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
+            raise GenerationLimit(
+                "%srule '%s' has %d candidate combinations, more than the %d generation tries"
+                % (where, rule.name, size, MAX_COMBINATIONS)
+            )
+        heads = [tables[k] for k in outer]
         if not all(heads):
             continue
         for head in product(*heads):
             tails = []
             for k, links in joins:
-                tail = _admit(_joined(dictionary, keys[k], tables[k], links, head), wanted[k])
+                tail = _joined(dictionary, keys[k], tables[k], links, head)
                 if not tail:
                     break
                 tails.append(tail)

@@ -74,9 +74,12 @@ class ObjectDictionary:
         # feature -> its `_value_index`, filled on first use
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
         # generation's cache, filled by `morph_engine.generate` on first
-        # use: ((index or None, paths, value tests), probe) -> the rows
-        # of a table-drawn constituent that pass its value tests and
-        # clear the probe; the table itself has the empty probe
+        # use and holding at most `morph_engine.MAX_NODE_TABLES` entries:
+        # (key, wanted) -> the rows of a table-drawn constituent that pass
+        # the value tests of its key (index or None, paths, value tests)
+        # and clear its constraint filters `wanted`, the table itself
+        # under (key, ()); and ((key, wanted), probe) -> those rows that
+        # also clear a join's probe
         self.node_tables: dict[tuple, list] = {}
 
     @classmethod

@@ -602,6 +602,30 @@ def test_generate_rejects_bad_constraints(dic_path, rules_path, capsys, constrai
     assert "bad constraint" in captured.err
 
 
+@pytest.mark.parametrize(
+    "constraints,message",
+    [
+        (
+            "agr.pers=1 agr=sing",
+            "bad constraint 'agr=sing': leaf 'agr' would replace the features below it",
+        ),
+        (
+            "agr=sing agr.pers=1",
+            "bad constraint 'agr.pers=1': path 'agr pers' descends through the leaf at 'agr'",
+        ),
+    ],
+)
+def test_a_constraint_above_or_below_another_names_the_clash(
+    dic_path, rules_path, capsys, constraints, message
+):
+    code = main(["generate", dic_path, rules_path, "amar"] + constraints.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert "given twice" not in captured.err
+
+
 # -- dump and stats ------------------------------------------------------------------
 
 def test_dump_reprints_the_stored_bytes(dic_path, capsys):

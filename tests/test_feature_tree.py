@@ -15,7 +15,7 @@ from lexiforge.feature_tree import (
     unify,
 )
 from lexiforge.source import RuleCall
-from oracles import _canonical, _meet, _plain
+from oracles import _canonical, _frozen, _meet, _plain
 from sources import parse_tree
 
 
@@ -513,3 +513,48 @@ def test_a_canonical_form_call_counts_once_however_deep_the_tree(monkeypatch):
 def test_canonical_form_round_trips(a):
     text = a.canonical_form()
     assert parse_tree(text).canonical_form() == text
+
+
+def _respelled(node, rnd):
+    """An equal node built anew: children and values in another order,
+    and a one-value leaf spelled the other way (bare or quoted)."""
+    if isinstance(node, FeatureTree):
+        items = list(node.children.items())
+        rnd.shuffle(items)
+        return FeatureTree({label: _respelled(child, rnd) for label, child in items})
+    values = list(node)
+    rnd.shuffle(values)
+    if len(values) == 1:
+        (value,) = values
+        values = [str(value) if isinstance(value, Quoted) else Quoted(value)]
+    return ValueSet(values)
+
+
+@settings(max_examples=300)
+@given(_subtrees(2), _subtrees(2), st.randoms(use_true_random=False))
+def test_equal_trees_hash_equal_and_are_one_dict_key(a, b, rnd):
+    again = _respelled(a, rnd)
+    assert again == a and hash(again) == hash(a)
+    assert {a: "a"}[again] == "a" and len({a, again}) == 1
+    # trees are equal exactly when their plain forms are, values as sets
+    assert (a == b) == (_frozen(_plain(a)) == _frozen(_plain(b)))
+    if a == b:
+        assert hash(a) == hash(b)
+    else:
+        assert len({a: 1, b: 2}) == 2
+
+
+def test_trees_that_print_alike_can_be_different_keys():
+    # an empty subtree prints nothing, so these four print alike
+    spelled = [
+        EMPTY_TREE,
+        FeatureTree({"a": EMPTY_TREE}),
+        FeatureTree({"a": FeatureTree({"b": EMPTY_TREE})}),
+        FeatureTree({"b": EMPTY_TREE}),
+    ]
+    assert {tree.canonical_form() for tree in spelled} == {""}
+    assert len(set(spelled)) == 4
+    # and two that print apart can be one key
+    bare, quoted = FeatureTree({"a": leaf("x")}), FeatureTree({"a": leaf("x", quoted=True)})
+    assert bare.canonical_form() != quoted.canonical_form()
+    assert len({bare, quoted}) == 1

@@ -1028,6 +1028,138 @@ def test_a_dictionary_answers_a_drawn_sequence_of_generate_calls_like_the_oracle
         assert generate(lemma, constraints, dictionary, rules) == oracle(lemma, constraints)
 
 
+# Constraint nodes that key the narrowed tables: an empty subtree at a
+# result path (`agr`) and below one (`agr pers` under `W agr = C agr`),
+# which print alike, leaves spelled bare or quoted, which are equal but
+# print apart, and leaves of several values.  The entries hold leaves
+# and subtrees at `agr`, so a table narrowed by one of two trees that
+# print alike is wrong for the other.  Under the first three
+# `_GEN_RULES`, `C` and `E` are joined by `agr` to a lemma-drawn stem,
+# whose `agr` is a leaf, a subtree or absent.
+_NARROWING_NODES = {
+    ("agr",): [leaf("1", quoted=True), leaf("1", "2"), EMPTY_TREE],
+    ("agr", "pers"): [leaf("1"), leaf("1", "2"), EMPTY_TREE],
+    ("end",): [leaf("1"), leaf("2", quoted=True), leaf("1", "2"), EMPTY_TREE],
+    ("lex",): [leaf("x"), leaf("x", "y")],
+}
+
+_NARROWING_ENTRIES = [
+    ("ka", "lex = x\nconcat = s"),
+    ("ko", "lex = x\nconcat = s\nagr pers = 1"),
+    ("ki", "lex = y\nconcat = s\nagr = 1"),
+    ("ku", "lex = x y\nconcat = s e\nagr pers = 2"),
+    ("a", "concat = e\nagr pers = 1\nid = 1"),
+    ("o", "concat = e\nagr = 1 2\nid = 2"),
+    ("u", "concat = e\nagr pers = 2"),
+    ("e", "concat = e"),
+    ("i", "agr = 2\nid = 1 2"),
+    ("y", "concat = e\nagr pers = 1\nagr num = s\nid = 1"),
+]
+
+
+@pytest.fixture(scope="module")
+def narrowing_rules():
+    return parse_wf_rules("#WF-RULES\n\n" + "\n".join(_GEN_RULES[:3]))
+
+
+@pytest.fixture(scope="module")
+def narrowing_oracle(narrowing_rules):
+    return all_pairs_generation(small_dictionary(_NARROWING_ENTRIES), narrowing_rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_sequence_of_constrained_calls_reads_narrowed_tables_like_the_oracle(
+    narrowing_rules, narrowing_oracle, data
+):
+    # one dictionary object serves every call, so a call reads the
+    # narrowed tables and joins that earlier calls kept under their
+    # constraint nodes
+    dictionary = small_dictionary(_NARROWING_ENTRIES)  # no tables yet
+    for _ in range(data.draw(st.integers(3, 10))):
+        lemma = data.draw(st.sampled_from(["x", "y"]))
+        constraints = EMPTY_TREE
+        paths = data.draw(st.lists(st.sampled_from(sorted(_NARROWING_NODES)), unique=True))
+        for path in sorted(paths):
+            try:
+                node = data.draw(st.sampled_from(_NARROWING_NODES[path]))
+                constraints = constraints.set(path, node)
+            except PathThroughLeaf:
+                pass  # a leaf drawn above this path already
+        expected = narrowing_oracle(lemma, constraints)
+        assert generate(lemma, constraints, dictionary, narrowing_rules) == expected
+
+
+def _counting_clashes(monkeypatch):
+    calls = []
+
+    def counted(a, b, _original=morph_engine._clash):
+        calls.append((a, b))
+        return _original(a, b)
+
+    monkeypatch.setattr(morph_engine, "_clash", counted)
+    return calls
+
+
+def test_a_repeated_cell_tests_no_ending_again(monkeypatch, spanish_dict, wf_rules):
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    assert generate("pedir", impf_1pl(), dictionary, wf_rules) == ["pedíamos"]
+    kept = dict(dictionary.node_tables)
+    clashes = _counting_clashes(monkeypatch)
+    # an equal cell, built anew and with one value spelled quoted
+    quoted = impf_1pl().set(("agr", "num"), leaf("plu", quoted=True))
+    for constraints in (impf_1pl(), quoted):
+        clashes.clear()
+        assert generate("pedir", constraints, dictionary, wf_rules) == ["pedíamos"]
+        assert dictionary.node_tables.keys() == kept.keys()
+        assert all(dictionary.node_tables[key] is rows for key, rows in kept.items())
+        # only each stem is tested, against `Stem concat = vl`
+        stems = dictionary.lookup_by_lemma("pedir")
+        assert len(clashes) == len(stems) == 2
+        assert all(b is stem.tree.get(("concat",)) for (_, b), stem in zip(clashes, stems))
+
+
+def test_a_join_on_a_subtree_is_kept(monkeypatch):
+    entries = [
+        ("ka", "lex = ka\nconcat = vl\nagr pers = 1"),
+        ("a", "concat = vm\nagr pers = 1"),
+        ("o", "concat = vm\nagr pers = 2"),
+        ("e", "concat = vm"),
+    ]
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(STEM_ENDING + "  Stem agr = Ending agr\n  Word agr = Ending agr\n")
+    oracle = all_pairs_generation(dictionary, rules)
+    cell = EMPTY_TREE.set(("agr", "pers"), leaf("1"))
+    assert generate("ka", cell, dictionary, rules) == oracle("ka", cell) == ["kaa", "kae"]
+    # the stem's `agr` subtree is the probe of a kept join, whose key
+    # is ((table key, constraint filters), probe)
+    probes = [key[1] for key in dictionary.node_tables if len(key[0]) == 2]
+    assert probes == [((("agr",), FeatureTree({"pers": leaf("1")})),)]
+    kept = dict(dictionary.node_tables)
+    clashes = _counting_clashes(monkeypatch)
+    assert generate("ka", cell, dictionary, rules) == ["kaa", "kae"]
+    assert dictionary.node_tables == kept
+    # only the stem is tested: its `concat`, and its `agr` against the cell
+    (stem,) = dictionary.lookup_by_lemma("ka")
+    nodes = [stem.tree.get(path) for path in [("concat",), ("agr",), ("agr", "pers")]]
+    assert len(clashes) == 3 and all(any(b is n for n in nodes) for _, b in clashes)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 5])
+def test_the_kept_tables_never_exceed_their_bound(
+    monkeypatch, spanish_dict, wf_rules, spanish_oracle, bound
+):
+    monkeypatch.setattr(morph_engine, "MAX_NODE_TABLES", bound)
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    cells = [EMPTY_TREE] + imperfect_cells()
+    for lemma in sorted_lemmas(spanish_dict):
+        for constraints in cells + cells[::-1]:
+            got = generate(lemma, constraints, dictionary, wf_rules)
+            assert got == spanish_oracle(lemma, constraints), lemma
+            assert len(dictionary.node_tables) <= bound
+    assert len(dictionary.node_tables) == bound
+
+
 # Unconstrained generation builds no result tree for a rule whose
 # filters decide every combination: no class to meet, every top a
 # one-label read, and the lemma read from the lemma-drawn constituent.
