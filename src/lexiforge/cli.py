@@ -80,9 +80,9 @@ def _parse_constraints(tokens) -> FeatureTree:
     tree = EMPTY_TREE
     for token in tokens:
         lhs, eq, rhs = token.partition("=")
-        path = tuple(p for p in lhs.strip().split(".") if p)
-        values = [v for v in (s.strip() for s in rhs.split(",")) if v]
-        if not eq or not path or not values:
+        path = tuple(lhs.strip().split("."))
+        values = [v.strip() for v in rhs.split(",")]
+        if not eq or not all(path) or not all(values):
             raise CliError(
                 "bad constraint %r, expected path.to.feature=value[,value...]" % token
             )

@@ -15,7 +15,7 @@ All operations are functional: they return new trees and never mutate
 their operands, so trees can be shared freely across entries, indexes
 and threads.  A tree keeps the text of its canonical form once made,
 and builds it from its subtrees' kept texts, so a subtree shared by
-many entries is rendered once.
+many entries is rendered once; it keeps its hash too.
 """
 
 from __future__ import annotations
@@ -175,10 +175,14 @@ class FeatureTree:
     Every tree is built here, and each label is checked the first time
     a tree holds it.  Operations that leave an operand unchanged return
     that operand rather than a copy.  Equal trees hash equal, so a tree
-    can be a dict key.
+    can be a dict key.  A tree keeps its canonical text (`_canon`) and
+    its hash (`_hash`, set on the first `hash`) once made, so `children`
+    is never mutated after construction.  Both are kept only within one
+    process: a pickled tree is rebuilt from its children, since string
+    hashes change with `PYTHONHASHSEED`.
     """
 
-    __slots__ = ("children", "_canon")
+    __slots__ = ("children", "_canon", "_hash")
 
     def __init__(self, children: Mapping[str, "Node"] | None = None):
         items = dict(children) if children else {}
@@ -350,7 +354,15 @@ class FeatureTree:
     def __hash__(self):
         # from the children, as `==` compares them: not from the
         # canonical text, which equal leaves spelled `a` and `"a"` differ in
-        return hash(frozenset(self.children.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._hash = hash(frozenset(self.children.items()))
+            return value
+
+    def __reduce__(self):
+        # the children alone: a kept hash would be wrong in another process
+        return FeatureTree, (self.children,)
 
     def __repr__(self):
         return "FeatureTree(%r)" % (self.children,)

@@ -52,8 +52,10 @@ under a rule that meets no class and reads each result feature from
 one label of one constituent, and the lemma from the lemma-drawn
 constituent's own leaf: no such read can be blocked, the lemma index
 put the lemma in that leaf, and the empty constraints unify with any
-tree.  A constrained call builds each tree and unifies it with the
-constraints.
+tree.  Where, besides, every pair check is a join, such a call joins
+each outer combination's surfaces as one product over the
+constituents' surface columns.  A constrained call builds each tree
+and unifies it with the constraints.
 Analysis does no such pruning: its candidates are exact surface
 matches and mostly succeed.
 """
@@ -639,8 +641,16 @@ def generate(
     settle (`_generation_plan`) runs no `_execute`, lemma test or
     `unify`: each combination that clears them gives a tree holding the
     lemma, and the empty constraints unify with it, so its surface is
-    kept as it is.  A constrained call keeps the final `unify` of each
-    tree.
+    kept as it is.  When no pair check is left unjoined, the surfaces
+    of one outer combination are a `product` over each constituent's
+    surface column, in rule order (by `order`): the one surface of an
+    outer row, or those of a joined list.  That product has exactly the
+    combinations the one over the joined lists would.  A constrained
+    call keeps the final `unify` of each tree.
+
+    The cache keys hold the constraints' nodes, and a tree keeps its
+    hash once made: neither the constraints' `children` nor any
+    tree's is mutated after construction.
     """
     lex_path = (lex_feature,)
     surfaces: set[str] = set()
@@ -670,6 +680,7 @@ def generate(
         heads = [tables[k] for k in outer]
         if not all(heads):
             continue
+        by_columns = settled and not checks
         for head in product(*heads):
             tails = []
             for k, links in joins:
@@ -678,6 +689,16 @@ def generate(
                     break
                 tails.append(tail)
             else:
+                if by_columns:
+                    # each combination clears the filters: join the surface columns
+                    columns = [[row[0].surface] for row in head]
+                    columns += [[row[0].surface for row in tail] for tail in tails]
+                    columns = [columns[x] for x in order]
+                    if tails:
+                        surfaces.update(map("".join, product(*columns)))
+                    else:
+                        surfaces.add("".join(column[0] for column in columns))
+                    continue
                 for tail in product(*tails) if tails else ((),):
                     combo = head + tail
                     if checks and any(

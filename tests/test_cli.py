@@ -591,6 +591,8 @@ def test_generate_over_the_bound_reports_the_rule(dic_path, tmp_path, capsys):
     [
         "vinfo.tense", "=impf", "vinfo.tense=", "lex=a lex.sub=b", "vinfo.$x=impf",
         "vinfo.tense=impf vinfo.tense=pres", "agr.pers=1 agr.num=plu agr=x",
+        "agr..pers=1", "agr.=1", ".agr=1", "vinfo.tense=impf,,pres", "vinfo.tense=impf,",
+        "vinfo.tense=,impf",
     ],
 )
 def test_generate_rejects_bad_constraints(dic_path, rules_path, capsys, constraint):

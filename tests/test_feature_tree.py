@@ -1,7 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lexiforge
 from lexiforge.feature_tree import (
     EMPTY_TREE,
     RESERVED_CHARS,
@@ -558,3 +564,33 @@ def test_trees_that_print_alike_can_be_different_keys():
     bare, quoted = FeatureTree({"a": leaf("x")}), FeatureTree({"a": leaf("x", quoted=True)})
     assert bare.canonical_form() != quoted.canonical_form()
     assert len({bare, quoted}) == 1
+
+
+def test_a_pickled_key_is_found_by_an_equal_tree_under_another_hash_seed(tmp_path):
+    # the key and its `agr` subtree keep their hashes here; a pickle
+    # read under another PYTHONHASHSEED must not carry them over
+    key = EMPTY_TREE.set(("agr", "pers"), leaf("1")).set(("lex",), leaf("pedir"))
+    hash(key.children["agr"]), hash(key), key.canonical_form()
+    path = tmp_path / "keyed.pickle"
+    path.write_bytes(pickle.dumps({key: "found"}))
+    assert pickle.loads(path.read_bytes()) == {key: "found"}
+    src = os.path.dirname(os.path.dirname(lexiforge.__file__))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=seed,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    script = (
+        "import pickle, sys\n"
+        "from lexiforge.feature_tree import EMPTY_TREE, leaf\n"
+        "table = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "key = EMPTY_TREE.set(('agr', 'pers'), leaf('1')).set(('lex',), leaf('pedir'))\n"
+        "print(table.get(key), table.get(key.set(('lex',), leaf('ir'))))\n"
+        "print(next(iter(table)).canonical_form(), end='')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "found None\nagr pers = 1\nlex = pedir\n"

@@ -1233,6 +1233,26 @@ def test_an_unconstrained_paradigm_under_the_fixture_rules_builds_no_result_tree
     assert calls["_execute"] > 0 and calls["unify"] > 0
 
 
+def test_unconstrained_paradigms_under_the_fixture_rules_take_as_many_combinations(
+    spanish_dict, wf_rules, spanish_oracle, monkeypatch
+):
+    # one product over each lemma's stems, then one per stem over its
+    # joined endings' surfaces, which yields each stem-ending pair once
+    yielded = []
+
+    def counted(*lists):
+        for item in product(*lists):
+            yielded.append(item)
+            yield item
+
+    monkeypatch.setattr(morph_engine, "product", counted)
+    for lemma in sorted_lemmas(spanish_dict):
+        assert generate(lemma, EMPTY_TREE, spanish_dict, wf_rules) == spanish_oracle(
+            lemma, EMPTY_TREE
+        )
+    assert len(yielded) == 159
+
+
 def test_an_unconstrained_paradigm_under_a_nested_read_builds_its_trees(
     spanish_dict, fixtures_dir, monkeypatch
 ):
