@@ -28,25 +28,30 @@ first part is looked up at each of the L-n+1 first cuts that leave
 room for the rest, only a stored first part of length c opens its at
 most C(L-c-1, n-2) tails, and each tail's parts are looked up left to
 right until the first miss.
-Generation runs the same engine over candidate entries drawn from the
-lemma index, or from tables kept per dictionary (the entries that pass
-a constituent's value tests, drawn from the index its first one-label,
-one-value equation names, or from all), and keeps the candidates whose
-result tree unifies with the caller's constraints.  Before any class is
-met it drops candidates that must fail, by testing the meet on the
-entries' original nodes: a place against its class's values or the
-constraints' node at a result path of its class, and two places of one
-class.  A meet only narrows a node that is present (a leaf stays a
-leaf, a subtree a subtree, a path below a leaf stays blocked), so a
-meet that fails on the original nodes fails the same candidate later;
-pruning never changes an answer.  A table-drawn constituent's table
-is kept narrowed by the constraints' nodes at its result paths, keyed
-by those nodes, and one linked to an outer constituent is joined: the
-rows of its narrowed table that pass an outer row's nodes at the linked
-places are kept per dictionary, in the tables' cache, by those nodes.
-So each test is run once per candidate and constraint or join key, not
-again by the engine or a later call; the cache holds a bounded number
-of entries (`MAX_NODE_TABLES`).  When the filters decide every
+Generation runs the same engine over candidate rows kept per
+dictionary: a row is an entry with its nodes at the places the rule's
+tests read.  A lemma-drawn constituent's rows are the lemma index's
+entries for the lemma that pass the constituent's value tests, kept per
+lemma; a table-drawn one's are the entries that pass them, drawn from
+the index its first one-label, one-value equation names, or from all.
+It keeps the candidates whose result tree unifies with the caller's
+constraints.  Before any class is met it drops candidates that must
+fail, by testing the meet on the entries' original nodes: a place
+against its class's values or the constraints' node at a result path
+of its class, and two places of one class.  A meet only narrows a node
+that is present (a leaf stays a leaf, a subtree a subtree, a path below
+a leaf stays blocked), so a meet that fails on the original nodes fails
+the same candidate later; pruning never changes an answer.  The
+constraints' nodes at a rule's result paths are kept per rule plan and
+constraints; a table-drawn constituent's table is kept narrowed by
+them, keyed by those nodes, and one linked to an outer constituent is
+joined: the rows of its narrowed table that pass an outer row's nodes
+at the linked places are kept per dictionary, in the tables' cache, by
+those nodes.  So a value test is run once per candidate and a
+constraint or join test once per table-drawn candidate and key, not
+again by the engine or a later call; that cache holds a bounded number
+of entries (`MAX_NODE_TABLES`), and the lemma rows one slot per lemma
+the index holds.  When the filters decide every
 combination, an unconstrained call builds no result tree.  That is so
 under a rule that meets no class and reads each result feature from
 one label of one constituent, and the lemma from the lemma-drawn
@@ -66,7 +71,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import prod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, Quoted, ValueSet, meet, unify
 from .object_dict import ObjectDictionary, ObjectEntry
@@ -455,8 +460,8 @@ MAX_COMBINATIONS = 100_000
 # The most entries `generate` keeps in a dictionary's `node_tables`.  The
 # keys hold the caller's constraints, so without a bound a stream of
 # new constraint values would grow the cache for the life of the
-# process; past the bound, a table or join not kept is made on each
-# call that needs it and then dropped.
+# process; past the bound, a table, join or set of filters not kept is
+# made on each call that needs it and then dropped.
 MAX_NODE_TABLES = 4096
 
 
@@ -464,16 +469,18 @@ class GenerationLimit(Exception):
     """A rule whose candidate product exceeds `MAX_COMBINATIONS`."""
 
 
-def _node_rows(entries: Iterable[ObjectEntry], paths: tuple) -> list[tuple[ObjectEntry, dict]]:
-    """Each entry with its own nodes at the paths, by path."""
-    return [(entry, {path: _peek(entry.tree, path) for path in paths}) for entry in entries]
+def _node_rows(entries: Iterable[ObjectEntry], paths: tuple) -> list[tuple[ObjectEntry, tuple]]:
+    """Each entry with its own nodes at the paths, as `(entry, nodes)`,
+    `nodes` a tuple aligned with the paths."""
+    return [(entry, tuple([_peek(entry.tree, path) for path in paths])) for entry in entries]
 
 
-def _admit(rows: list, tests) -> list:
-    """The rows whose nodes clear each (path, node) test by `_clash`."""
+def _admit(rows: Sequence, tests) -> Sequence:
+    """The rows whose nodes clear each (position, node) test by
+    `_clash`, the position indexing a row's `nodes`."""
     if not tests:
         return rows
-    return [row for row in rows if not any(_clash(node, row[1][path]) for path, node in tests)]
+    return [row for row in rows if not any(_clash(node, row[1][i]) for i, node in tests)]
 
 
 def _generation_plan(rule: WFRule, lex_path: tuple[str]):
@@ -481,22 +488,26 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     constraints, read from the rule's classes and kept on the rule per
     lemma feature: per constituent whether it is drawn by lemma (the
     class of the result's lemma path holds one other place, its lemma
-    path, and no values), its table key, and its constraint filters,
-    each of its places paired with a result path of its class.  The key
-    is (index, paths, tests): the index (f, v) of the constituent's
-    first value equation `C f = v` with a one-label path and one value,
-    or None; the paths its checks, filters and tests read, each once;
-    and its value tests, each of its places paired with its class's
-    values.  The pair checks are the pairs of places within a class.
-    In rule order, a constituent not drawn by lemma is joined by each
-    pair check that links it to an outer one (drawn by lemma, or earlier
-    and not joined), as (outer position, outer path, own path).
-    Positions count the outer constituents, then the joined ones
-    (`order`).  These filters decide each test of the rule's plan.
-    Last comes whether they decide each combination (`settled`): the
-    plan meets no class, each top is a one-label read, which no leaf
-    can block, and a constituent is drawn by lemma, whose own `lex_path`
-    leaf the lemma top then reads and the lemma index gave the lemma."""
+    path, and no values), its table key, its value tests and its
+    constraint filters.  The key is (index, paths, tests): the index
+    (f, v) of the constituent's first value equation `C f = v` with a
+    one-label path and one value, or None; the paths its checks, filters
+    and tests read, each once; and its value tests, each of its places
+    paired with its class's values.  A row's nodes are aligned with the
+    key's paths (`_node_rows`), so the plan names a constituent's place
+    by its position there: its value tests again as (position, values),
+    and its constraint filters as (position, path, result path), each of
+    its places with a result path of its class.  The pair checks are
+    the pairs of places within a class.  In rule order, a constituent
+    not drawn by lemma is joined by each pair check that links it to an
+    outer one (drawn by lemma, or earlier and not joined), as (outer
+    constituent, outer place, own path, own place).  Constituents are
+    numbered outer ones first, then the joined ones (`order`).  These
+    filters decide each test of the rule's plan.  Last comes whether
+    they decide each combination (`settled`): the plan meets no class,
+    each top is a one-label read, which no leaf can block, and a
+    constituent is drawn by lemma, whose own `lex_path` leaf the lemma
+    top then reads and the lemma index gave the lemma."""
     plan = rule.generation_plans.get(lex_path)
     if plan is not None:
         return plan
@@ -528,19 +539,32 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     order = tuple(map((outer + list(joins)).index, range(len(rhs))))
     _, met, tops = rule.plan
     settled = not met and any(by_lemma) and all(len(path) == 1 for _, _, path in tops)
-    constituents = tuple(
-        (by_lemma[k], (indexes.get(label), tuple(dict.fromkeys(
+    paths = [
+        tuple(dict.fromkeys(
             [p for i, p, _, _ in checks if i == k] + [q for _, _, j, q in checks if j == k]
             + [path for path, _ in sources[k]] + [path for path, _ in tests[k]]
-        )), tuple(tests[k])), tuple(sources[k]))
+        ))
+        for k in range(len(rhs))
+    ]
+    at = [{path: i for i, path in enumerate(own)} for own in paths]  # place -> position
+    constituents = tuple(
+        (
+            by_lemma[k],
+            (indexes.get(label), paths[k], tuple(tests[k])),
+            tuple((at[k][path], values) for path, values in tests[k]),
+            tuple((at[k][path], path, result) for path, result in sources[k]),
+        )
         for k, label in enumerate(rhs)
     )
     unjoined = tuple(
-        (order[i], p, order[j], q) for i, p, j, q in checks
+        (order[i], at[i][p], order[j], at[j][q]) for i, p, j, q in checks
         if not any((i, p, j, q) in found for found in joins.values())
     )
     links = tuple(
-        (k, tuple((order[j], q, p) if i == k else (order[i], p, q) for i, p, j, q in found))
+        (k, tuple(
+            (order[j], at[j][q], p, at[k][p]) if i == k else (order[i], at[i][p], q, at[k][q])
+            for i, p, j, q in found
+        ))
         for k, found in joins.items()
     )
     plan = rule.generation_plans[lex_path] = (
@@ -549,7 +573,7 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     return plan
 
 
-def _kept(tables: dict, key: tuple, rows: list) -> list:
+def _kept(tables: dict, key: tuple, rows: Sequence) -> Sequence:
     """The rows, kept in `tables` (a dictionary's `node_tables`) under
     key while it holds fewer than `MAX_NODE_TABLES` entries."""
     if len(tables) < MAX_NODE_TABLES:
@@ -557,17 +581,59 @@ def _kept(tables: dict, key: tuple, rows: list) -> list:
     return rows
 
 
-def _table(dictionary: ObjectDictionary, key: tuple, wanted: tuple) -> list:
+def _filters(dictionary: ObjectDictionary, plan: tuple, constraints: FeatureTree) -> tuple:
+    """Each constituent's constraint filters, the constraints' nodes at
+    its result paths, where present and not below a leaf: as `wanted`,
+    (path, node) pairs, which key its narrowed table, and as (position,
+    node) tests for `_admit`.  Kept in the dictionary's `node_tables`
+    under (plan, constraints)."""
+    tables = dictionary.node_tables
+    filters = tables.get((plan, constraints))
+    if filters is None:
+        filters = []
+        for *_, sources in plan[1]:
+            wanted, tests = [], []
+            for i, path, result in sources:
+                node = _peek(constraints, result)
+                if node is not None and node is not BLOCKED:
+                    wanted.append((path, node))
+                    tests.append((i, node))
+            filters.append((tuple(wanted), tuple(tests)))
+        filters = _kept(tables, (plan, constraints), tuple(filters))
+    return filters
+
+
+def _lemma_rows(
+    dictionary: ObjectDictionary, key: tuple, tests: tuple, lex_feature: str, lemma: str
+) -> tuple:
+    """A lemma-drawn constituent's rows for the lemma: the lemma index's
+    entries, each with its nodes at the key's paths, that pass its value
+    tests.  Kept in the dictionary's `lemma_rows` under (key,
+    lex_feature), then the lemma, when the index holds the lemma."""
+    store = dictionary.lemma_rows.get((key, lex_feature))
+    rows = None if store is None else store.get(lemma)
+    if rows is None:
+        entries = dictionary.lookup_by_lemma(lemma, lex_feature)
+        rows = tuple(_admit(_node_rows(entries, key[1]), tests))
+        if entries:
+            dictionary.lemma_rows.setdefault((key, lex_feature), {})[lemma] = rows
+    return rows
+
+
+def _table(
+    dictionary: ObjectDictionary, key: tuple, tests: tuple, wanted: tuple, filters: tuple
+) -> list:
     """A table-drawn constituent's rows narrowed by its constraint
     filters, kept in the dictionary's `node_tables` under (key, wanted):
     its candidates, each with its nodes at the key's paths, that pass
-    the key's value tests, kept under (key, ()), then those that clear
-    each (path, node) of `wanted`."""
+    its value tests (`tests`, by position), kept under (key, ()), then
+    those that clear each (position, node) of `filters`, the positions
+    of `wanted`'s paths."""
     tables = dictionary.node_tables
     table = tables.get((key, wanted))
     if table is not None:
         return table
-    index, paths, tests = key
+    index, paths, _ = key
     table = tables.get((key, ()))
     if table is None:
         entries = (
@@ -575,19 +641,23 @@ def _table(dictionary: ObjectDictionary, key: tuple, wanted: tuple) -> list:
             else dictionary.lookup_by_concat(index[1], index[0])
         )
         table = _kept(tables, (key, ()), _admit(_node_rows(entries, paths), tests))
-    return _kept(tables, (key, wanted), _admit(table, wanted)) if wanted else table
+    return _kept(tables, (key, wanted), _admit(table, filters)) if wanted else table
 
 
-def _joined(dictionary: ObjectDictionary, key: tuple, table: list, links: tuple, head: tuple):
+def _joined(
+    dictionary: ObjectDictionary, key: tuple, table: list, links: tuple, head: tuple
+) -> list:
     """The rows of a joined constituent's narrowed table, the one kept
-    under `key`, that clear the outer rows' nodes at the linked paths
-    (the probe), a leaf, a subtree, or a missing or blocked node each:
-    kept in the dictionary's `node_tables` under (key, probe)."""
-    probe = tuple((path, head[x][1][p]) for x, p, path in links)
+    under `key`, that clear the outer rows' nodes at the linked places
+    (the probe, as (own path, node) pairs), a leaf, a subtree, or a
+    missing or blocked node each: kept in the dictionary's `node_tables`
+    under (key, probe)."""
+    probe = tuple((path, head[x][1][p]) for x, p, path, _ in links)
     tables = dictionary.node_tables
     rows = tables.get((key, probe))
     if rows is None:
-        rows = _kept(tables, (key, probe), _admit(table, probe))
+        tests = [(i, head[x][1][p]) for x, p, _, i in links]
+        rows = _kept(tables, (key, probe), _admit(table, tests))
     return rows
 
 
@@ -608,20 +678,25 @@ def generate(
     nothing else could give W or C the lemma), else the index its rule
     names, that of its first value equation `C f = v` with a one-label
     path and one value (the entries whose f leaf holds v, plus those
-    lacking f), else every dictionary entry.  The last two kinds are
-    table-drawn: their candidates, each with its nodes at the paths the
-    plan reads, are peeked once per dictionary, and those that pass all
-    of the constituent's value tests are kept in its `node_tables` under
-    (key, ()).  So a table holds the same rows whichever index drew it.
-    Its rows that also clear the constituent's constraint filters
-    (`wanted`, below) are its narrowed table, kept under (key, wanted)
-    (`_table`): a repeated cell tests no candidate again.  The
-    lemma-drawn constituent's candidates are read per call and filtered
-    once by its value tests and constraint filters together.  A
-    constituent of the last kind can multiply the work by |D|, the
-    dictionary size, so a rule whose product of narrowed tables exceeds
-    `MAX_COMBINATIONS` raises `GenerationLimit` before any combination
-    is tried.
+    lacking f), else every dictionary entry.  Each candidate is a row,
+    the entry with its nodes at the paths the plan reads (`_node_rows`).
+    The last two kinds are table-drawn: their rows are peeked once per
+    dictionary, and those that pass all of the constituent's value
+    tests are kept in its `node_tables` under (key, ()).  So a table
+    holds the same rows whichever index drew it.  A lemma-drawn
+    constituent's rows that pass its value tests are kept in the
+    dictionary's `lemma_rows` under (key, lemma feature) and the lemma
+    (`_lemma_rows`), once the index is read for a lemma it holds.  The
+    constraints' nodes at each constituent's result paths, its
+    constraint filters (`wanted`), are kept in `node_tables` under
+    (plan, constraints) (`_filters`).  A table's rows that also clear
+    them are its narrowed table, kept under (key, wanted) (`_table`),
+    and a call filters its lemma's kept rows by them (`_admit`): a
+    repeated cell tests no ending again, and a repeated lemma no stem
+    against its value tests.  A constituent of the last kind can
+    multiply the work by |D|, the dictionary size, so a rule whose
+    product of narrowed tables exceeds `MAX_COMBINATIONS` raises
+    `GenerationLimit` before any combination is tried.
 
     Candidates that must fail are dropped by `_clash` on the entries'
     original nodes, which the classes only narrow: a C whose node at a
@@ -633,42 +708,40 @@ def generate(
     class.  A joined constituent's candidates for one combination of
     the outer ones are the rows of its narrowed table clearing its
     links, kept in `node_tables` under ((key, wanted), probe)
-    (`_joined`).  The cache keeps at most `MAX_NODE_TABLES` entries;
-    past that, a table or join it lacks is made for the call and not
-    kept.  `product` runs over the outer constituents, then over the
-    joined ones, and `_execute` meets the classes, skipping the tests
-    these filters decide.  With no constraints, a rule whose plan they
-    settle (`_generation_plan`) runs no `_execute`, lemma test or
-    `unify`: each combination that clears them gives a tree holding the
-    lemma, and the empty constraints unify with it, so its surface is
-    kept as it is.  When no pair check is left unjoined, the surfaces
-    of one outer combination are a `product` over each constituent's
-    surface column, in rule order (by `order`): the one surface of an
-    outer row, or those of a joined list.  That product has exactly the
-    combinations the one over the joined lists would.  A constrained
-    call keeps the final `unify` of each tree.
+    (`_joined`).  `node_tables` keeps at most `MAX_NODE_TABLES`
+    entries; past that, a table, join or set of filters it lacks is
+    made for the call and not kept.  `product` runs over the outer
+    constituents, then over the joined ones, and `_execute` meets the
+    classes, skipping the tests these filters decide.  With no
+    constraints, a rule whose plan they settle (`_generation_plan`) runs
+    no `_execute`, lemma test or `unify`: each combination that clears
+    them gives a tree holding the lemma, and the empty constraints unify
+    with it, so its surface is kept as it is.  When no pair check is
+    left unjoined, the surfaces of one outer combination are a `product`
+    over each constituent's surface column, in rule order (by `order`):
+    the one surface of an outer row, or those of a joined list.  That
+    product has exactly the combinations the one over the joined lists
+    would.  A constrained call keeps the final `unify` of each tree.
 
-    The cache keys hold the constraints' nodes, and a tree keeps its
-    hash once made: neither the constraints' `children` nor any
-    tree's is mutated after construction.
+    The cache keys hold the constraints and their nodes, and a tree
+    keeps its hash once made: neither the constraints' `children` nor
+    any tree's is mutated after construction.
     """
     lex_path = (lex_feature,)
     surfaces: set[str] = set()
     for rule in rules:
-        checks, constituents, outer, joins, order, settled = _generation_plan(rule, lex_path)
+        plan = _generation_plan(rule, lex_path)
+        checks, constituents, outer, joins, order, settled = plan
         settled = settled and not constraints.children
         keys, tables = [], []
-        for by_lemma, key, sources in constituents:
-            peeked = [(path, _peek(constraints, result_path)) for path, result_path in sources]
-            wanted = tuple(
-                (path, node) for path, node in peeked if node is not None and node is not BLOCKED
-            )
+        for (by_lemma, key, tests, _), (wanted, filters) in zip(
+            constituents, _filters(dictionary, plan, constraints)
+        ):
             if by_lemma:
-                _, paths, tests = key
-                rows = _node_rows(dictionary.lookup_by_lemma(lemma, lex_feature), paths)
-                tables.append(_admit(rows, tests + wanted))
+                rows = _lemma_rows(dictionary, key, tests, lex_feature, lemma)
+                tables.append(_admit(rows, filters))
             else:
-                tables.append(_table(dictionary, key, wanted))
+                tables.append(_table(dictionary, key, tests, wanted, filters))
             keys.append((key, wanted))
         size = prod(map(len, tables))
         if size > MAX_COMBINATIONS:

@@ -4,10 +4,11 @@ An entry pairs a surface string with a feature tree; the dictionary
 indexes its entries by surface, and by the values of any top-level
 feature a query names (the lemma, a feature a word-formation rule
 draws a constituent by), each such index built on its first use, and
-it keeps generation's candidate tables.  The on-disk form is
-line based and canonical: a version header, then entries sorted by
-surface and canonical tree text, each entry being its surface line
-followed by two-space-indented canonical form lines and a blank line.
+it keeps generation's candidate tables and lemma rows.  The on-disk
+form is line based and canonical: a version header, then entries
+sorted by surface and canonical tree text, each entry being its
+surface line followed by two-space-indented canonical form lines and
+a blank line.
 Saving the same dictionary twice yields identical bytes.
 """
 
@@ -57,7 +58,7 @@ class DictStats:
 
 class ObjectDictionary:
     """Object entries, which never change, with derived indexes and
-    generation's cache, both filled on first use.
+    generation's caches, all filled on first use.
 
     The dictionary knows no index feature: the dictionary rules decide
     what ends up meaning "lemma", and the word-formation rules which
@@ -73,14 +74,21 @@ class ObjectDictionary:
             self.surface_index.setdefault(entry.surface, []).append(entry)
         # feature -> its `_value_index`, filled on first use
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
-        # generation's cache, filled by `morph_engine.generate` on first
-        # use and holding at most `morph_engine.MAX_NODE_TABLES` entries:
-        # (key, wanted) -> the rows of a table-drawn constituent that pass
-        # the value tests of its key (index or None, paths, value tests)
-        # and clear its constraint filters `wanted`, the table itself
-        # under (key, ()); and ((key, wanted), probe) -> those rows that
-        # also clear a join's probe
-        self.node_tables: dict[tuple, list] = {}
+        # generation's caches, filled by `morph_engine.generate` on first
+        # use.  A row is (entry, nodes), the entry's nodes at the key's
+        # paths.  `node_tables` holds at most
+        # `morph_engine.MAX_NODE_TABLES` entries: (key, wanted) -> the
+        # rows of a table-drawn constituent that pass the value tests of
+        # its key (index or None, paths, value tests) and clear its
+        # constraint filters `wanted`, the table itself under (key, ());
+        # ((key, wanted), probe) -> those rows that also clear a join's
+        # probe; and (generation plan, constraints) -> each constituent's
+        # constraint filters.  `lemma_rows` maps (key, lemma feature) to
+        # lemma -> the rows of a lemma-drawn constituent that pass its
+        # value tests, with a slot only for a lemma the feature's index
+        # holds, so it never outgrows that index.
+        self.node_tables: dict[tuple, object] = {}
+        self.lemma_rows: dict[tuple, dict[str, tuple]] = {}
 
     @classmethod
     def build(cls, entries: Iterable[ObjectEntry]) -> "ObjectDictionary":

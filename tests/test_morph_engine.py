@@ -1113,9 +1113,10 @@ def test_a_repeated_cell_tests_no_ending_again(monkeypatch, spanish_dict, wf_rul
         assert generate("pedir", constraints, dictionary, wf_rules) == ["pedíamos"]
         assert dictionary.node_tables.keys() == kept.keys()
         assert all(dictionary.node_tables[key] is rows for key, rows in kept.items())
-        # only each stem is tested, against `Stem concat = vl`
+        # no stem is tested again against `Stem concat = vl`: the
+        # lemma's rows that pass it are kept
         stems = dictionary.lookup_by_lemma("pedir")
-        assert len(clashes) == len(stems) == 2
+        assert len(clashes) == 0 and len(stems) == 2
         assert all(b is stem.tree.get(("concat",)) for (_, b), stem in zip(clashes, stems))
 
 
@@ -1139,10 +1140,11 @@ def test_a_join_on_a_subtree_is_kept(monkeypatch):
     clashes = _counting_clashes(monkeypatch)
     assert generate("ka", cell, dictionary, rules) == ["kaa", "kae"]
     assert dictionary.node_tables == kept
-    # only the stem is tested: its `concat`, and its `agr` against the cell
+    # only the stem's `agr` is tested, against the cell: its kept row
+    # passed `concat` already
     (stem,) = dictionary.lookup_by_lemma("ka")
     nodes = [stem.tree.get(path) for path in [("concat",), ("agr",), ("agr", "pers")]]
-    assert len(clashes) == 3 and all(any(b is n for n in nodes) for _, b in clashes)
+    assert len(clashes) == 2 and all(any(b is n for n in nodes) for _, b in clashes)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 5])
@@ -1158,6 +1160,106 @@ def test_the_kept_tables_never_exceed_their_bound(
             assert got == spanish_oracle(lemma, constraints), lemma
             assert len(dictionary.node_tables) <= bound
     assert len(dictionary.node_tables) == bound
+
+
+def test_unknown_lemmas_keep_no_rows(spanish_dict, wf_rules):
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no rows yet
+    for i in range(1000):
+        constraints = impf_1pl() if i % 2 else EMPTY_TREE
+        assert generate("nope%d" % i, constraints, dictionary, wf_rules) == []
+    assert dictionary.lemma_rows == {}
+
+
+def test_the_lemma_store_keeps_one_slot_per_key_feature_and_indexed_lemma(
+    monkeypatch, spanish_dict, wf_rules, spanish_oracle
+):
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no rows yet
+    reads = []
+
+    def counted(self, lemma, feature="lex", _original=ObjectDictionary.lookup_by_lemma):
+        reads.append(lemma)
+        return _original(self, lemma, feature)
+
+    monkeypatch.setattr(ObjectDictionary, "lookup_by_lemma", counted)
+    lemmas = sorted_lemmas(spanish_dict)
+    for lemma in lemmas:
+        for constraints in [EMPTY_TREE] + imperfect_cells():
+            got = generate(lemma, constraints, dictionary, wf_rules)
+            assert got == spanish_oracle(lemma, constraints), lemma
+    # the lemma index is read once per lemma, on its first call
+    assert reads == lemmas
+    (rule,) = wf_rules
+    constituents = morph_engine._generation_plan(rule, ("lex",))[1]
+    keys = [key for by_lemma, key, _, _ in constituents if by_lemma]
+    slots = [
+        (key, feature, lemma)
+        for (key, feature), rows in dictionary.lemma_rows.items()
+        for lemma in rows
+    ]
+    indexed = dictionary.value_indexes["lex"][0]
+    assert sorted(slots) == sorted((key, "lex", lemma) for key in keys for lemma in indexed)
+    # `ser`'s entries are whole words, which fail `Stem concat = vl`: its
+    # slot holds no row, and still spares the index a second read
+    (store,) = dictionary.lemma_rows.values()
+    assert [lemma for lemma, rows in store.items() if not rows] == ["ser"]
+
+
+# Two rule files over one dictionary, both reading the stem's `lex` and
+# its `id` into the result's: under `lex_feature="id"` the stem is drawn
+# by the `id` index, with the same table key as under `lex`, and the
+# entries' `id` and `lex` leaves hold the same values, so rows kept for
+# a lemma under one feature are wrong under the other.  The second file
+# also joins the ending by `agr` and gives the ending's `id` as `end`.
+_SHARED_RULE_FILES = [
+    "#WF-RULES\n\nW -> S E\n  S concat = s\n  E concat = e\n  W lex = S lex\n"
+    "  W id = S id\n  W agr = E agr\n",
+    "#WF-RULES\n\nW -> S E\n  S concat = s\n  E concat = e\n  W lex = S lex\n"
+    "  W id = S id\n  S agr = E agr\n  W end = E lex\n",
+]
+
+_SHARED_TREE_TEXTS = [
+    "\n".join(lines)
+    for lines in product(
+        ["", "lex = x", "lex = y", "lex = x y"],
+        ["", "id = x", "id = y"],
+        ["concat = s", "concat = e", "concat = s e"],
+        ["", "agr = 1", "agr = 2"],
+    )
+]
+
+_SHARED_CONSTRAINTS = {
+    ("lex",): [leaf("x"), leaf("y"), leaf("x", "y")],
+    ("id",): [leaf("x"), leaf("y")],
+    ("agr",): [leaf("1"), leaf("1", "2")],
+    ("end",): [leaf("x")],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_drawn_sequence_over_two_rule_files_and_two_lemma_features_equals_the_oracle(data):
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_SHARED_TREE_TEXTS)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    dictionary = small_dictionary(entries)  # shared by every call
+    rule_files = [parse_wf_rules(text) for text in _SHARED_RULE_FILES]
+    oracles = {}
+    for _ in range(data.draw(st.integers(2, 10))):
+        which = data.draw(st.sampled_from([0, 1]))
+        feature = data.draw(st.sampled_from(["lex", "id"]))
+        lemma = data.draw(st.sampled_from(["x", "y", "z"]))  # z: no entry holds it
+        constraints = EMPTY_TREE
+        for path in data.draw(st.lists(st.sampled_from(sorted(_SHARED_CONSTRAINTS)), unique=True)):
+            node = data.draw(st.sampled_from(_SHARED_CONSTRAINTS[path]))
+            constraints = constraints.set(path, node)
+        if (which, feature) not in oracles:
+            oracles[which, feature] = all_pairs_generation(dictionary, rule_files[which], feature)
+        expected = oracles[which, feature](lemma, constraints)
+        assert generate(lemma, constraints, dictionary, rule_files[which], feature) == expected
 
 
 # Unconstrained generation builds no result tree for a rule whose
