@@ -24,10 +24,11 @@ parts as the rule has constituents, each part stored in the object
 dictionary, and meets the classes over each combination of entries;
 a combination survives when no meet fails.  Splits are walked left to
 right: for a surface of length L and a rule of n constituents, the
-first part is looked up at each of the L-n+1 first cuts that leave
-room for the rest, only a stored first part of length c opens its at
-most C(L-c-1, n-2) tails, and each tail's parts are looked up left to
-right until the first miss.
+first part is looked up at most at each of the L-n+1 first cuts that
+leave room for the rest, only a stored first part of length c opens its
+at most C(L-c-1, n-2) tails, and each tail's parts are looked up left
+to right until the first miss; only parts their constituents' surface
+sets admit are looked up (below).
 Generation runs the same engine over candidate rows kept per
 dictionary: a row is an entry with its nodes at the places the rule's
 tests read.  A lemma-drawn constituent's rows are the lemma index's
@@ -61,8 +62,14 @@ tree.  Where, besides, every pair check is a join, such a call joins
 each outer combination's surfaces as one product over the
 constituents' surface columns.  A constrained call builds each tree
 and unifies it with the constraints.
-Analysis does no such pruning: its candidates are exact surface
-matches and mostly succeed.
+Analysis prunes by the same indexes, before any lookup: a part of a
+constituent that has one must be among the surfaces of the entries it
+admits (`_surfaces`), or no entry of that surface could pass the
+constituent's value equation `C f = v`, since an entry whose f is a
+leaf without v, or a subtree, clashes with v in whatever class v sits.
+So a split with a part outside its set is never looked up, and no
+answer or order changes.  The candidates left are exact surface matches
+and mostly succeed.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, Quoted, ValueSet, meet, unify
 from .object_dict import ObjectDictionary, ObjectEntry
@@ -225,10 +232,12 @@ def _plan(rule: WFRule) -> tuple[tuple, tuple]:
 
     Returns each class but the roots as (constituent places (position,
     path), result paths, values) for `_generation_plan`, and
-    `_execute`'s plan (tests, classes, tops):
-    - tests, (k, p, j, q) or (k, p, None, values): each class of two
-      members and no children that the result does not read; a place
-      alone in its class (`A p = A p`) is its own second member;
+    `_execute`'s plan (tests, classes, tops), whose tests and classes
+    mark each constituent place as (k, label, p) (`_marked`):
+    - tests, (k, label, p, j, label, q) or (k, label, p, None, None,
+      values): each class of two members and no children that the
+      result does not read; a place alone in its class (`A p = A p`) is
+      its own second member;
     - classes, (places, values, children): the other classes of two
       members or more that the result does not read, which can fail
       above their children, then the classes it reads and does not take
@@ -293,7 +302,8 @@ def _plan(rule: WFRule) -> tuple[tuple, tuple]:
             if size == 1 and places and not below[c] and all(len(p) == 1 for p in results):
                 reads[c] = places[0]
         elif size == 2 and not below[c]:
-            tests.append(places[0] + (places[1] if len(places) == 2 else (None, node)))
+            other = _marked(*places[1]) if len(places) == 2 else (None, None, node)
+            tests.append(_marked(*places[0]) + other)
         elif size > 1:
             met.append(c)
     # a child's longest result path is longer than its parent's
@@ -304,7 +314,7 @@ def _plan(rule: WFRule) -> tuple[tuple, tuple]:
     position = {c: i for i, c in enumerate(met)}
     return tuple(classes.values()), (
         tuple(tests),
-        tuple((classes[c][0], classes[c][2], tuple(
+        tuple((tuple(_marked(*place) for place in classes[c][0]), classes[c][2], tuple(
             (label, position[rep[d]]) for label, d in below[c].items() if classes[c][1]
         )) for c in met),
         tuple(
@@ -314,23 +324,38 @@ def _plan(rule: WFRule) -> tuple[tuple, tuple]:
     )
 
 
+def _marked(k: int, path: tuple[str, ...]) -> tuple:
+    """A place as `_execute` reads it, (k, label, path): label is the
+    path's one label, read from the tree's children directly, or None
+    for a longer path, which `_peek` reads."""
+    return k, path[0] if len(path) == 1 else None, path
+
+
 def _execute(rule: WFRule, entries: Iterable[ObjectEntry], tests=None) -> FeatureTree | None:
     """The rule's result tree over one entry per constituent, or None
     when the candidate fails: the rule's plan (`_plan`) run on the
     entries' original nodes.  Each of its tests, or of those given, is
     one `_clash`, which builds nothing; each class is the `meet` of its
     places' nodes and its values, then of a tree of its children's
-    nodes; and the result is one new tree of its top places' nodes.
+    nodes; and the result is one new tree of its top places' nodes.  A
+    test's or class's place of one label, as the plan marks it, is read
+    from its tree's children; a longer path, and a top, by `_peek`.
     """
     trees = [entry.tree for entry in entries]
     own_tests, classes, tops = rule.plan
-    for k, path, j, other in own_tests if tests is None else tests:
-        if _clash(_peek(trees[k], path), other if j is None else _peek(trees[j], other)):
+    for k, label, path, j, other_label, other in own_tests if tests is None else tests:
+        node = _peek(trees[k], path) if label is None else trees[k].children.get(label)
+        if j is not None:
+            other = (
+                _peek(trees[j], other) if other_label is None
+                else trees[j].children.get(other_label)
+            )
+        if _clash(node, other):
             return None
     nodes = []
     for places, node, children in classes:
-        for k, path in places:
-            node = meet(node, _peek(trees[k], path))
+        for k, label, path in places:
+            node = meet(node, _peek(trees[k], path) if label is None else trees[k].children.get(label))
         below = {label: nodes[i] for label, i in children if nodes[i] is not None}
         if below:
             node = meet(node, FeatureTree(below))
@@ -372,37 +397,74 @@ def _clash(a, b) -> bool:
 
 # -- analysis ----------------------------------------------------------------
 
-def _stored_splits(surface: str, n: int, dictionary: ObjectDictionary):
-    """Each split of the surface into n non-empty stored parts, as
-    (parts, entry lists) in ascending order of cut positions; only a
-    stored first part opens its tails, and a tail stops at its first
-    missing part.  A tail part is looked up once per call: a part some
-    tail already looked up, or a stored first part, comes from a memo."""
+def _stored_splits(surface: str, constituents: Sequence, dictionary: ObjectDictionary):
+    """Each split of the surface into stored parts, one per constituent,
+    as (parts, entry lists) in ascending order of cut positions.  A
+    constituent's set (`_surfaces`), where it has one, holds every
+    surface its part can have: a split with a part outside it is dropped
+    before any of its parts is looked up, and with two constituents a
+    first cut whose tail is outside the tail's set looks up no prefix.
+    Only a stored first part opens its tails, and a tail stops at its
+    first missing part.  A tail part is looked up once per call: a part
+    some tail already looked up, or a stored first part, comes from a
+    memo."""
+    tables = dictionary.node_tables
+    sets = []
+    for constituent in constituents:
+        index = constituent.key.index
+        # the kept set, read here without a call, else `_surfaces`
+        sets.append(None if index is None else tables.get(index) or _surfaces(dictionary, index))
     lookup = dictionary.lookup
     found: dict[str, list[ObjectEntry]] = {}
     end = len(surface)
+    n = len(sets)
+    head, tails = sets[0], sets[1:]
+    last = tails[0] if n == 2 else None
     for first_cut in range(1, end - n + 2):
+        if last is not None and surface[first_cut:] not in last:
+            continue
         prefix = surface[:first_cut]
+        if head is not None and prefix not in head:
+            continue
         first = lookup(prefix)
         if not first:
             continue
         found[prefix] = first
         for cuts in combinations(range(first_cut + 1, end), n - 2):
             parts = [prefix]
-            entry_lists = [first]
             start = first_cut
-            for cut in cuts + (end,):
+            for cut, admitted in zip(cuts + (end,), tails):
                 part = surface[start:cut]
-                entries = found.get(part)
-                if entries is None:
-                    entries = found[part] = lookup(part)
-                if not entries:
+                if admitted is not None and part not in admitted:
                     break
                 parts.append(part)
-                entry_lists.append(entries)
                 start = cut
             else:
-                yield parts, entry_lists
+                entry_lists = [first]
+                for part in parts[1:]:
+                    entries = found.get(part)
+                    if entries is None:
+                        entries = found[part] = lookup(part)
+                    if not entries:
+                        break
+                    entry_lists.append(entries)
+                else:
+                    yield parts, entry_lists
+
+
+def _surfaces(dictionary: ObjectDictionary, index: tuple[str, str]) -> frozenset[str]:
+    """The surfaces of the entries an equation `C f = v` can take, the
+    index (f, v): those `lookup_by_concat` gives, whose f leaf holds v
+    or who lack f.  Every other entry clashes with v at f, as a leaf
+    without v or a subtree, so a part outside the set has no reading.
+    Kept in the dictionary's `node_tables` under the index."""
+    tables = dictionary.node_tables
+    surfaces = tables.get(index)
+    if surfaces is None:
+        feature, value = index
+        entries = dictionary.lookup_by_concat(value, feature)
+        surfaces = _kept(tables, index, frozenset([entry.surface for entry in entries]))
+    return surfaces
 
 
 def analyze(
@@ -419,7 +481,14 @@ def analyze(
     makes at most L-n+1 first-part lookups; a stored first part of
     length c adds at most C(L-c-1, n-2) tails, each looked up left to
     right until its first missing part, and no tail part is looked up
-    twice for one rule.  Results are deduplicated by
+    twice for one rule.  Only admitted parts are looked up: a
+    constituent with an index (f, v) in the rule's plan
+    (`_generation_plan`) takes only a part among the surfaces of the
+    entries that hold v at f or lack f (`_surfaces`), so a split with a
+    part outside its set is skipped before any lookup, and with two
+    constituents a tail outside its set before the prefix is looked up.
+    Only the index a rule names is built (`concat` under the fixture's
+    rule), never the lemma index.  Results are deduplicated by
     category and canonical form, ordered by rule, then cut positions,
     then the entry order of each part's lookup.  A category's first
     reading gets its canonical form only when a second one arrives.
@@ -428,9 +497,11 @@ def analyze(
     seen: set[tuple[str, str]] = set()
     # each category's first reading, until its canonical form is in `seen`
     first: dict[str, FeatureTree | None] = {}
+    lex_path = (lex_feature,)
     for rule in rules:
         category = rule.lhs
-        for parts, candidate_lists in _stored_splits(surface, len(rule.rhs), dictionary):
+        constituents = _generation_plan(rule, lex_path).constituents
+        for parts, candidate_lists in _stored_splits(surface, constituents, dictionary):
             for combo in product(*candidate_lists):
                 tree = _execute(rule, combo)
                 if tree is None:
@@ -483,15 +554,47 @@ def _admit(rows: Sequence, tests) -> Sequence:
     return [row for row in rows if not any(_clash(node, row[1][i]) for i, node in tests)]
 
 
-def _generation_plan(rule: WFRule, lex_path: tuple[str]):
+class _TableKey(NamedTuple):
+    index: tuple[str, str] | None
+    paths: tuple
+    tests: tuple
+
+
+class _Constituent(NamedTuple):
+    by_lemma: bool
+    key: _TableKey
+    tests: tuple
+    sources: tuple
+
+
+class _GenerationPlan(NamedTuple):
+    unjoined: tuple
+    constituents: tuple[_Constituent, ...]
+    outer: tuple[int, ...]
+    links: tuple
+    order: tuple[int, ...]
+    settled: bool
+
+
+def _generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPlan:
+    """The rule's plan for the lemma feature (`_build_generation_plan`),
+    built on first use and kept on the rule.  A separate function from
+    the builder, whose closures would cost every call."""
+    plan = rule.generation_plans.get(lex_path)
+    if plan is None:
+        plan = rule.generation_plans[lex_path] = _build_generation_plan(rule, lex_path)
+    return plan
+
+
+def _build_generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPlan:
     """The facts `generate` needs that do not depend on the lemma or the
-    constraints, read from the rule's classes and kept on the rule per
-    lemma feature: per constituent whether it is drawn by lemma (the
-    class of the result's lemma path holds one other place, its lemma
-    path, and no values), its table key, its value tests and its
-    constraint filters.  The key is (index, paths, tests): the index
-    (f, v) of the constituent's first value equation `C f = v` with a
-    one-label path and one value, or None; the paths its checks, filters
+    constraints, read from the rule's classes: per constituent whether
+    it is drawn by lemma (the class of the result's lemma path holds one
+    other place, its lemma path, and no values), its table key, its
+    value tests and its constraint filters.  The key is (index, paths,
+    tests): the index (f, v) of the constituent's first value equation
+    `C f = v` with a one-label path and one value, or None, which
+    `analyze` reads too (`_surfaces`); the paths its checks, filters
     and tests read, each once; and its value tests, each of its places
     paired with its class's values.  A row's nodes are aligned with the
     key's paths (`_node_rows`), so the plan names a constituent's place
@@ -508,9 +611,6 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     each top is a one-label read, which no leaf can block, and a
     constituent is drawn by lemma, whose own `lex_path` leaf the lemma
     top then reads and the lemma index gave the lemma."""
-    plan = rule.generation_plans.get(lex_path)
-    if plan is not None:
-        return plan
     rhs = rule.rhs
     indexes: dict[str, tuple[str, str]] = {}
     for eq in rule.equations:
@@ -548,9 +648,9 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
     ]
     at = [{path: i for i, path in enumerate(own)} for own in paths]  # place -> position
     constituents = tuple(
-        (
+        _Constituent(
             by_lemma[k],
-            (indexes.get(label), paths[k], tuple(tests[k])),
+            _TableKey(indexes.get(label), paths[k], tuple(tests[k])),
             tuple((at[k][path], values) for path, values in tests[k]),
             tuple((at[k][path], path, result) for path, result in sources[k]),
         )
@@ -567,10 +667,7 @@ def _generation_plan(rule: WFRule, lex_path: tuple[str]):
         ))
         for k, found in joins.items()
     )
-    plan = rule.generation_plans[lex_path] = (
-        unjoined, constituents, tuple(outer), links, order, settled
-    )
-    return plan
+    return _GenerationPlan(unjoined, constituents, tuple(outer), links, order, settled)
 
 
 def _kept(tables: dict, key: tuple, rows: Sequence) -> Sequence:
@@ -581,7 +678,9 @@ def _kept(tables: dict, key: tuple, rows: Sequence) -> Sequence:
     return rows
 
 
-def _filters(dictionary: ObjectDictionary, plan: tuple, constraints: FeatureTree) -> tuple:
+def _filters(
+    dictionary: ObjectDictionary, plan: _GenerationPlan, constraints: FeatureTree
+) -> tuple:
     """Each constituent's constraint filters, the constraints' nodes at
     its result paths, where present and not below a leaf: as `wanted`,
     (path, node) pairs, which key its narrowed table, and as (position,
@@ -591,9 +690,9 @@ def _filters(dictionary: ObjectDictionary, plan: tuple, constraints: FeatureTree
     filters = tables.get((plan, constraints))
     if filters is None:
         filters = []
-        for *_, sources in plan[1]:
+        for constituent in plan.constituents:
             wanted, tests = [], []
-            for i, path, result in sources:
+            for i, path, result in constituent.sources:
                 node = _peek(constraints, result)
                 if node is not None and node is not BLOCKED:
                     wanted.append((path, node))
@@ -604,7 +703,7 @@ def _filters(dictionary: ObjectDictionary, plan: tuple, constraints: FeatureTree
 
 
 def _lemma_rows(
-    dictionary: ObjectDictionary, key: tuple, tests: tuple, lex_feature: str, lemma: str
+    dictionary: ObjectDictionary, key: _TableKey, tests: tuple, lex_feature: str, lemma: str
 ) -> tuple:
     """A lemma-drawn constituent's rows for the lemma: the lemma index's
     entries, each with its nodes at the key's paths, that pass its value
@@ -614,14 +713,14 @@ def _lemma_rows(
     rows = None if store is None else store.get(lemma)
     if rows is None:
         entries = dictionary.lookup_by_lemma(lemma, lex_feature)
-        rows = tuple(_admit(_node_rows(entries, key[1]), tests))
+        rows = tuple(_admit(_node_rows(entries, key.paths), tests))
         if entries:
             dictionary.lemma_rows.setdefault((key, lex_feature), {})[lemma] = rows
     return rows
 
 
 def _table(
-    dictionary: ObjectDictionary, key: tuple, tests: tuple, wanted: tuple, filters: tuple
+    dictionary: ObjectDictionary, key: _TableKey, tests: tuple, wanted: tuple, filters: tuple
 ) -> list:
     """A table-drawn constituent's rows narrowed by its constraint
     filters, kept in the dictionary's `node_tables` under (key, wanted):
@@ -633,14 +732,14 @@ def _table(
     table = tables.get((key, wanted))
     if table is not None:
         return table
-    index, paths, _ = key
+    index = key.index
     table = tables.get((key, ()))
     if table is None:
         entries = (
             dictionary.entries if index is None
             else dictionary.lookup_by_concat(index[1], index[0])
         )
-        table = _kept(tables, (key, ()), _admit(_node_rows(entries, paths), tests))
+        table = _kept(tables, (key, ()), _admit(_node_rows(entries, key.paths), tests))
     return _kept(tables, (key, wanted), _admit(table, filters)) if wanted else table
 
 

@@ -4,11 +4,11 @@ An entry pairs a surface string with a feature tree; the dictionary
 indexes its entries by surface, and by the values of any top-level
 feature a query names (the lemma, a feature a word-formation rule
 draws a constituent by), each such index built on its first use, and
-it keeps generation's candidate tables and lemma rows.  The on-disk
-form is line based and canonical: a version header, then entries
-sorted by surface and canonical tree text, each entry being its
-surface line followed by two-space-indented canonical form lines and
-a blank line.
+it keeps generation's candidate tables and lemma rows and the surface
+sets analysis prunes its splits by.  The on-disk form is line based
+and canonical: a version header, then entries sorted by surface and
+canonical tree text, each entry being its surface line followed by
+two-space-indented canonical form lines and a blank line.
 Saving the same dictionary twice yields identical bytes.
 """
 
@@ -58,7 +58,7 @@ class DictStats:
 
 class ObjectDictionary:
     """Object entries, which never change, with derived indexes and
-    generation's caches, all filled on first use.
+    the caches of generation and analysis, all filled on first use.
 
     The dictionary knows no index feature: the dictionary rules decide
     what ends up meaning "lemma", and the word-formation rules which
@@ -82,8 +82,10 @@ class ObjectDictionary:
         # its key (index or None, paths, value tests) and clear its
         # constraint filters `wanted`, the table itself under (key, ());
         # ((key, wanted), probe) -> those rows that also clear a join's
-        # probe; and (generation plan, constraints) -> each constituent's
-        # constraint filters.  `lemma_rows` maps (key, lemma feature) to
+        # probe; (generation plan, constraints) -> each constituent's
+        # constraint filters; and, for `morph_engine.analyze`, an index
+        # (f, v) -> the surfaces of the entries `lookup_by_concat(v, f)`
+        # gives.  `lemma_rows` maps (key, lemma feature) to
         # lemma -> the rows of a lemma-drawn constituent that pass its
         # value tests, with a slot only for a lemma the feature's index
         # holds, so it never outgrows that index.

@@ -552,14 +552,16 @@ def test_a_second_generate_peeks_no_free_drawn_entry_again(monkeypatch, spanish_
     assert stems <= set(peeked) and not others & set(peeked)
 
 
-def test_only_generate_builds_value_indexes(spanish_dict, wf_rules):
+def test_analysis_builds_only_the_index_its_rule_names(spanish_dict, wf_rules):
     out = io.StringIO()
     save(spanish_dict, out)
     dictionary = load(io.StringIO(out.getvalue()))
     assert dictionary.lookup("pid")
-    assert analyze("pedíamos", dictionary, wf_rules)
     save(dictionary, io.StringIO())
     assert dictionary.value_indexes == {}
+    # the rule draws its parts by `concat`; analysis reads no lemma index
+    assert analyze("pedíamos", dictionary, wf_rules)
+    assert set(dictionary.value_indexes) == {"concat"}
     assert generate("pedir", impf_1pl(), dictionary, wf_rules) == ["pedíamos"]
     assert set(dictionary.value_indexes) == {"lex", "concat"}
 
@@ -1383,11 +1385,16 @@ def _counting_lookups(monkeypatch):
 @pytest.mark.parametrize("length", [2, 5, 12])
 def test_a_word_with_no_stored_prefix_costs_one_lookup_per_first_cut(monkeypatch, length):
     dictionary = small_dictionary([STEM, ("a", "concat = vm"), ("ba", "concat = vm")])
-    rules = parse_wf_rules(STEM_ENDING)
     calls = _counting_lookups(monkeypatch)
     word = "x" * length
+    # a rule that names no index looks up every first part
+    rules = parse_wf_rules("#WF-RULES\n\nWord -> Stem Ending\n  Word lex = Stem lex\n")
     assert analyze(word, dictionary, rules) == []
     assert calls == [word[:c] for c in range(1, length)]
+    # no tail is in the endings' set, so no prefix is looked up
+    calls.clear()
+    assert analyze(word, dictionary, parse_wf_rules(STEM_ENDING)) == []
+    assert calls == []
 
 
 def test_words_shorter_than_the_rule_need_no_lookup(monkeypatch):
@@ -1398,9 +1405,10 @@ def test_words_shorter_than_the_rule_need_no_lookup(monkeypatch):
     assert analyze("a", dictionary, rules) == []
     assert calls == []
     # two letters reach the two-constituent rule only, whose tail "a"
-    # is the stored first part
+    # is in the endings' set, but whose first part "a" is not in the
+    # stems'
     assert analyze("aa", dictionary, rules) == []
-    assert calls == ["a"]
+    assert calls == []
 
 
 def test_a_tail_part_is_looked_up_once_per_rule(monkeypatch):
@@ -1415,6 +1423,107 @@ def test_a_tail_part_is_looked_up_once_per_rule(monkeypatch):
     assert {(a.category, a.tree.canonical_form()) for a in got} == all_pairs_analyses(
         "abbabaabab", dictionary, rules
     )
+
+
+# Analysis looks up only the parts its constituents' indexes admit.
+# Entries an index `C cat = v` admits or refuses in every way: lacking
+# `cat`, a multi-valued `cat` leaf, a subtree at `cat`, a quoted value;
+# rules whose indexes are a plain test, a quoted value, a value in a
+# class the result reads (`M cat = S cat`), a middle constituent of
+# three, and a two-valued equation, which names no index.
+_SET_TREE_TEXTS = [
+    "\n".join(lines)
+    for lines in product(
+        ["", "cat = s", "cat = m", "cat = s m", "cat sub = s", 'cat = "q r"'],
+        ["", "lex = x", "lex = y"],
+        ["", "id = 1", "id = 2"],
+        ["", "agr = 1", "agr = 2"],
+    )
+]
+
+_SET_RULES = [
+    "W -> S E\n  S cat = s\n  E cat = m\n  W lex = S lex\n  S agr = E agr\n  W end = E id\n",
+    'Q -> S E\n  S cat = "q r"\n  E cat = m\n  Q lex = S lex\n  Q end = E id\n',
+    "M -> S E\n  M cat = S cat\n  S cat = s\n  E cat = m\n  M lex = S lex\n  M agr = E agr\n",
+    "T -> A B C\n  B cat = m\n  T lex = A lex\n  A agr = C agr\n  T mid = B id\n",
+    "U -> A B C\n  A cat = s m\n  C cat = s\n  U lex = A id\n  U end = C agr\n",
+]
+
+
+def _expected_lemma(canonical, feature):
+    """The one value of a top-level leaf at the feature, read from a
+    canonical text, else None."""
+    lines = [line for line in canonical.splitlines() if line.startswith(feature + " = ")]
+    if len(lines) != 1 or " " in lines[0][len(feature) + 3 :]:
+        return None
+    return lines[0][len(feature) + 3 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_analysis_through_the_surface_sets_equals_the_oracle(data):
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_SET_TREE_TEXTS)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    dictionary = small_dictionary(entries)  # keeps its sets across the calls
+    rules = parse_wf_rules(
+        "#WF-RULES\n\n"
+        + "\n".join(data.draw(st.lists(st.sampled_from(_SET_RULES), min_size=1, unique=True)))
+    )
+    spelled = st.lists(st.sampled_from([s for s, _ in entries]), min_size=1, max_size=3)
+    for _ in range(data.draw(st.integers(1, 4))):
+        surface = data.draw(st.one_of(spelled.map("".join), st.text("ab", max_size=6)))
+        feature = data.draw(st.sampled_from(["lex", "id"]))
+        got = [
+            (a.category, a.lemma, a.tree.canonical_form(), tuple(p for p, _ in a.segmentation),
+             tuple(id(e) for _, e in a.segmentation))
+            for a in analyze(surface, dictionary, rules, feature)
+        ]
+        expected = [
+            (lhs, _expected_lemma(canonical, feature), canonical,
+             tuple(e.surface for e in combo), tuple(id(e) for e in combo))
+            for lhs, canonical, combo in ordered_analyses(surface, dictionary, rules)
+        ]
+        assert got == expected
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 5])
+def test_analysis_keeps_its_sets_within_the_bound(
+    monkeypatch, spanish_dict, wf_rules, spanish_oracle, bound
+):
+    monkeypatch.setattr(morph_engine, "MAX_NODE_TABLES", bound)
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    lemmas = sorted_lemmas(spanish_dict)
+    forms = {form for lemma in lemmas for form in spanish_oracle(lemma, EMPTY_TREE)}
+    assert len(forms) >= 50
+    # each form, and two misses near it
+    words = sorted(forms | {form[:-1] for form in forms} | {form + "s" for form in forms})
+
+    def analyze_all():
+        for word in words:
+            got = [
+                (a.category, a.tree.canonical_form(), tuple(id(e) for _, e in a.segmentation))
+                for a in analyze(word, dictionary, wf_rules)
+            ]
+            assert got == [
+                (lhs, canonical, tuple(id(e) for e in combo))
+                for lhs, canonical, combo in ordered_analyses(word, dictionary, wf_rules)
+            ], word
+            assert len(dictionary.node_tables) <= bound
+
+    # the sets are kept while the bound has room, and generation's
+    # tables then share it; analysis runs again over the full tables
+    analyze_all()
+    assert len(dictionary.node_tables) == min(bound, 2)
+    for lemma in lemmas:
+        assert generate(lemma, EMPTY_TREE, dictionary, wf_rules) == spanish_oracle(lemma, EMPTY_TREE)
+        assert len(dictionary.node_tables) <= bound
+    analyze_all()
+    assert len(dictionary.node_tables) == bound
 
 
 # Rules drawn, in shuffled order, from equations whose paths overlap in
