@@ -48,7 +48,9 @@ constraints; a table-drawn constituent's table is kept narrowed by
 them, keyed by those nodes, and one linked to an outer constituent is
 joined: the rows of its narrowed table that pass an outer row's nodes
 at the linked places are kept per dictionary, in the tables' cache, by
-those nodes.  So a value test is run once per candidate and a
+those nodes.  Those caches key a plan, a table key or a join by a tag
+given when the plan is built (`_tag`), which needs no hashing on a
+call.  So a value test is run once per candidate and a
 constraint or join test once per table-drawn candidate and key, not
 again by the engine or a later call; that cache holds a bounded number
 of entries (`MAX_NODE_TABLES`), and the lemma rows one slot per lemma
@@ -76,7 +78,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -380,9 +382,12 @@ def _clash(a, b) -> bool:
     if b is None:
         return a is BLOCKED
     if isinstance(a, ValueSet) and isinstance(b, ValueSet):
-        # the leaves' sorted text tuples, nearly always of one text each
-        theirs = b._texts
-        for text in a._texts:
+        # the leaves' sorted text tuples: a stem's may hold a dozen texts,
+        # an ending's one or two, so the loop runs over the shorter
+        mine, theirs = a._texts, b._texts
+        if len(mine) > len(theirs):
+            mine, theirs = theirs, mine
+        for text in mine:
             if text in theirs:
                 return False
         return True
@@ -397,23 +402,26 @@ def _clash(a, b) -> bool:
 
 # -- analysis ----------------------------------------------------------------
 
-def _stored_splits(surface: str, constituents: Sequence, dictionary: ObjectDictionary):
-    """Each split of the surface into stored parts, one per constituent,
-    as (parts, entry lists) in ascending order of cut positions.  A
-    constituent's set (`_surfaces`), where it has one, holds every
-    surface its part can have: a split with a part outside it is dropped
-    before any of its parts is looked up, and with two constituents a
-    first cut whose tail is outside the tail's set looks up no prefix.
-    Only a stored first part opens its tails, and a tail stops at its
-    first missing part.  A tail part is looked up once per call: a part
-    some tail already looked up, or a stored first part, comes from a
-    memo."""
+def _stored_splits(surface: str, plan: _GenerationPlan, dictionary: ObjectDictionary):
+    """Each split of the surface into stored parts, one per constituent
+    of the rule's plan, as (parts, entry lists) in ascending order of
+    cut positions.  A constituent's set (`_surfaces`), where it has one,
+    holds every surface its part can have: a split with a part outside
+    it is dropped before any of its parts is looked up, and with two
+    constituents a first cut whose tail is outside the tail's set looks
+    up no prefix.  Only a stored first part opens its tails, and a tail
+    stops at its first missing part.  A tail part is looked up once per
+    call: a part some tail already looked up, or a stored first part,
+    comes from a memo.  The sets, None where a constituent has no index,
+    are kept as one tuple in the dictionary's `node_tables` under the
+    plan's tag."""
     tables = dictionary.node_tables
-    sets = []
-    for constituent in constituents:
-        index = constituent.key.index
-        # the kept set, read here without a call, else `_surfaces`
-        sets.append(None if index is None else tables.get(index) or _surfaces(dictionary, index))
+    sets = tables.get(plan.tag)
+    if sets is None:
+        sets = _kept(tables, plan.tag, tuple(
+            None if constituent.key.index is None else _surfaces(dictionary, constituent.key.index)
+            for constituent in plan.constituents
+        ))
     lookup = dictionary.lookup
     found: dict[str, list[ObjectEntry]] = {}
     end = len(surface)
@@ -487,8 +495,10 @@ def analyze(
     entries that hold v at f or lack f (`_surfaces`), so a split with a
     part outside its set is skipped before any lookup, and with two
     constituents a tail outside its set before the prefix is looked up.
-    Only the index a rule names is built (`concat` under the fixture's
-    rule), never the lemma index.  Results are deduplicated by
+    A rule's sets are read as one tuple, kept under its plan's tag, and
+    a rule of more constituents than the surface has characters is not
+    split at all.  Only the index a rule names is built (`concat` under
+    the fixture's rule), never the lemma index.  Results are deduplicated by
     category and canonical form, ordered by rule, then cut positions,
     then the entry order of each part's lookup.  A category's first
     reading gets its canonical form only when a second one arrives.
@@ -499,9 +509,11 @@ def analyze(
     first: dict[str, FeatureTree | None] = {}
     lex_path = (lex_feature,)
     for rule in rules:
+        if len(rule.rhs) > len(surface):
+            continue  # no split: each part is non-empty
         category = rule.lhs
-        constituents = _generation_plan(rule, lex_path).constituents
-        for parts, candidate_lists in _stored_splits(surface, constituents, dictionary):
+        plan = _generation_plan(rule, lex_path)
+        for parts, candidate_lists in _stored_splits(surface, plan, dictionary):
             for combo in product(*candidate_lists):
                 tree = _execute(rule, combo)
                 if tree is None:
@@ -565,6 +577,8 @@ class _Constituent(NamedTuple):
     key: _TableKey
     tests: tuple
     sources: tuple
+    tag: int
+    join: int | None
 
 
 class _GenerationPlan(NamedTuple):
@@ -574,6 +588,24 @@ class _GenerationPlan(NamedTuple):
     links: tuple
     order: tuple[int, ...]
     settled: bool
+    tag: int
+
+
+# Each value `_tag` has tagged: generation plans, table keys and joins,
+# (table key, linked paths), never anything built from a caller's
+# constraints, so it holds at most a few values per distinct rule ever
+# planned.  Tags are drawn from a counter, so two values never share one.
+_TAGS: dict[tuple, int] = {}
+_NEW_TAGS = count()
+
+
+def _tag(value: tuple) -> int:
+    """The int that stands for a plan-level value in the caches' keys,
+    the same for equal values, so equal rules from a second parse share
+    their kept tables.  An int hashes at once, where a tuple hashes its
+    items again on every lookup; an `id` could be reused by a later
+    value once its own dies."""
+    return _TAGS.setdefault(value, next(_NEW_TAGS))
 
 
 def _generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPlan:
@@ -604,13 +636,17 @@ def _build_generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPla
     the pairs of places within a class.  In rule order, a constituent
     not drawn by lemma is joined by each pair check that links it to an
     outer one (drawn by lemma, or earlier and not joined), as (outer
-    constituent, outer place, own path, own place).  Constituents are
-    numbered outer ones first, then the joined ones (`order`).  These
-    filters decide each test of the rule's plan.  Last comes whether
-    they decide each combination (`settled`): the plan meets no class,
-    each top is a one-label read, which no leaf can block, and a
-    constituent is drawn by lemma, whose own `lex_path` leaf the lemma
-    top then reads and the lemma index gave the lemma."""
+    constituent, outer place, own place).  Constituents are numbered
+    outer ones first, then the joined ones (`order`).  These filters
+    decide each test of the rule's plan.  Then comes whether they decide
+    each combination (`settled`): the plan meets no class, each top is a
+    one-label read, which no leaf can block, and a constituent is drawn
+    by lemma, whose own `lex_path` leaf the lemma top then reads and the
+    lemma index gave the lemma.  Last, the caches' keys hold tags
+    (`_tag`) for the values they stand for: the plan's own, each
+    constituent's key's (`tag`), and a joined one's (`join`), which
+    stands for its key and its linked paths, since two rules can link one
+    table by different paths."""
     rhs = rule.rhs
     indexes: dict[str, tuple[str, str]] = {}
     for eq in rule.equations:
@@ -647,30 +683,35 @@ def _build_generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPla
         for k in range(len(rhs))
     ]
     at = [{path: i for i, path in enumerate(own)} for own in paths]  # place -> position
-    constituents = tuple(
-        _Constituent(
+    # per joined constituent, each link's outer place and own path
+    linked = {
+        k: [((j, q), p) if i == k else ((i, p), q) for i, p, j, q in found]
+        for k, found in joins.items()
+    }
+    constituents = []
+    for k, label in enumerate(rhs):
+        key = _TableKey(indexes.get(label), paths[k], tuple(tests[k]))
+        constituents.append(_Constituent(
             by_lemma[k],
-            _TableKey(indexes.get(label), paths[k], tuple(tests[k])),
+            key,
             tuple((at[k][path], values) for path, values in tests[k]),
             tuple((at[k][path], path, result) for path, result in sources[k]),
-        )
-        for k, label in enumerate(rhs)
-    )
+            _tag(key),
+            _tag((key, tuple(p for _, p in linked[k]))) if k in linked else None,
+        ))
     unjoined = tuple(
         (order[i], at[i][p], order[j], at[j][q]) for i, p, j, q in checks
         if not any((i, p, j, q) in found for found in joins.values())
     )
     links = tuple(
-        (k, tuple(
-            (order[j], at[j][q], p, at[k][p]) if i == k else (order[i], at[i][p], q, at[k][q])
-            for i, p, j, q in found
-        ))
-        for k, found in joins.items()
+        (k, tuple((order[j], at[j][q], at[k][p]) for (j, q), p in own))
+        for k, own in linked.items()
     )
-    return _GenerationPlan(unjoined, constituents, tuple(outer), links, order, settled)
+    fields = (unjoined, tuple(constituents), tuple(outer), links, order, settled)
+    return _GenerationPlan(*fields, _tag(fields))
 
 
-def _kept(tables: dict, key: tuple, rows: Sequence) -> Sequence:
+def _kept(tables: dict, key, rows: Sequence) -> Sequence:
     """The rows, kept in `tables` (a dictionary's `node_tables`) under
     key while it holds fewer than `MAX_NODE_TABLES` entries."""
     if len(tables) < MAX_NODE_TABLES:
@@ -685,9 +726,9 @@ def _filters(
     its result paths, where present and not below a leaf: as `wanted`,
     (path, node) pairs, which key its narrowed table, and as (position,
     node) tests for `_admit`.  Kept in the dictionary's `node_tables`
-    under (plan, constraints)."""
+    under (plan tag, constraints)."""
     tables = dictionary.node_tables
-    filters = tables.get((plan, constraints))
+    filters = tables.get((plan.tag, constraints))
     if filters is None:
         filters = []
         for constituent in plan.constituents:
@@ -698,64 +739,67 @@ def _filters(
                     wanted.append((path, node))
                     tests.append((i, node))
             filters.append((tuple(wanted), tuple(tests)))
-        filters = _kept(tables, (plan, constraints), tuple(filters))
+        filters = _kept(tables, (plan.tag, constraints), tuple(filters))
     return filters
 
 
 def _lemma_rows(
-    dictionary: ObjectDictionary, key: _TableKey, tests: tuple, lex_feature: str, lemma: str
+    dictionary: ObjectDictionary, constituent: _Constituent, lex_feature: str, lemma: str
 ) -> tuple:
     """A lemma-drawn constituent's rows for the lemma: the lemma index's
-    entries, each with its nodes at the key's paths, that pass its value
-    tests.  Kept in the dictionary's `lemma_rows` under (key,
+    entries, each with its nodes at its key's paths, that pass its value
+    tests.  Kept in the dictionary's `lemma_rows` under (key tag,
     lex_feature), then the lemma, when the index holds the lemma."""
-    store = dictionary.lemma_rows.get((key, lex_feature))
+    store = dictionary.lemma_rows.get((constituent.tag, lex_feature))
     rows = None if store is None else store.get(lemma)
     if rows is None:
         entries = dictionary.lookup_by_lemma(lemma, lex_feature)
-        rows = tuple(_admit(_node_rows(entries, key.paths), tests))
+        rows = tuple(_admit(_node_rows(entries, constituent.key.paths), constituent.tests))
         if entries:
-            dictionary.lemma_rows.setdefault((key, lex_feature), {})[lemma] = rows
+            dictionary.lemma_rows.setdefault((constituent.tag, lex_feature), {})[lemma] = rows
     return rows
 
 
 def _table(
-    dictionary: ObjectDictionary, key: _TableKey, tests: tuple, wanted: tuple, filters: tuple
+    dictionary: ObjectDictionary, constituent: _Constituent, wanted: tuple, filters: tuple
 ) -> list:
     """A table-drawn constituent's rows narrowed by its constraint
-    filters, kept in the dictionary's `node_tables` under (key, wanted):
-    its candidates, each with its nodes at the key's paths, that pass
-    its value tests (`tests`, by position), kept under (key, ()), then
-    those that clear each (position, node) of `filters`, the positions
-    of `wanted`'s paths."""
+    filters, kept in the dictionary's `node_tables` under (key tag,
+    wanted): its candidates, each with its nodes at its key's paths, that
+    pass its value tests, kept under (key tag, ()), then those that
+    clear each (position, node) of `filters`, the positions of
+    `wanted`'s paths."""
     tables = dictionary.node_tables
-    table = tables.get((key, wanted))
+    tag = constituent.tag
+    table = tables.get((tag, wanted))
     if table is not None:
         return table
-    index = key.index
-    table = tables.get((key, ()))
+    table = tables.get((tag, ()))
     if table is None:
+        key = constituent.key
+        index = key.index
         entries = (
             dictionary.entries if index is None
             else dictionary.lookup_by_concat(index[1], index[0])
         )
-        table = _kept(tables, (key, ()), _admit(_node_rows(entries, key.paths), tests))
-    return _kept(tables, (key, wanted), _admit(table, filters)) if wanted else table
+        table = _kept(tables, (tag, ()), _admit(_node_rows(entries, key.paths), constituent.tests))
+    return _kept(tables, (tag, wanted), _admit(table, filters)) if wanted else table
 
 
 def _joined(
     dictionary: ObjectDictionary, key: tuple, table: list, links: tuple, head: tuple
 ) -> list:
     """The rows of a joined constituent's narrowed table, the one kept
-    under `key`, that clear the outer rows' nodes at the linked places
-    (the probe, as (own path, node) pairs), a leaf, a subtree, or a
-    missing or blocked node each: kept in the dictionary's `node_tables`
-    under (key, probe)."""
-    probe = tuple((path, head[x][1][p]) for x, p, path, _ in links)
+    under `key`, (join tag, wanted), that clear the outer rows' nodes at
+    the linked places (the probe), a leaf, a subtree, or a missing or
+    blocked node each: kept in the dictionary's `node_tables` under
+    (key, probe).  The join tag stands for the table key and the
+    constituent's linked paths, so the probe holds the nodes alone."""
+    probe = tuple([head[x][1][p] for x, p, _ in links])
     tables = dictionary.node_tables
     rows = tables.get((key, probe))
     if rows is None:
-        tests = [(i, head[x][1][p]) for x, p, _, i in links]
+        tests = [(i, node) for (_, _, i), node in zip(links, probe)]
         rows = _kept(tables, (key, probe), _admit(table, tests))
     return rows
 
@@ -781,18 +825,18 @@ def generate(
     the entry with its nodes at the paths the plan reads (`_node_rows`).
     The last two kinds are table-drawn: their rows are peeked once per
     dictionary, and those that pass all of the constituent's value
-    tests are kept in its `node_tables` under (key, ()).  So a table
-    holds the same rows whichever index drew it.  A lemma-drawn
+    tests are kept in its `node_tables` under (key tag, ()).  So a
+    table holds the same rows whichever index drew it.  A lemma-drawn
     constituent's rows that pass its value tests are kept in the
-    dictionary's `lemma_rows` under (key, lemma feature) and the lemma
-    (`_lemma_rows`), once the index is read for a lemma it holds.  The
-    constraints' nodes at each constituent's result paths, its
+    dictionary's `lemma_rows` under (key tag, lemma feature) and the
+    lemma (`_lemma_rows`), once the index is read for a lemma it holds.
+    The constraints' nodes at each constituent's result paths, its
     constraint filters (`wanted`), are kept in `node_tables` under
-    (plan, constraints) (`_filters`).  A table's rows that also clear
-    them are its narrowed table, kept under (key, wanted) (`_table`),
-    and a call filters its lemma's kept rows by them (`_admit`): a
-    repeated cell tests no ending again, and a repeated lemma no stem
-    against its value tests.  A constituent of the last kind can
+    (plan tag, constraints) (`_filters`).  A table's rows that also
+    clear them are its narrowed table, kept under (key tag, wanted)
+    (`_table`), and a call filters its lemma's kept rows by them
+    (`_admit`): a repeated cell tests no ending again, and a repeated
+    lemma no stem against its value tests.  A constituent of the last kind can
     multiply the work by |D|, the dictionary size, so a rule whose
     product of narrowed tables exceeds `MAX_COMBINATIONS` raises
     `GenerationLimit` before any combination is tried.
@@ -806,10 +850,11 @@ def generate(
     result), and a combination whose entries clash at two places of one
     class.  A joined constituent's candidates for one combination of
     the outer ones are the rows of its narrowed table clearing its
-    links, kept in `node_tables` under ((key, wanted), probe)
-    (`_joined`).  `node_tables` keeps at most `MAX_NODE_TABLES`
-    entries; past that, a table, join or set of filters it lacks is
-    made for the call and not kept.  `product` runs over the outer
+    links, kept in `node_tables` under ((join tag, wanted), probe), the
+    probe being the outer rows' nodes at the linked places (`_joined`).
+    `node_tables` keeps at most `MAX_NODE_TABLES` entries; past that, a
+    table, join or set of filters it lacks is made for the call and not
+    kept.  `product` runs over the outer
     constituents, then over the joined ones, and `_execute` meets the
     classes, skipping the tests these filters decide.  With no
     constraints, a rule whose plan they settle (`_generation_plan`) runs
@@ -824,24 +869,29 @@ def generate(
 
     The cache keys hold the constraints and their nodes, and a tree
     keeps its hash once made: neither the constraints' `children` nor
-    any tree's is mutated after construction.
+    any tree's is mutated after construction.  The plan, its table keys
+    and its joins are tags in those keys, ints the plan was given when
+    it was built (`_build_generation_plan`), so a warmed call hashes no
+    plan or table key, only the constraints and the nodes.  A tag
+    stands for a value, never an identity: equal plans from a second
+    parse of the rules have equal tags and share the kept tables.
     """
     lex_path = (lex_feature,)
     surfaces: set[str] = set()
     for rule in rules:
         plan = _generation_plan(rule, lex_path)
-        checks, constituents, outer, joins, order, settled = plan
+        checks, constituents, outer, joins, order, settled, _ = plan
         settled = settled and not constraints.children
         keys, tables = [], []
-        for (by_lemma, key, tests, _), (wanted, filters) in zip(
+        for constituent, (wanted, filters) in zip(
             constituents, _filters(dictionary, plan, constraints)
         ):
-            if by_lemma:
-                rows = _lemma_rows(dictionary, key, tests, lex_feature, lemma)
+            if constituent.by_lemma:
+                rows = _lemma_rows(dictionary, constituent, lex_feature, lemma)
                 tables.append(_admit(rows, filters))
             else:
-                tables.append(_table(dictionary, key, tests, wanted, filters))
-            keys.append((key, wanted))
+                tables.append(_table(dictionary, constituent, wanted, filters))
+            keys.append((constituent.join, wanted))
         size = prod(map(len, tables))
         if size > MAX_COMBINATIONS:
             where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""

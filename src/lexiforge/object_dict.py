@@ -76,20 +76,24 @@ class ObjectDictionary:
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
         # generation's caches, filled by `morph_engine.generate` on first
         # use.  A row is (entry, nodes), the entry's nodes at the key's
-        # paths.  `node_tables` holds at most
-        # `morph_engine.MAX_NODE_TABLES` entries: (key, wanted) -> the
-        # rows of a table-drawn constituent that pass the value tests of
-        # its key (index or None, paths, value tests) and clear its
-        # constraint filters `wanted`, the table itself under (key, ());
-        # ((key, wanted), probe) -> those rows that also clear a join's
-        # probe; (generation plan, constraints) -> each constituent's
+        # paths.  A plan, a table key (index or None, paths, value
+        # tests) and a join (table key, linked paths) appear in the keys
+        # as the int tags `morph_engine._tag` gave them when the plan was
+        # built.  `node_tables` holds at most
+        # `morph_engine.MAX_NODE_TABLES` entries: (key tag, wanted) ->
+        # the rows of a table-drawn constituent that pass its key's
+        # value tests and clear its constraint filters `wanted`, the
+        # table itself under (key tag, ()); ((join tag, wanted), nodes)
+        # -> those rows that also clear the outer rows' nodes at the
+        # join's paths; (plan tag, constraints) -> each constituent's
         # constraint filters; and, for `morph_engine.analyze`, an index
         # (f, v) -> the surfaces of the entries `lookup_by_concat(v, f)`
-        # gives.  `lemma_rows` maps (key, lemma feature) to
-        # lemma -> the rows of a lemma-drawn constituent that pass its
-        # value tests, with a slot only for a lemma the feature's index
-        # holds, so it never outgrows that index.
-        self.node_tables: dict[tuple, object] = {}
+        # gives, and a plan tag -> its constituents' surface sets.
+        # `lemma_rows` maps (key tag, lemma feature) to lemma -> the
+        # rows of a lemma-drawn constituent that pass its value tests,
+        # with a slot only for a lemma the feature's index holds, so it
+        # never outgrows that index.
+        self.node_tables: dict[object, object] = {}
         self.lemma_rows: dict[tuple, dict[str, tuple]] = {}
 
     @classmethod

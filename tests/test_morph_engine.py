@@ -4,7 +4,7 @@ import random
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexiforge import morph_engine
@@ -312,8 +312,11 @@ _NODES = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(_NODES, _NODES)
+@example(leaf("x", "y", "z"), leaf("z"))
+@example(leaf("x", "y"), leaf("z"))
 def test_clash_is_exactly_a_blocked_meet(a, b):
-    assert _clash(a, b) == (meet(a, b) is BLOCKED)
+    # both orders: `_clash` loops over whichever leaf is shorter
+    assert _clash(a, b) == _clash(b, a) == (meet(a, b) is BLOCKED)
 
 
 def test_path_through_a_leaf_fails_the_candidate(spanish_dict):
@@ -1135,9 +1138,16 @@ def test_a_join_on_a_subtree_is_kept(monkeypatch):
     cell = EMPTY_TREE.set(("agr", "pers"), leaf("1"))
     assert generate("ka", cell, dictionary, rules) == oracle("ka", cell) == ["kaa", "kae"]
     # the stem's `agr` subtree is the probe of a kept join, whose key
-    # is ((table key, constraint filters), probe)
-    probes = [key[1] for key in dictionary.node_tables if len(key[0]) == 2]
-    assert probes == [((("agr",), FeatureTree({"pers": leaf("1")})),)]
+    # is ((join tag, constraint filters), probe), the join tag standing
+    # for the ending's table key and its linked path `agr`
+    (rule,) = rules
+    ending = morph_engine._generation_plan(rule, ("lex",)).constituents[1]
+    assert morph_engine._TAGS[ending.key, (("agr",),)] == ending.join
+    probes = [
+        key[1] for key in dictionary.node_tables
+        if type(key[0]) is tuple and key[0][0] == ending.join
+    ]
+    assert probes == [(FeatureTree({"pers": leaf("1")}),)]
     kept = dict(dictionary.node_tables)
     clashes = _counting_clashes(monkeypatch)
     assert generate("ka", cell, dictionary, rules) == ["kaa", "kae"]
@@ -1147,6 +1157,69 @@ def test_a_join_on_a_subtree_is_kept(monkeypatch):
     (stem,) = dictionary.lookup_by_lemma("ka")
     nodes = [stem.tree.get(path) for path in [("concat",), ("agr",), ("agr", "pers")]]
     assert len(clashes) == 2 and all(any(b is n for n in nodes) for _, b in clashes)
+
+
+# Two rules whose joined ending has one table key (index concat = e,
+# paths stt, conj and concat, one value test) but links different
+# paths: `W` joins it by `stt`, `V` by `conj` (its `stt` pair with `M`
+# is no join, since `M` is joined too).  A stem whose `stt` and `conj`
+# hold one value gives both joins equal nodes, which must stay two joins.
+_ONE_KEY_TWO_LINKS = (
+    "#WF-RULES\n\nW -> S E\n  S concat = s\n  E concat = e\n  W lex = S lex\n"
+    "  S stt = E stt\n  W conj = E conj\n\n"
+    "V -> S M E\n  S concat = s\n  M concat = m\n  E concat = e\n  V lex = S lex\n"
+    "  S sut = M sut\n  M stt = E stt\n  S conj = E conj\n"
+)
+
+
+def test_one_ending_table_linked_by_two_paths_is_two_joins():
+    entries = [
+        ("ka", "lex = x\nconcat = s\nstt = 1\nconj = 1\nsut = 1"),
+        ("pe", "lex = y\nconcat = s\nstt = 2\nconj = 1\nsut = 1"),
+        ("mi", "concat = m\nsut = 1\nstt = 2"),
+        ("a", "concat = e\nstt = 1\nconj = 1"),
+        ("o", "concat = e\nstt = 2\nconj = 2"),
+        ("u", "concat = e\nstt = 2\nconj = 1"),
+    ]
+    dictionary = small_dictionary(entries)
+    rules = parse_wf_rules(_ONE_KEY_TWO_LINKS)
+    endings = [morph_engine._generation_plan(rule, ("lex",)).constituents[-1] for rule in rules]
+    assert endings[0].key == endings[1].key and endings[0].join != endings[1].join
+    oracle = all_pairs_generation(dictionary, rules)
+    cells = [EMPTY_TREE] + [EMPTY_TREE.set(("conj",), leaf(value)) for value in "12"]
+    for lemma in ["x", "y"]:
+        for cell in cells:
+            assert generate(lemma, cell, dictionary, rules) == oracle(lemma, cell), (lemma, cell)
+    # `V` reads the ending `u` through the join by `conj`
+    assert generate("x", EMPTY_TREE, dictionary, rules) == ["kaa", "kamiu"]
+
+
+def test_parsing_the_rules_again_adds_no_tag(spanish_dict, fixtures_dir):
+    text = (fixtures_dir / "wf.rules").read_text(encoding="utf-8")
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    first = parse_wf_rules(text)
+    assert generate("pedir", impf_1pl(), dictionary, first) == ["pedíamos"]
+    assert len(analyze("pedíamos", dictionary, first)) == 1
+    tags, kept = dict(morph_engine._TAGS), dict(dictionary.node_tables)
+    again = parse_wf_rules(text)
+    assert generate("pedir", impf_1pl(), dictionary, again) == ["pedíamos"]
+    assert len(analyze("pedíamos", dictionary, again)) == 1
+    # the second parse's equal plan has the same tags, so it reads the
+    # tables the first one kept
+    assert morph_engine._TAGS == tags
+    assert dictionary.node_tables.keys() == kept.keys()
+    plans = [morph_engine._generation_plan(rules[0], ("lex",)) for rules in (first, again)]
+    assert plans[0] == plans[1] and plans[0].tag == plans[1].tag
+
+
+def test_distinct_constraints_add_no_tag(spanish_dict, wf_rules):
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    generate("pedir", EMPTY_TREE, dictionary, wf_rules)
+    tags = dict(morph_engine._TAGS)
+    for i in range(1000):
+        constraints = impf_1pl().set(("agr", "num"), leaf("plu", str(i)))
+        assert generate("pedir", constraints, dictionary, wf_rules) == ["pedíamos"]
+    assert morph_engine._TAGS == tags
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 5])
@@ -1191,15 +1264,15 @@ def test_the_lemma_store_keeps_one_slot_per_key_feature_and_indexed_lemma(
     # the lemma index is read once per lemma, on its first call
     assert reads == lemmas
     (rule,) = wf_rules
-    constituents = morph_engine._generation_plan(rule, ("lex",))[1]
-    keys = [key for by_lemma, key, _, _ in constituents if by_lemma]
+    constituents = morph_engine._generation_plan(rule, ("lex",)).constituents
+    tags = [constituent.tag for constituent in constituents if constituent.by_lemma]
     slots = [
-        (key, feature, lemma)
-        for (key, feature), rows in dictionary.lemma_rows.items()
+        (tag, feature, lemma)
+        for (tag, feature), rows in dictionary.lemma_rows.items()
         for lemma in rows
     ]
     indexed = dictionary.value_indexes["lex"][0]
-    assert sorted(slots) == sorted((key, "lex", lemma) for key in keys for lemma in indexed)
+    assert sorted(slots) == sorted((tag, "lex", lemma) for tag in tags for lemma in indexed)
     # `ser`'s entries are whole words, which fail `Stem concat = vl`: its
     # slot holds no row, and still spares the index a second read
     (store,) = dictionary.lemma_rows.values()
@@ -1287,7 +1360,7 @@ _BOUNDARY_RULES = [
 
 def test_the_boundary_rules_sit_on_both_sides_of_the_settled_line():
     rules = parse_wf_rules("#WF-RULES\n\n" + "\n".join(_BOUNDARY_RULES))
-    settled = [morph_engine._generation_plan(rule, ("lex",))[-1] for rule in rules]
+    settled = [morph_engine._generation_plan(rule, ("lex",)).settled for rule in rules]
     assert settled == [True, True, False, False, False, False]
 
 
@@ -1515,10 +1588,11 @@ def test_analysis_keeps_its_sets_within_the_bound(
             ], word
             assert len(dictionary.node_tables) <= bound
 
-    # the sets are kept while the bound has room, and generation's
-    # tables then share it; analysis runs again over the full tables
+    # the two sets, then the rule's tuple of them, are kept while the
+    # bound has room, and generation's tables then share it; analysis
+    # runs again over the full tables
     analyze_all()
-    assert len(dictionary.node_tables) == min(bound, 2)
+    assert len(dictionary.node_tables) == min(bound, 3)
     for lemma in lemmas:
         assert generate(lemma, EMPTY_TREE, dictionary, wf_rules) == spanish_oracle(lemma, EMPTY_TREE)
         assert len(dictionary.node_tables) <= bound
