@@ -386,9 +386,11 @@ def meet(a: "Node | None", b: "Node | None"):
     """What equating two nodes leaves: the only node-level meet.
 
     An absent side (None) gives the other side.  Two leaves intersect.
-    Two trees meet label by label over a copy of `a`'s children, so
-    `b`'s own labels follow `a`'s; an empty tree gives the other
-    operand itself, and two non-empty trees always give a new tree.
+    Two trees meet label by label over `a`'s children, so `b`'s own
+    labels follow `a`'s; an empty tree gives the other operand itself.
+    `a`'s children are copied only at the first label whose meet is not
+    `a`'s own node there, so when `b` adds and narrows nothing, `a`
+    itself comes back, as a leaf's intersection gives the leaf itself.
     Anything else (a leaf against a tree, a placeholder, BLOCKED), or
     an empty intersection anywhere below, gives BLOCKED.
     """
@@ -403,15 +405,19 @@ def meet(a: "Node | None", b: "Node | None"):
         return BLOCKED
     if not b.children:
         return a
-    if not a.children:
+    own = children = a.children
+    if not own:
         return b
-    children = dict(a.children)
     for label, bnode in b.children.items():
-        merged = meet(children.get(label), bnode)
+        mine = own.get(label)
+        merged = meet(mine, bnode)
         if merged is BLOCKED:
             return BLOCKED
-        children[label] = merged
-    return FeatureTree(children)
+        if merged is not mine:
+            if children is own:
+                children = dict(own)
+            children[label] = merged
+    return a if children is own else FeatureTree(children)
 
 
 def unify(a: FeatureTree, b: FeatureTree) -> FeatureTree | None:
@@ -419,7 +425,8 @@ def unify(a: FeatureTree, b: FeatureTree) -> FeatureTree | None:
 
     `meet` with BLOCKED given as None.  Commutative up to canonical
     form, idempotent, and the empty tree is its unit: when one operand
-    is empty the other is returned as it is.
+    is empty the other is returned as it is, and when `b` adds and
+    narrows nothing in `a`, `a` is.
     """
     merged = meet(a, b)
     return None if merged is BLOCKED else merged

@@ -62,8 +62,10 @@ constituent's own leaf: no such read can be blocked, the lemma index
 put the lemma in that leaf, and the empty constraints unify with any
 tree.  Where, besides, every pair check is a join, such a call joins
 each outer combination's surfaces as one product over the
-constituents' surface columns.  A constrained call builds each tree
-and unifies it with the constraints.
+constituents' surface columns.  A constrained call under such a rule
+reads each tree from its candidates' kept nodes at the rule's tops,
+with no class met and no lemma tested, and unifies it with the
+constraints; under any other rule it builds each tree and unifies it.
 Analysis prunes by the same indexes, before any lookup: a part of a
 constituent that has one must be among the surfaces of the entries it
 admits (`_surfaces`), or no entry of that surface could pass the
@@ -413,15 +415,14 @@ def _stored_splits(surface: str, plan: _GenerationPlan, dictionary: ObjectDictio
     stops at its first missing part.  A tail part is looked up once per
     call: a part some tail already looked up, or a stored first part,
     comes from a memo.  The sets, None where a constituent has no index,
-    are kept as one tuple in the dictionary's `node_tables` under the
+    are kept as one tuple in the dictionary's `surface_sets` under the
     plan's tag."""
-    tables = dictionary.node_tables
-    sets = tables.get(plan.tag)
+    sets = dictionary.surface_sets.get(plan.tag)
     if sets is None:
-        sets = _kept(tables, plan.tag, tuple(
+        sets = dictionary.surface_sets[plan.tag] = tuple(
             None if constituent.key.index is None else _surfaces(dictionary, constituent.key.index)
             for constituent in plan.constituents
-        ))
+        )
     lookup = dictionary.lookup
     found: dict[str, list[ObjectEntry]] = {}
     end = len(surface)
@@ -465,13 +466,12 @@ def _surfaces(dictionary: ObjectDictionary, index: tuple[str, str]) -> frozenset
     index (f, v): those `lookup_by_concat` gives, whose f leaf holds v
     or who lack f.  Every other entry clashes with v at f, as a leaf
     without v or a subtree, so a part outside the set has no reading.
-    Kept in the dictionary's `node_tables` under the index."""
-    tables = dictionary.node_tables
-    surfaces = tables.get(index)
+    Kept in the dictionary's `surface_sets` under the index."""
+    surfaces = dictionary.surface_sets.get(index)
     if surfaces is None:
         feature, value = index
         entries = dictionary.lookup_by_concat(value, feature)
-        surfaces = _kept(tables, index, frozenset([entry.surface for entry in entries]))
+        surfaces = dictionary.surface_sets[index] = frozenset([entry.surface for entry in entries])
     return surfaces
 
 
@@ -588,6 +588,7 @@ class _GenerationPlan(NamedTuple):
     links: tuple
     order: tuple[int, ...]
     settled: bool
+    tops: tuple
     tag: int
 
 
@@ -642,11 +643,14 @@ def _build_generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPla
     each combination (`settled`): the plan meets no class, each top is a
     one-label read, which no leaf can block, and a constituent is drawn
     by lemma, whose own `lex_path` leaf the lemma top then reads and the
-    lemma index gave the lemma.  Last, the caches' keys hold tags
-    (`_tag`) for the values they stand for: the plan's own, each
-    constituent's key's (`tag`), and a joined one's (`join`), which
-    stands for its key and its linked paths, since two rules can link one
-    table by different paths."""
+    lemma index gave the lemma.  A settled plan gives its tops too, as
+    (label, position in a combination by `order`, position in that
+    row's nodes), () for any other: a top's place is a source of its
+    constituent, so its key's paths hold it.  Last, the caches' keys
+    hold tags (`_tag`) for the values they stand for: the plan's own,
+    each constituent's key's (`tag`), and a joined one's (`join`),
+    which stands for its key and its linked paths, since two rules can
+    link one table by different paths."""
     rhs = rule.rhs
     indexes: dict[str, tuple[str, str]] = {}
     for eq in rule.equations:
@@ -707,7 +711,8 @@ def _build_generation_plan(rule: WFRule, lex_path: tuple[str]) -> _GenerationPla
         (k, tuple((order[j], at[j][q], at[k][p]) for (j, q), p in own))
         for k, own in linked.items()
     )
-    fields = (unjoined, tuple(constituents), tuple(outer), links, order, settled)
+    reads = tuple((label, order[k], at[k][path]) for label, k, path in tops) if settled else ()
+    fields = (unjoined, tuple(constituents), tuple(outer), links, order, settled, reads)
     return _GenerationPlan(*fields, _tag(fields))
 
 
@@ -865,7 +870,11 @@ def generate(
     over each constituent's surface column, in rule order (by `order`):
     the one surface of an outer row, or those of a joined list.  That
     product has exactly the combinations the one over the joined lists
-    would.  A constrained call keeps the final `unify` of each tree.
+    would.  A constrained call under a settled plan runs no `_execute`
+    or lemma test either: each combination's tree is its rows' nodes at
+    the plan's tops (`tops`), absent ones left out, and only the final
+    `unify` of that tree with the constraints remains.  Under any other
+    plan a constrained call runs `_execute`, the lemma test and `unify`.
 
     The cache keys hold the constraints and their nodes, and a tree
     keeps its hash once made: neither the constraints' `children` nor
@@ -880,8 +889,8 @@ def generate(
     surfaces: set[str] = set()
     for rule in rules:
         plan = _generation_plan(rule, lex_path)
-        checks, constituents, outer, joins, order, settled, _ = plan
-        settled = settled and not constraints.children
+        checks, constituents, outer, joins, order, settled, tops, _ = plan
+        unconstrained = settled and not constraints.children
         keys, tables = [], []
         for constituent, (wanted, filters) in zip(
             constituents, _filters(dictionary, plan, constraints)
@@ -902,7 +911,7 @@ def generate(
         heads = [tables[k] for k in outer]
         if not all(heads):
             continue
-        by_columns = settled and not checks
+        by_columns = unconstrained and not checks
         for head in product(*heads):
             tails = []
             for k, links in joins:
@@ -928,15 +937,25 @@ def generate(
                     ):
                         continue
                     entries = [combo[x][0] for x in order]
-                    if settled:
+                    if unconstrained:
                         surfaces.add("".join(entry.surface for entry in entries))
                         continue
-                    tree = _execute(rule, entries, ())
-                    if tree is None:
-                        continue
-                    lex = tree.get(lex_path)
-                    if not isinstance(lex, ValueSet) or lemma not in lex._texts:
-                        continue
+                    if settled:
+                        # the filters decided the combination: its tree
+                        # is its rows' nodes at the tops, none blocked
+                        read = {}
+                        for label, x, i in tops:
+                            node = combo[x][1][i]
+                            if node is not None:
+                                read[label] = node
+                        tree = FeatureTree(read)
+                    else:
+                        tree = _execute(rule, entries, ())
+                        if tree is None:
+                            continue
+                        lex = tree.get(lex_path)
+                        if not isinstance(lex, ValueSet) or lemma not in lex._texts:
+                            continue
                     if unify(tree, constraints) is None:
                         continue
                     surfaces.add("".join(entry.surface for entry in entries))

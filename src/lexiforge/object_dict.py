@@ -86,15 +86,21 @@ class ObjectDictionary:
         # table itself under (key tag, ()); ((join tag, wanted), nodes)
         # -> those rows that also clear the outer rows' nodes at the
         # join's paths; (plan tag, constraints) -> each constituent's
-        # constraint filters; and, for `morph_engine.analyze`, an index
-        # (f, v) -> the surfaces of the entries `lookup_by_concat(v, f)`
-        # gives, and a plan tag -> its constituents' surface sets.
+        # constraint filters.
         # `lemma_rows` maps (key tag, lemma feature) to lemma -> the
         # rows of a lemma-drawn constituent that pass its value tests,
         # with a slot only for a lemma the feature's index holds, so it
         # never outgrows that index.
         self.node_tables: dict[object, object] = {}
         self.lemma_rows: dict[tuple, dict[str, tuple]] = {}
+        # analysis's cache, filled by `morph_engine.analyze` on first use:
+        # an index (f, v) -> the surfaces of the entries
+        # `lookup_by_concat(v, f)` gives, and a plan tag -> its
+        # constituents' sets.  Its keys come from the rules alone, never
+        # from a caller's input, so it holds a few entries per rule and
+        # needs no bound.  In `node_tables`, which a stream of constraints
+        # can fill, a set not kept would be rebuilt on every word.
+        self.surface_sets: dict[object, object] = {}
 
     @classmethod
     def build(cls, entries: Iterable[ObjectEntry]) -> "ObjectDictionary":

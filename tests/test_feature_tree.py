@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import lexiforge
 from lexiforge.feature_tree import (
+    BLOCKED,
     EMPTY_TREE,
     RESERVED_CHARS,
     FeatureTree,
@@ -17,6 +18,7 @@ from lexiforge.feature_tree import (
     ValueSet,
     is_symbol_text,
     leaf,
+    meet,
     render_value,
     unify,
 )
@@ -372,6 +374,38 @@ def test_unify_agrees_with_the_reference_meet(a, b):
     else:
         assert got is not None
         assert got.canonical_form() == _canonical(expected)
+
+
+def _dropped(node, rnd):
+    """The node with some of its labels dropped, at every depth."""
+    if not isinstance(node, FeatureTree):
+        return node
+    kept = [label for label in node.children if rnd.random() < 0.7]
+    return FeatureTree({label: _dropped(node.children[label], rnd) for label in kept})
+
+
+def _ordered(plain):
+    """A plain node whose comparison also compares each label order."""
+    if isinstance(plain, dict):
+        return [(label, _ordered(child)) for label, child in plain.items()]
+    return plain
+
+
+@settings(max_examples=300)
+@given(trees, trees, st.randoms(use_true_random=False))
+def test_meet_keeps_an_operand_it_leaves_unchanged(a, b, rnd):
+    assert meet(a, a) is a
+    assert meet(a, EMPTY_TREE) is a
+    assert meet(a, _dropped(a, rnd)) is a
+    # any pair: `a`'s labels and values keep their order, `b`'s new
+    # labels follow, as in the reference meet
+    for x, y in ((a, b), (b, a)):
+        expected = _meet(_plain(x), _plain(y))
+        got = meet(x, y)
+        if expected is None:
+            assert got is BLOCKED
+        else:
+            assert _ordered(_plain(got)) == _ordered(expected)
 
 
 @settings(max_examples=300)

@@ -497,8 +497,8 @@ def test_a_cell_requests_constraint_filter_builds_no_tree(monkeypatch, spanish_d
         return product(*candidate_lists)
 
     monkeypatch.setattr(morph_engine, "product", observed)
-    # no combination is tried, so only the filters could build a tree
-    monkeypatch.setattr(morph_engine, "_execute", lambda *args: None)
+    # no combination passes, so only the filters could build a tree
+    monkeypatch.setattr(morph_engine, "unify", lambda *args: None)
     assert generate("pedir", constraints, spanish_dict, wf_rules) == []
     # one product over the stems, then one over the joined endings of
     # each stem that has some left
@@ -1212,6 +1212,18 @@ def test_parsing_the_rules_again_adds_no_tag(spanish_dict, fixtures_dir):
     assert plans[0] == plans[1] and plans[0].tag == plans[1].tag
 
 
+def test_parsing_the_rules_again_adds_no_surface_set(spanish_dict, fixtures_dir):
+    # analysis keeps its sets apart from `node_tables`, under the tags
+    text = (fixtures_dir / "wf.rules").read_text(encoding="utf-8")
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no sets yet
+    assert len(analyze("pedíamos", dictionary, parse_wf_rules(text))) == 1
+    kept = dict(dictionary.surface_sets)
+    assert len(kept) == 3 and not dictionary.node_tables
+    assert len(analyze("pedíamos", dictionary, parse_wf_rules(text))) == 1
+    assert dictionary.surface_sets.keys() == kept.keys()
+    assert all(dictionary.surface_sets[key] is sets for key, sets in kept.items())
+
+
 def test_distinct_constraints_add_no_tag(spanish_dict, wf_rules):
     dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
     generate("pedir", EMPTY_TREE, dictionary, wf_rules)
@@ -1384,6 +1396,52 @@ def test_unconstrained_generation_equals_the_oracle_on_both_sides_of_the_settled
         assert generate(lemma, EMPTY_TREE, dictionary, rules) == oracle(lemma, EMPTY_TREE)
 
 
+# Constraints for the boundary rules: a leaf at `agr` or a subtree at
+# `agr pers`, leaves of one or two values, the results' `lex`, `end`
+# and `p`, and labels that no entry and no rule gives (`agr num`, `q`).
+_BOUNDARY_CONSTRAINTS = {
+    ("lex",): ["x", "y", "1"],
+    ("agr",): ["1", "2"],
+    ("agr", "pers"): ["1", "2"],
+    ("agr", "num"): ["1"],
+    ("end",): ["1", "2"],
+    ("p",): ["1", "2"],
+    ("q",): ["1"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_constrained_generation_equals_the_oracle_on_both_sides_of_the_settled_line(data):
+    # a settled rule reads a constrained call's trees from the kept rows
+    entries = data.draw(
+        st.lists(
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.sampled_from(_GEN_TREE_TEXTS)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    dictionary = small_dictionary(entries)  # shared by every call
+    rules = parse_wf_rules(
+        "#WF-RULES\n\n"
+        + "\n".join(data.draw(st.lists(st.sampled_from(_BOUNDARY_RULES), min_size=1, unique=True)))
+    )
+    oracle = all_pairs_generation(dictionary, rules)
+    for _ in range(data.draw(st.integers(1, 4))):
+        constraints = EMPTY_TREE
+        paths = st.lists(st.sampled_from(sorted(_BOUNDARY_CONSTRAINTS)), min_size=1, unique=True)
+        for path in data.draw(paths):
+            texts = st.lists(st.sampled_from(_BOUNDARY_CONSTRAINTS[path]), min_size=1, unique=True)
+            try:
+                constraints = constraints.set(path, leaf(*data.draw(texts)))
+            except PathThroughLeaf:
+                pass  # a leaf drawn at `agr` already
+        for lemma in ("x", "y", "1"):
+            expected = oracle(lemma, constraints)
+            got = generate(lemma, constraints, dictionary, rules)
+            assert got == expected, (lemma, constraints)
+
+
 def _counting_engine(monkeypatch):
     calls = {"_execute": 0, "unify": 0}
     for name in calls:
@@ -1405,9 +1463,9 @@ def test_an_unconstrained_paradigm_under_the_fixture_rules_builds_no_result_tree
     calls = _counting_engine(monkeypatch)
     assert generate("pedir", EMPTY_TREE, spanish_dict, wf_rules) == expected
     assert calls == {"_execute": 0, "unify": 0}
-    # a constrained call builds its trees and unifies them
+    # a constrained call reads its trees from the kept rows and unifies them
     assert generate("pedir", imperfect_cells()[1], spanish_dict, wf_rules) == ["pedíamos"]
-    assert calls["_execute"] > 0 and calls["unify"] > 0
+    assert calls["_execute"] == 0 and calls["unify"] > 0
 
 
 def test_unconstrained_paradigms_under_the_fixture_rules_take_as_many_combinations(
@@ -1588,16 +1646,21 @@ def test_analysis_keeps_its_sets_within_the_bound(
             ], word
             assert len(dictionary.node_tables) <= bound
 
-    # the two sets, then the rule's tuple of them, are kept while the
-    # bound has room, and generation's tables then share it; analysis
-    # runs again over the full tables
+    # the two sets, then the rule's tuple of them, are kept outside the
+    # bounded tables, which generation alone fills; analysis runs again
+    # over the full tables and builds no set again
     analyze_all()
-    assert len(dictionary.node_tables) == min(bound, 3)
+    assert len(dictionary.node_tables) == 0
+    kept = dict(dictionary.surface_sets)
+    assert len(kept) == 3
     for lemma in lemmas:
         assert generate(lemma, EMPTY_TREE, dictionary, wf_rules) == spanish_oracle(lemma, EMPTY_TREE)
         assert len(dictionary.node_tables) <= bound
+    monkeypatch.setattr(dictionary, "lookup_by_concat", None)
     analyze_all()
     assert len(dictionary.node_tables) == bound
+    assert dictionary.surface_sets.keys() == kept.keys()
+    assert all(dictionary.surface_sets[key] is sets for key, sets in kept.items())
 
 
 # Rules drawn, in shuffled order, from equations whose paths overlap in

@@ -87,17 +87,17 @@ def test_generate_calls_the_combination_and_unify_hooks(
     spanish_dict, wf_rules, engine_calls, monkeypatch
 ):
     # the unify hook counts only the final check of each result tree
-    # against the constraints, at most one per tree the equations give
-    results = []
-    execute = morph_engine._execute
+    # against the constraints, at most one per combination tried, each
+    # of which a `product` yields
+    yielded = []
+    hooked = morph_engine.product
 
-    def counted(*args):
-        tree = execute(*args)
-        if tree is not None:
-            results.append(tree)
-        return tree
+    def counted(*lists):
+        for item in hooked(*lists):
+            yielded.append(item)
+            yield item
 
-    monkeypatch.setattr(morph_engine, "_execute", counted)
+    monkeypatch.setattr(morph_engine, "product", counted)
     constraints = (
         EMPTY_TREE.set(("vinfo", "tense"), leaf("impf"))
         .set(("agr", "pers"), leaf("1"))
@@ -105,7 +105,7 @@ def test_generate_calls_the_combination_and_unify_hooks(
     )
     assert morph_engine.generate("pedir", constraints, spanish_dict, wf_rules) == ["pedíamos"]
     assert engine_calls["product"] > 0
-    assert 0 < engine_calls["unify"] <= len(results)
+    assert 0 < engine_calls["unify"] <= len(yielded)
 
 
 def _counted(monkeypatch, owner, names):
