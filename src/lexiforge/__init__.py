@@ -5,7 +5,16 @@ classes, string rewriting rules, type declarations and compilation
 rules) is compiled into an object dictionary indexed by surface form,
 and word formation rules then analyze and generate inflected words
 over that dictionary by feature unification.
+
+The word-formation engine (`morph_engine`, with `Analysis`,
+`GenerationLimit`, `WFRule`, `analyze`, `generate` and
+`parse_wf_rules`) is imported on first use of one of those names, not
+with the package: compiling a base and reading a dictionary never need
+it, and `lexiforge compile` would otherwise pay for loading it.  Every
+other public name is imported here.
 """
+
+import importlib
 
 from .alo_rules import CompiledAloRule, compile_alo_rule
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
@@ -21,7 +30,6 @@ from .feature_tree import (
     unify,
 )
 from .inheritance import ResolveError, ResolvedEntry, linearize, resolve, resolve_all
-from .morph_engine import Analysis, GenerationLimit, WFRule, analyze, generate, parse_wf_rules
 from .object_dict import FormatError, ObjectDictionary, ObjectEntry, load, save
 from .source import (
     Entry,
@@ -34,6 +42,10 @@ from .source import (
 from .type_checker import check_base, check_tree
 
 __version__ = "0.1.0"
+
+_ENGINE_NAMES = frozenset(
+    ("Analysis", "GenerationLimit", "WFRule", "analyze", "generate", "parse_wf_rules")
+)
 
 __all__ = [
     "Analysis",
@@ -78,3 +90,16 @@ __all__ = [
     "save",
     "unify",
 ]
+
+
+def __getattr__(name):
+    # called only for names the module lacks: the engine's names, and
+    # `morph_engine` itself until the engine has been imported
+    if name == "morph_engine" or name in _ENGINE_NAMES:
+        engine = importlib.import_module(".morph_engine", __name__)
+        return engine if name == "morph_engine" else getattr(engine, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,6 +12,9 @@ Machine-readable output: `--porcelain` prints one tab-separated record
 per line, with backslash, tab and newline escaped as \\\\, \\t and \\n
 inside fields.  Diagnostics go to stderr everywhere except `check`,
 whose whole point is printing them.
+
+Only `analyze` and `generate` import the word-formation engine, when
+they run: the other commands never load it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import sys
 
 from .dict_compiler import compile_base
 from .feature_tree import EMPTY_TREE, FeatureTree, PathThroughLeaf, leaf
-from .morph_engine import GenerationLimit, analyze, generate, parse_wf_rules
 from .object_dict import FormatError, ObjectDictionary, indented, load, save
 from .source import SourceSyntaxError, parse_source, read_file
 
@@ -69,6 +71,8 @@ def _load_dictionary(path: str) -> ObjectDictionary:
 
 
 def _load_rules(args):
+    from .morph_engine import parse_wf_rules
+
     text = _read_text(args.rules)
     try:
         return parse_wf_rules(text, args.rules)
@@ -180,6 +184,8 @@ def cmd_lookup(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .morph_engine import analyze
+
     dictionary = _load_dictionary(args.dictionary)
     rules = _load_rules(args)
 
@@ -192,6 +198,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .morph_engine import GenerationLimit, generate
+
     dictionary = _load_dictionary(args.dictionary)
     rules = _load_rules(args)
     constraints = _parse_constraints(args.constraints)

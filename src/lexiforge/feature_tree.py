@@ -83,9 +83,12 @@ class ValueSet:
     is `_texts`, the sorted tuple of the distinct values: nearly every
     leaf holds one value, and then `_texts` is `values` itself.  Hot
     paths (`intersect`, the word-formation engine) read it directly.
+    A leaf keeps its hash (`_hash`, set on the first `hash`) within one
+    process, as a `FeatureTree` does: a pickled leaf is rebuilt from its
+    values.
     """
 
-    __slots__ = ("values", "_texts", "_rendered")
+    __slots__ = ("values", "_texts", "_rendered", "_hash")
 
     def __init__(self, values: Iterable[str]):
         vals: list[str] = []
@@ -138,7 +141,15 @@ class ValueSet:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._texts)
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._hash = hash(self._texts)
+            return value
+
+    def __reduce__(self):
+        # the values alone: a kept hash would be wrong in another process
+        return ValueSet, (self.values,)
 
     def __repr__(self):
         return "ValueSet(%s)" % " ".join(map(render_value, self.values))

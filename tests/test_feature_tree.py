@@ -149,6 +149,27 @@ def test_equal_leaves_keep_their_own_spelling():
     assert tree.canonical_form() == 'x = a\ny = "a"\n'
 
 
+def test_a_leaf_keeps_its_hash_and_a_bare_and_a_quoted_leaf_hash_equal():
+    bare, quoted = leaf("a"), leaf("a", quoted=True)
+    assert hash(bare) == hash(quoted) == hash(("a",))
+    assert bare._hash == quoted._hash == hash(bare)
+    assert {bare: "found"}[leaf("a", quoted=True)] == "found"
+    assert hash(leaf("b", "a")) == hash(leaf("a", "b")) != hash(leaf("a"))
+
+
+def test_a_pickled_leaf_is_equal_and_keeps_no_hash():
+    # a kept hash would be wrong under another PYTHONHASHSEED; the
+    # tree test below checks a pickled key in such a process
+    for original in (leaf("b", "a"), leaf("x y", quoted=True)):
+        hash(original), original.rendered()
+        again = pickle.loads(pickle.dumps(original))
+        assert again == original and again.values == original.values
+        assert list(map(type, again.values)) == list(map(type, original.values))
+        assert not hasattr(again, "_hash")
+        assert hash(again) == hash(original)
+        assert again.rendered() == original.rendered()
+
+
 def test_canonical_form_of_shared_multi_value_and_quoted_leaves():
     many, spaced, quoted = leaf("2", "1", "11"), leaf("x y"), leaf("q", quoted=True)
     first = FeatureTree({"b": many, "a": FeatureTree({"s": spaced}), "c": quoted})
