@@ -76,21 +76,27 @@ class ObjectDictionary:
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
         # generation's caches, filled by `morph_engine.generate` on first
         # use.  A row is (entry, nodes), the entry's nodes at the key's
-        # paths.  A plan, a table key (index or None, paths, value
+        # paths.  A rule plan, a table key (index or None, paths, value
         # tests) and a join (table key, linked paths) appear in the keys
         # as the int tags `morph_engine._tag` gave them when the plan was
-        # built.  `node_tables` holds at most
+        # built, so a warmed call hashes none of them.  A tag stands for
+        # a value, never an identity: equal plans from a second parse of
+        # the rules share the kept tables.  `node_tables` holds at most
         # `morph_engine.MAX_NODE_TABLES` entries: (key tag, wanted) ->
         # the rows of a table-drawn constituent that pass its key's
         # value tests and clear its constraint filters `wanted`, the
-        # table itself under (key tag, ()); ((join tag, wanted), nodes)
-        # -> those rows that also clear the outer rows' nodes at the
-        # join's paths; (plan tag, constraints) -> each constituent's
-        # constraint filters.
+        # constraints' nodes at its result paths as (path, node) pairs,
+        # the table itself under (key tag, ()); ((join tag, wanted),
+        # probe) -> those rows that also clear the probe, the outer
+        # rows' nodes at the join's paths; (plan tag, constraints) ->
+        # each constituent's constraint filters.
         # `lemma_rows` maps (key tag, lemma feature) to lemma -> the
         # rows of a lemma-drawn constituent that pass its value tests,
         # with a slot only for a lemma the feature's index holds, so it
         # never outgrows that index.
+        # The keys hold the caller's constraints and the entries' nodes,
+        # whose hashes a tree and a leaf keep once made: they hold only
+        # because no tree, leaf or constraints tree is mutated once built.
         self.node_tables: dict[object, object] = {}
         self.lemma_rows: dict[tuple, dict[str, tuple]] = {}
         # analysis's cache, filled by `morph_engine.analyze` on first use:

@@ -830,6 +830,7 @@ def test_a_reader_that_stops_early_ends_the_command_quietly(tmp_path):
     first = child.stdout.readline()
     child.stdout.close()
     err = child.stderr.read()
+    child.stderr.close()
     assert child.wait(timeout=60) == 1
     assert first == b"warning w0 colour: feature 'colour' is not declared\n"
     assert err == b""

@@ -1,6 +1,11 @@
 import gc
 import io
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
@@ -240,12 +245,12 @@ def test_equation_order_never_changes_a_reading_when_a_link_meets_an_absent_node
 
 def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
     (rule,) = wf_rules
-    generate("pedir", EMPTY_TREE, spanish_dict, [rule])  # fills the rule's generation plans
+    plan = rule.plans[("lex",)]  # built with the rule
     rebuilt = WFRule(rule.name, rule.lhs, rule.rhs, rule.equations, rule.file, rule.line)
-    # the plan is derived from the equations and takes no part in == or repr
-    assert rebuilt == rule and repr(rebuilt) == repr(rule)
-    assert rebuilt.classes == rule.classes and rebuilt.plan == rule.plan
-    assert "classes" not in repr(rule) and "plan" not in repr(rule)
+    # the plans are derived from the fields and take no part in ==, hash or repr
+    assert rebuilt == rule and hash(rebuilt) == hash(rule) and repr(rebuilt) == repr(rule)
+    assert rebuilt.plans == rule.plans == {("lex",): plan}
+    assert "plans" not in repr(rule)
     for surface in ["pedíamos", "pido", "amaba", "come", "pedo", "vivían", "era"]:
         assert [
             (a.category, a.lemma, a.tree.canonical_form(), a.segmentation)
@@ -259,6 +264,79 @@ def test_a_rule_rebuilt_from_its_fields_answers_alike(spanish_dict, wf_rules):
             assert generate(lemma, constraints, spanish_dict, [rebuilt]) == generate(
                 lemma, constraints, spanish_dict, [rule]
             ), lemma
+    # one plan serves both queries, and analysis keeps its sets under its tag
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no sets yet
+    assert len(analyze("pedíamos", dictionary, [rule])) == 1
+    assert generate("pedir", impf_1pl(), dictionary, [rule]) == ["pedíamos"]
+    assert rule.plans == {("lex",): plan} and rule.plans[("lex",)] is plan
+    indexes = [constituent.key.index for constituent in plan.constituents]
+    assert dictionary.surface_sets.keys() == {plan.tag, *indexes}
+    assert dictionary.surface_sets[plan.tag] == tuple(map(dictionary.surface_sets.get, indexes))
+
+
+def test_a_rule_is_frozen(spanish_dict, fixtures_dir):
+    # a rule answers from the plans built with it, so a field assigned
+    # later would leave it answering for its old equations: with
+    # `Stem concat = vl` made `zzz` it would still read `pedíamos` as
+    # `pedir`, while an equal rule built fresh has no reading
+    (rule,) = parse_wf_rules((fixtures_dir / "wf.rules").read_text(encoding="utf-8"))
+    stem_concat = ValueEquation("Stem", ("concat",), leaf("vl"))
+    assert stem_concat in rule.equations
+    zzz = ValueEquation("Stem", ("concat",), leaf("zzz"))
+    equations = tuple(zzz if eq == stem_concat else eq for eq in rule.equations)
+    fresh = WFRule(rule.name, rule.lhs, rule.rhs, equations, rule.file, rule.line)
+    assert analyze("pedíamos", spanish_dict, [fresh]) == []
+    assert generate("pedir", EMPTY_TREE, spanish_dict, [fresh]) == []
+    with pytest.raises(FrozenInstanceError):
+        rule.equations = equations
+    with pytest.raises(FrozenInstanceError):
+        rule.equations[0].values = leaf("zzz")
+    with pytest.raises(FrozenInstanceError):
+        rule.equations[-1].right_path = ("agr",)
+    with pytest.raises(FrozenInstanceError):
+        rule.plans = fresh.plans
+    assert rule != fresh
+    assert [a.lemma for a in analyze("pedíamos", spanish_dict, [rule])] == ["pedir"]
+
+
+def test_a_pickled_rule_answers_alike_in_another_process(
+    tmp_path, spanish_dict, wf_rules, fixtures_dir
+):
+    # the plans' tags are this process's: in another one, where a rule
+    # parsed first drew the same tags for other tables, a rule that kept
+    # them would read that rule's kept tables
+    (rule,) = wf_rules
+    generate("pedir", EMPTY_TREE, spanish_dict, [rule])
+    again = pickle.loads(pickle.dumps(rule))
+    assert again == rule and again.plans == rule.plans
+    path = tmp_path / "rule.pickle"
+    path.write_bytes(pickle.dumps(rule))
+    src = os.path.dirname(os.path.dirname(morph_engine.__file__))
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    script = (
+        "import pickle, sys\n"
+        "from lexiforge.dict_compiler import compile_base\n"
+        "from lexiforge.feature_tree import EMPTY_TREE\n"
+        "from lexiforge.morph_engine import analyze, generate, parse_wf_rules\n"
+        "from lexiforge.source import parse_source\n"
+        "dictionary = compile_base(parse_source(sys.argv[2]).base).dictionary\n"
+        "text = open(sys.argv[3], encoding='utf-8').read()\n"
+        "(other,) = parse_wf_rules(text.replace('Ending concat = vm', 'Ending concat = zzz'))\n"
+        "assert generate('pedir', EMPTY_TREE, dictionary, [other]) == []\n"
+        "rule = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "print(generate('pedir', EMPTY_TREE, dictionary, [rule]))\n"
+        "print([a.lemma for a in analyze('pedíamos', dictionary, [rule])])\n"
+    )
+    files = [str(path), str(fixtures_dir / "spanish.lex"), str(fixtures_dir / "wf.rules")]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *files], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        str(generate("pedir", EMPTY_TREE, spanish_dict, [rule])), "['pedir']"
+    ]
 
 
 def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, wf_rules):
@@ -267,13 +345,13 @@ def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, w
     # is read from one entry as it is, the reads are joined in the one
     # tree built, and no value set is
     (rule,) = wf_rules
-    tests, classes, tops = rule.plan
-    assert len(tests) == 5 and classes == ()
-    assert tops == (("lex", 0, ("lex",)), ("agr", 1, ("agr",)), ("vinfo", 1, ("vinfo",)))
+    plan = rule.plans[("lex",)]
+    assert len(plan.tests) == 5 and plan.met == ()
+    assert plan.tops == (("lex", 0, ("lex",)), ("agr", 1, ("agr",)), ("vinfo", 1, ("vinfo",)))
     (stem,) = spanish_dict.lookup("ped")
     (ending,) = spanish_dict.lookup("íamos")
     counts = count_constructions(monkeypatch)
-    tree = _execute(rule, [stem, ending])
+    tree = _execute(plan, [stem, ending], plan.tests)
     assert counts == {"FeatureTree": 1, "ValueSet": 0}
     assert tree.canonical_form() == (
         "agr num = plu\nagr pers = 1\nlex = pedir\nvinfo mood = ind\nvinfo tense = impf\n"
@@ -683,7 +761,7 @@ def test_a_copy_through_a_leaf_fails_the_candidate():
     entries = [STEM, ("a", "concat = vm\na = 1"), ("o", "concat = vm\na b = 2")]
     dictionary = small_dictionary(entries)
     rules = parse_wf_rules(STEM_ENDING + "  Word x = Ending a b\n")
-    assert ("x", 1, ("a", "b")) in rules[0].plan[2]  # read from the ending as it is
+    assert ("x", 1, ("a", "b")) in rules[0].plans[("lex",)].tops  # read from the ending as it is
     # 'a' holds a leaf at `a`, so its copy `Ending a b` runs through it
     readings = {}
     for surface in ("kaa", "kao"):
@@ -1141,7 +1219,7 @@ def test_a_join_on_a_subtree_is_kept(monkeypatch):
     # is ((join tag, constraint filters), probe), the join tag standing
     # for the ending's table key and its linked path `agr`
     (rule,) = rules
-    ending = morph_engine._generation_plan(rule, ("lex",)).constituents[1]
+    ending = rule.plans[("lex",)].constituents[1]
     assert morph_engine._TAGS[ending.key, (("agr",),)] == ending.join
     probes = [
         key[1] for key in dictionary.node_tables
@@ -1183,7 +1261,7 @@ def test_one_ending_table_linked_by_two_paths_is_two_joins():
     ]
     dictionary = small_dictionary(entries)
     rules = parse_wf_rules(_ONE_KEY_TWO_LINKS)
-    endings = [morph_engine._generation_plan(rule, ("lex",)).constituents[-1] for rule in rules]
+    endings = [rule.plans[("lex",)].constituents[-1] for rule in rules]
     assert endings[0].key == endings[1].key and endings[0].join != endings[1].join
     oracle = all_pairs_generation(dictionary, rules)
     cells = [EMPTY_TREE] + [EMPTY_TREE.set(("conj",), leaf(value)) for value in "12"]
@@ -1208,7 +1286,7 @@ def test_parsing_the_rules_again_adds_no_tag(spanish_dict, fixtures_dir):
     # tables the first one kept
     assert morph_engine._TAGS == tags
     assert dictionary.node_tables.keys() == kept.keys()
-    plans = [morph_engine._generation_plan(rules[0], ("lex",)) for rules in (first, again)]
+    plans = [rules[0].plans[("lex",)] for rules in (first, again)]
     assert plans[0] == plans[1] and plans[0].tag == plans[1].tag
 
 
@@ -1276,7 +1354,7 @@ def test_the_lemma_store_keeps_one_slot_per_key_feature_and_indexed_lemma(
     # the lemma index is read once per lemma, on its first call
     assert reads == lemmas
     (rule,) = wf_rules
-    constituents = morph_engine._generation_plan(rule, ("lex",)).constituents
+    constituents = rule.plans[("lex",)].constituents
     tags = [constituent.tag for constituent in constituents if constituent.by_lemma]
     slots = [
         (tag, feature, lemma)
@@ -1372,7 +1450,7 @@ _BOUNDARY_RULES = [
 
 def test_the_boundary_rules_sit_on_both_sides_of_the_settled_line():
     rules = parse_wf_rules("#WF-RULES\n\n" + "\n".join(_BOUNDARY_RULES))
-    settled = [morph_engine._generation_plan(rule, ("lex",)).settled for rule in rules]
+    settled = [rule.plans[("lex",)].settled for rule in rules]
     assert settled == [True, True, False, False, False, False]
 
 
@@ -1764,6 +1842,13 @@ def test_a_place_equated_with_its_own_extension_is_refused_at_the_rule_line(equa
         parse_wf_rules(text, "cycle.rules")
     assert (caught.value.file, caught.value.line) == ("cycle.rules", 6)
     assert caught.value.message == "the equations equate a place with its own extension"
+    # and so is the same rule built from its fields
+    parsed = tuple(
+        morph_engine._parse_wf_equation(eq, {"V", "A", "B"}, "cycle.rules", 7) for eq in equations
+    )
+    with pytest.raises(SourceSyntaxError) as caught:
+        WFRule("V -> A B", "V", ("A", "B"), parsed, "cycle.rules", 6)
+    assert (caught.value.file, caught.value.line) == ("cycle.rules", 6)
 
 
 # entries for `V -> A B`, with subtrees, leaves and gaps at A p and B q
