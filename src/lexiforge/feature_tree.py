@@ -21,6 +21,7 @@ many entries is rendered once; it keeps its hash too.
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 # Characters that can never appear in a bare symbol or feature label.
@@ -187,13 +188,16 @@ class FeatureTree:
     a tree holds it.  Operations that leave an operand unchanged return
     that operand rather than a copy.  Equal trees hash equal, so a tree
     can be a dict key.  A tree keeps its canonical text (`_canon`) and
-    its hash (`_hash`, set on the first `hash`) once made, so `children`
-    is never mutated after construction.  Both are kept only within one
-    process: a pickled tree is rebuilt from its children, since string
-    hashes change with `PYTHONHASHSEED`.
+    its hash (`_hash`, set on the first `hash`) once made, and the
+    caches of the word-formation engine are keyed by trees, so the
+    children never change after construction: they are kept in the
+    private dict `_children`, which the package's hot paths read, and
+    `children` gives a read-only view of it.  The text and the hash are
+    kept only within one process: a pickled tree is rebuilt from its
+    children, since string hashes change with `PYTHONHASHSEED`.
     """
 
-    __slots__ = ("children", "_canon", "_hash")
+    __slots__ = ("_children", "_canon", "_hash")
 
     def __init__(self, children: Mapping[str, "Node"] | None = None):
         items = dict(children) if children else {}
@@ -202,8 +206,13 @@ class FeatureTree:
                 if not is_symbol_text(label):
                     raise ValueError("invalid feature label %r" % (label,))
             _LABELS.update(items)
-        self.children = items
+        self._children = items
         self._canon = None
+
+    @property
+    def children(self) -> Mapping[str, "Node"]:
+        """The children by label, as a read-only view made on each access."""
+        return MappingProxyType(self._children)
 
     # -- structural operations ------------------------------------------
 
@@ -213,7 +222,7 @@ class FeatureTree:
         for label in path:
             if not isinstance(node, FeatureTree):
                 return None
-            nxt = node.children.get(label)
+            nxt = node._children.get(label)
             if nxt is None:
                 return None
             node = nxt
@@ -231,12 +240,12 @@ class FeatureTree:
         return self._set(p, 0, node)
 
     def _set(self, path: tuple[str, ...], i: int, node: "Node") -> "FeatureTree":
-        children = dict(self.children)
+        children = dict(self._children)
         label = path[i]
         if i == len(path) - 1:
             children[label] = node
             return FeatureTree(children)
-        child = self.children.get(label)
+        child = self._children.get(label)
         if child is None:
             child = _EMPTY
         elif not isinstance(child, FeatureTree):
@@ -257,11 +266,11 @@ class FeatureTree:
 
     def _delete(self, path: tuple[str, ...], i: int) -> "FeatureTree":
         label = path[i]
-        child = self.children.get(label)
+        child = self._children.get(label)
         if child is None:
             return self
         if i == len(path) - 1:
-            children = dict(self.children)
+            children = dict(self._children)
             del children[label]
             return FeatureTree(children)
         if not isinstance(child, FeatureTree):
@@ -269,7 +278,7 @@ class FeatureTree:
         replaced = child._delete(path, i + 1)
         if replaced is child:
             return self
-        children = dict(self.children)
+        children = dict(self._children)
         children[label] = replaced
         return FeatureTree(children)
 
@@ -280,12 +289,12 @@ class FeatureTree:
         and any other combination is replaced wholesale by the overlay
         node.  Associative; the empty tree is its identity.
         """
-        if not overlay.children:
+        if not overlay._children:
             return self
-        if not self.children:
+        if not self._children:
             return overlay
-        children = dict(self.children)
-        for label, onode in overlay.children.items():
+        children = dict(self._children)
+        for label, onode in overlay._children.items():
             mine = children.get(label)
             if isinstance(mine, FeatureTree) and isinstance(onode, FeatureTree):
                 children[label] = mine.merge(onode)
@@ -297,15 +306,15 @@ class FeatureTree:
 
     @property
     def is_empty(self) -> bool:
-        return not self.children
+        return not self._children
 
     def leaves(self) -> Iterator[tuple[tuple[str, ...], ValueSet]]:
         """(path, values) pairs in sorted path order; ValueSet leaves only."""
         yield from self._leaves(())
 
     def _leaves(self, prefix: tuple[str, ...]):
-        for label in sorted(self.children):
-            node = self.children[label]
+        for label in sorted(self._children):
+            node = self._children[label]
             path = prefix + (label,)
             if isinstance(node, FeatureTree):
                 yield from node._leaves(path)
@@ -338,8 +347,8 @@ class FeatureTree:
         placeholder raises.
         """
         parts = []
-        for label in sorted(self.children):
-            node = self.children[label]
+        for label in sorted(self._children):
+            node = self._children[label]
             if isinstance(node, ValueSet):
                 parts.append(label + " = " + node.rendered() + "\n")
             elif isinstance(node, FeatureTree):
@@ -358,9 +367,9 @@ class FeatureTree:
     def __eq__(self, other: object):
         if not isinstance(other, FeatureTree):
             return NotImplemented
-        if self.children.keys() != other.children.keys():
+        if self._children.keys() != other._children.keys():
             return False
-        return all(self.children[k] == other.children[k] for k in self.children)
+        return all(self._children[k] == other._children[k] for k in self._children)
 
     def __hash__(self):
         # from the children, as `==` compares them: not from the
@@ -368,15 +377,15 @@ class FeatureTree:
         try:
             return self._hash
         except AttributeError:
-            value = self._hash = hash(frozenset(self.children.items()))
+            value = self._hash = hash(frozenset(self._children.items()))
             return value
 
     def __reduce__(self):
         # the children alone: a kept hash would be wrong in another process
-        return FeatureTree, (self.children,)
+        return FeatureTree, (self._children,)
 
     def __repr__(self):
-        return "FeatureTree(%r)" % (self.children,)
+        return "FeatureTree(%r)" % (self._children,)
 
 
 Node = Union[FeatureTree, ValueSet]
@@ -414,12 +423,12 @@ def meet(a: "Node | None", b: "Node | None"):
         return BLOCKED if merged is None else merged
     if not isinstance(a, FeatureTree) or not isinstance(b, FeatureTree):
         return BLOCKED
-    if not b.children:
+    if not b._children:
         return a
-    own = children = a.children
+    own = children = a._children
     if not own:
         return b
-    for label, bnode in b.children.items():
+    for label, bnode in b._children.items():
         mine = own.get(label)
         merged = meet(mine, bnode)
         if merged is BLOCKED:

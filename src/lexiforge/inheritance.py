@@ -93,7 +93,7 @@ class Shape:
 def _marker_places(
     tree: FeatureTree, prefix: tuple[str, ...]
 ) -> Iterator[tuple[tuple[str, ...], int]]:
-    for label, node in tree.children.items():
+    for label, node in tree._children.items():
         if isinstance(node, FeatureTree):
             yield from _marker_places(node, prefix + (label,))
         else:
@@ -159,7 +159,7 @@ def _placeholders(
     """Each placeholder leaf with its path, in the order `_evaluate`
     meets them."""
     out: list[tuple[tuple[str, ...], RuleCall | SelfRef]] = []
-    for label, node in tree.children.items():
+    for label, node in tree._children.items():
         if isinstance(node, FeatureTree):
             out.extend(_placeholders(node, prefix + (label,)))
         elif isinstance(node, (RuleCall, SelfRef)):
@@ -198,7 +198,7 @@ def _evaluate(tree: FeatureTree, values: Iterator[ValueSet | None]) -> FeatureTr
     leaf for None and pruning interior nodes that lost all their
     children."""
     children: dict = {}
-    for label, node in tree.children.items():
+    for label, node in tree._children.items():
         if isinstance(node, FeatureTree):
             sub = _evaluate(node, values)
             if sub.is_empty and not node.is_empty:

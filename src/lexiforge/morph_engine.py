@@ -19,12 +19,15 @@ a leaf, a leaf meeting a subtree or an empty result is BLOCKED and
 fails the candidate.  `meet` is commutative and associative, so the
 order of the equations never matters.
 
-Analysis (`analyze`) splits the surface, for every rule, into one
-stored part per constituent and runs the plan (`_execute`) over each
-combination of the parts' entries.  Generation (`generate`) runs it
-over candidate rows, each an entry with its nodes at the places the
-plan reads, and keeps the candidates whose result tree unifies with
-the caller's constraints.  What either derives from a dictionary is
+The plan is compiled, when it is built, into Python functions of one
+entry per constituent (`_compiled`), straight-line code that tests,
+meets and builds the result tree, so no interpreter walks the plan per
+candidate.  Analysis (`analyze`) splits the surface, for every rule,
+into one stored part per constituent and runs the plan's `run` over
+each combination of the parts' entries.  Generation (`generate`) draws
+candidate rows, each an entry with its nodes at the places the plan
+reads, and keeps the candidates whose result tree unifies with the
+caller's constraints.  What either derives from a dictionary is
 kept with it for later calls (`ObjectDictionary.__init__`).
 
 Both prune candidates before any class is met, by testing the meet on
@@ -48,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, count, product
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .feature_tree import BLOCKED, EMPTY_TREE, FeatureTree, Quoted, ValueSet, meet, unify
 from .object_dict import ObjectDictionary, ObjectEntry
@@ -195,9 +198,9 @@ class _Constituent(NamedTuple):
 
 
 class _RulePlan(NamedTuple):
-    tests: tuple
-    met: tuple
-    tops: tuple
+    source: str
+    run: Callable[..., FeatureTree | None]
+    run_filtered: Callable[..., FeatureTree | None]
     unjoined: tuple
     constituents: tuple[_Constituent, ...]
     outer: tuple[int, ...]
@@ -241,12 +244,11 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
     meet into one node, BLOCKED when they are disjoint or when the class
     has children, since a leaf has none.
 
-    `_execute` reads `tests`, `met` and `tops`, which mark each
-    constituent place as (k, label, p) (`_marked`):
-    - tests, (k, label, p, j, label, q) or (k, label, p, None, None,
-      values): each class of two members and no children that the
-      result does not read; a place alone in its class (`A p = A p`) is
-      its own second member;
+    The plan's functions (`_compiled`) are built from three lists, each
+    constituent place as (k, p):
+    - tests, (k, p, j, q) or (k, p, None, values): each class of two
+      members and no children that the result does not read; a place
+      alone in its class (`A p = A p`) is its own second member;
     - met, (places, values, children): the other classes of two members
       or more that the result does not read, which can fail above their
       children, then the classes it reads and does not take as they are,
@@ -254,6 +256,9 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
     - tops, (label, k, p) for a class whose one member besides one-label
       result paths is constituent k's place p, taken as it is, else
       (label, None, i) for the class at position i of `met`.
+    The plan keeps the functions' `source`, `run`, which makes the
+    tests, for analysis, and `run_filtered`, which leaves them to
+    generation's filters.
 
     Generation reads the rest.  Per constituent (`_Constituent`): whether
     it is drawn by lemma (the class of the result's lemma path holds one
@@ -347,8 +352,7 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
             if size == 1 and places and not below[c] and all(len(p) == 1 for p in results):
                 taken[c] = places[0]
         elif size == 2 and not below[c]:
-            other = _marked(*places[1]) if len(places) == 2 else (None, None, node)
-            tests.append(_marked(*places[0]) + other)
+            tests.append(places[0] + (places[1] if len(places) == 2 else (None, node)))
         elif size > 1:
             met.append(c)
     # a child's longest result path is longer than its parent's
@@ -416,22 +420,15 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
         for k, own in linked.items()
     )
     reads = tuple((label, order[k], at[k][path]) for label, k, path in tops) if settled else ()
+    met = [(classes[c][0], classes[c][2], tuple(
+        (label, position[rep[d]]) for label, d in below[c].items() if classes[c][1]
+    )) for c in met]
     fields = (
-        tuple(tests),
-        tuple((tuple(_marked(*place) for place in classes[c][0]), classes[c][2], tuple(
-            (label, position[rep[d]]) for label, d in below[c].items() if classes[c][1]
-        )) for c in met),
-        tops, unjoined, tuple(constituents), tuple(outer), links, order, settled, reads,
+        *_compiled(n, tests, met, tops),
+        unjoined, tuple(constituents), tuple(outer), links, order, settled, reads,
     )
     plan = rule.plans[lex_path] = _RulePlan(*fields, _tag(fields))
     return plan
-
-
-def _marked(k: int, path: tuple[str, ...]) -> tuple:
-    """A place as `_execute` reads it, (k, label, path): label is the
-    path's one label, read from the tree's children directly, or None
-    for a longer path, which `_peek` reads."""
-    return k, path[0] if len(path) == 1 else None, path
 
 
 # -- the equation engine ----------------------------------------------------
@@ -442,51 +439,11 @@ def _peek(tree: FeatureTree, path: tuple[str, ...]):
     for label in path:
         if not isinstance(node, FeatureTree):
             return BLOCKED
-        nxt = node.children.get(label)
+        nxt = node._children.get(label)
         if nxt is None:
             return None
         node = nxt
     return node
-
-
-def _execute(plan: _RulePlan, entries: Iterable[ObjectEntry], tests: tuple) -> FeatureTree | None:
-    """The plan's result tree over one entry per constituent, or None
-    when the candidate fails, from the entries' original nodes.  Each of
-    the tests given, the plan's own or those its caller's filters left
-    undecided, is one `_clash`, which builds nothing; each class of
-    `met` is the `meet` of its places' nodes and its values, then of a
-    tree of its children's nodes; and the result is one new tree of its
-    `tops`' nodes.  A place of one label, as `_marked` marks it, is read
-    from its tree's children; a longer path, and a top, by `_peek`.
-    """
-    trees = [entry.tree for entry in entries]
-    for k, label, path, j, other_label, other in tests:
-        node = _peek(trees[k], path) if label is None else trees[k].children.get(label)
-        if j is not None:
-            other = (
-                _peek(trees[j], other) if other_label is None
-                else trees[j].children.get(other_label)
-            )
-        if _clash(node, other):
-            return None
-    nodes = []
-    for places, node, children in plan.met:
-        for k, label, path in places:
-            node = meet(node, _peek(trees[k], path) if label is None else trees[k].children.get(label))
-        below = {label: nodes[i] for label, i in children if nodes[i] is not None}
-        if below:
-            node = meet(node, FeatureTree(below))
-        if node is BLOCKED:
-            return None
-        nodes.append(node)
-    result = {}
-    for label, k, path in plan.tops:
-        node = nodes[path] if k is None else _peek(trees[k], path)
-        if node is BLOCKED:
-            return None
-        if node is not None:
-            result[label] = node
-    return FeatureTree(result) if result else EMPTY_TREE
 
 
 def _clash(a, b) -> bool:
@@ -508,11 +465,167 @@ def _clash(a, b) -> bool:
         return True
     if not isinstance(a, FeatureTree) or not isinstance(b, FeatureTree):
         return True
-    children = a.children
-    for label, node in b.children.items():
+    children = a._children
+    for label, node in b._children.items():
         if _clash(children.get(label), node):
             return True
     return False
+
+
+# What a plan's functions see besides their constants (`_compiled`): the
+# engine's own helpers, bound here so that a later rebinding of a module
+# name never reaches a kept function, and never a name the benchmark's
+# tracer wraps (`unify`, `product`, `combinations`); the tree class is
+# bound itself, and the tracer counts its `__init__`.
+_NAMESPACE = {
+    "_clash": _clash, "_peek": _peek, "meet": meet, "ValueSet": ValueSet,
+    "FeatureTree": FeatureTree, "EMPTY_TREE": EMPTY_TREE, "BLOCKED": BLOCKED,
+}
+
+# Each plan's functions by their source and their constants' spelling,
+# so equal plans hold the same function objects; like `_TAGS`, it holds
+# a few entries per distinct rule ever planned.
+_COMPILED: dict[tuple, tuple] = {}
+
+_PAIR_TEST = """\
+    if {a} is not None and {b} is not None and {a} is not {b}:
+        if {a}.__class__ is ValueSet and {b}.__class__ is ValueSet:
+            m, t = {a}._texts, {b}._texts
+            if len(m) > len(t):
+                m, t = t, m
+            for s in m:
+                if s in t:
+                    break
+            else:
+                return None
+        elif _clash({a}, {b}):
+            return None"""
+
+
+def _compiled(n: int, tests: list, met: list, tops: tuple) -> tuple:
+    """The plan's Python source and its two functions of one entry per
+    constituent, `run` and `run_filtered`, each giving the result tree,
+    or None when the candidate fails, from the entries' original nodes.
+    `run` makes the plan's `tests` first; `run_filtered` leaves them to
+    its caller's filters.  Each test is `_clash` or an inlined part of
+    it, which builds nothing; each class of `met` is the `meet` of its
+    values and its places' nodes, then of a tree of its children's
+    nodes; and the result is one new tree of the `tops`' nodes.
+
+    The code is straight-line, and reads each place once, when it is
+    first needed.  A place of one label is read by `children.get`,
+    which never gives BLOCKED, a longer path by `_peek`, which can.  So
+    a value test of a one-label place is a test of the leaf's texts, a
+    one-label place tested against itself is no test, and a pair test
+    of two one-label places passes at once when either node is absent
+    or both are one object (the dictionary shares its leaves), and else
+    loops over the shorter leaf's texts or calls `_clash`.  Every other
+    test calls `_clash`, and only a class or a top that can be BLOCKED
+    is checked for it.  A test or a class whose values are BLOCKED
+    fails every candidate.  Labels enter the source by `repr`, values
+    as the namespace's constants `K0`, `K1`, ...: the leaves, or the
+    `frozenset`s of their texts that the value tests read.
+    """
+    constants: dict[int, tuple] = {}  # id -> (name, value)
+
+    def constant(value) -> str:
+        return constants.setdefault(id(value), ("K%d" % len(constants), value))[0]
+
+    def function(name: str, tests) -> list[str]:
+        lines = ["def %s(%s):" % (name, ", ".join("e%d" % k for k in range(n)))]
+        if any(j is None and q is BLOCKED for _, _, j, q in tests) or any(
+            node is BLOCKED for _, node, _ in met
+        ):
+            return lines + ["    return None"]
+        code = lines.append
+        reads: dict[tuple, str] = {}  # place -> the local holding its node
+        bound = set()  # the locals holding a constituent's tree (tK) or its children (cK)
+
+        def bind(local: str, value: str) -> str:
+            if local not in bound:
+                bound.add(local)
+                code("    %s = %s" % (local, value))
+            return local
+
+        def read(k: int, path: tuple) -> str:
+            var = reads.get((k, path))
+            if var is None:
+                var = reads[k, path] = "x%d" % len(reads)
+                if len(path) > 1:
+                    code("    %s = _peek(%s, %r)" % (var, bind("t%d" % k, "e%d.tree" % k), path))
+                else:
+                    tree = "t%d" % k if "t%d" % k in bound else "e%d.tree" % k
+                    children = bind("c%d" % k, tree + "._children")
+                    code("    %s = %s.get(%r)" % (var, children, path[0]))
+            return var
+
+        def fail(condition: str):
+            code("    if %s:\n        return None" % condition)
+
+        for k, p, j, q in tests:
+            a = read(k, p)
+            if j is None:
+                if len(p) > 1:
+                    fail("_clash(%s, %s)" % (a, constant(q)))
+                else:
+                    fail("%s is not None and (%s.__class__ is not ValueSet or %s.isdisjoint(%s._texts))"
+                         % (a, a, constant(frozenset(q._texts)), a))
+                continue
+            b = read(j, q)
+            if len(p) > 1 or len(q) > 1:
+                fail("_clash(%s, %s)" % (a, b))
+            elif a != b:
+                code(_PAIR_TEST.format(a=a, b=b))
+        nodes = []  # the local holding each class of `met`
+        for i, (places, node, children) in enumerate(met):
+            operands = [] if node is None else [constant(node)]
+            operands += [read(k, path) for k, path in places]
+            blocking = len(operands) > 1 or any(len(path) > 1 for _, path in places)
+            if len(operands) == 1 and not children:
+                nodes.append(operands[0])
+            else:
+                nodes.append("n%d" % i)
+                node = operands[0] if operands else None
+                for operand in operands[1:]:
+                    node = "meet(%s, %s)" % (node, operand)
+                if node is not None:
+                    code("    n%d = %s" % (i, node))
+            if children:
+                code("    d = {}")
+                for label, child in children:
+                    code("    if {0} is not None:\n        d[{1!r}] = {0}".format(nodes[child], label))
+                if operands:
+                    code("    if d:\n        n%d = meet(n%d, FeatureTree(d))" % (i, i))
+                    blocking = True
+                else:
+                    code("    n%d = FeatureTree(d) if d else None" % i)
+            elif not operands:
+                code("    n%d = None" % i)
+            if blocking:
+                fail("%s is BLOCKED" % nodes[i])
+        code("    r = {}")
+        for label, k, path in tops:
+            if k is None:
+                node = nodes[path]
+            else:
+                node = read(k, path)
+                if len(path) > 1:
+                    fail("%s is BLOCKED" % node)
+            code("    if %s is not None:\n        r[%r] = %s" % (node, label, node))
+        code("    return FeatureTree(r) if r else EMPTY_TREE")
+        return lines
+
+    source = "\n".join(function("run", tests) + function("run_filtered", ())) + "\n"
+    key = (source, tuple(
+        tuple((text, type(text)) for text in value.values) if isinstance(value, ValueSet) else value
+        for _, value in constants.values()
+    ))
+    functions = _COMPILED.get(key)
+    if functions is None:
+        namespace = {**_NAMESPACE, **dict(constants.values())}
+        exec(compile(source, "<rule plan>", "exec"), namespace)
+        functions = _COMPILED[key] = namespace["run"], namespace["run_filtered"]
+    return (source, *functions)
 
 
 # -- analysis ----------------------------------------------------------------
@@ -619,10 +732,10 @@ def analyze(
             continue  # no split: each part is non-empty
         category = rule.lhs
         plan = rule.plans.get(lex_path) or _plan(rule, lex_path)
-        tests = plan.tests
+        run = plan.run
         for parts, candidate_lists in _stored_splits(surface, plan, dictionary):
             for combo in product(*candidate_lists):
-                tree = _execute(plan, combo, tests)
+                tree = run(*combo)
                 if tree is None:
                     continue
                 if category not in first:
@@ -636,8 +749,10 @@ def analyze(
                     if key in seen:
                         continue
                     seen.add(key)
-                lex = tree.get((lex_feature,))
-                lemma = lex.values[0] if isinstance(lex, ValueSet) and len(lex) == 1 else None
+                lex = tree._children.get(lex_feature)
+                lemma = (
+                    lex.values[0] if lex.__class__ is ValueSet and len(lex.values) == 1 else None
+                )
                 out.append(Analysis(surface, lemma, category, tree, tuple(zip(parts, combo))))
     return out
 
@@ -789,9 +904,10 @@ def generate(
     `product` runs over the outer constituents, then, for each outer
     combination, over the joined ones' rows that clear its links
     (`_joined`); only the unjoined pair checks run per combination.
-    Under a plan that is not settled each combination runs `_execute`,
-    skipping the tests the filters decide, the lemma test and `unify`.
-    A settled plan (`_plan`) runs no `_execute` or lemma test: a
+    Under a plan that is not settled each combination runs the plan's
+    `run_filtered`, which skips the tests the filters decide, then the
+    lemma test and `unify`.  A settled plan (`_plan`) runs no compiled
+    function and no lemma test: a
     constrained call reads each tree at the plan's `reads` and unifies
     it with the constraints, and an unconstrained one keeps each
     surface as it is.
@@ -805,8 +921,8 @@ def generate(
     surfaces: set[str] = set()
     for rule in rules:
         plan = rule.plans.get(lex_path) or _plan(rule, lex_path)
-        _, _, _, unjoined, constituents, outer, links, order, settled, reads, _ = plan
-        unconstrained = settled and not constraints.children
+        _, _, run_filtered, unjoined, constituents, outer, links, order, settled, reads, _ = plan
+        unconstrained = settled and not constraints._children
         keys, tables = [], []
         for constituent, (wanted, filters) in zip(
             constituents, _filters(dictionary, plan, constraints)
@@ -866,10 +982,10 @@ def generate(
                                 read[label] = node
                         tree = FeatureTree(read)
                     else:
-                        tree = _execute(plan, entries, ())
+                        tree = run_filtered(*entries)
                         if tree is None:
                             continue
-                        lex = tree.get(lex_path)
+                        lex = tree._children.get(lex_feature)
                         if not isinstance(lex, ValueSet) or lemma not in lex._texts:
                             continue
                     if unify(tree, constraints) is None:

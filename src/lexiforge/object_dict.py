@@ -96,7 +96,8 @@ class ObjectDictionary:
         # never outgrows that index.
         # The keys hold the caller's constraints and the entries' nodes,
         # whose hashes a tree and a leaf keep once made: they hold only
-        # because no tree, leaf or constraints tree is mutated once built.
+        # because no tree, leaf or constraints tree can change once built
+        # (a tree's `children` is a read-only view).
         self.node_tables: dict[object, object] = {}
         self.lemma_rows: dict[tuple, dict[str, tuple]] = {}
         # analysis's cache, filled by `morph_engine.analyze` on first use:
@@ -146,7 +147,7 @@ class ObjectDictionary:
             holders: dict[str, list[ObjectEntry]] = {}
             lacking: list[ObjectEntry] = []
             for entry in self.entries:
-                node = entry.tree.children.get(feature)
+                node = entry.tree._children.get(feature)
                 if node is None:
                     lacking.append(entry)
                 elif isinstance(node, ValueSet):

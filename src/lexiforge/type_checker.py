@@ -54,8 +54,8 @@ def _check(tree, prefix, decls, entry, out, holes: Collection[tuple[str, ...]]):
     def report(severity, path, message):
         out.append(Diagnostic(severity, message, entry=entry, path=path))
 
-    for label in sorted(tree.children):
-        node = tree.children[label]
+    for label in sorted(tree._children):
+        node = tree._children[label]
         path = prefix + (label,)
         if isinstance(node, (RuleCall, SelfRef)):
             continue
@@ -79,7 +79,7 @@ def _check(tree, prefix, decls, entry, out, holes: Collection[tuple[str, ...]]):
                     ERROR, path, "structured feature '%s' has an atomic value" % label
                 )
             else:
-                labels = set(node.children)
+                labels = set(node._children)
                 if not any(
                     labels and labels <= set(alt) for alt in decl.alternatives
                 ):

@@ -649,3 +649,61 @@ def test_a_pickled_key_is_found_by_an_equal_tree_under_another_hash_seed(tmp_pat
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "found None\nagr pers = 1\nlex = pedir\n"
+
+
+# -- read-only children -----------------------------------------------------------
+
+
+def assert_read_only(tree):
+    """Assigning a new or a held label and deleting one raise TypeError
+    at the tree and at each subtree; a view has no dict method that
+    writes."""
+    for node in [tree] + [n for n in tree.children.values() if isinstance(n, FeatureTree)]:
+        children = node.children
+        held = next(iter(children), "new")
+        for label in ("new", held):
+            with pytest.raises(TypeError):
+                children[label] = leaf("1")
+        with pytest.raises(TypeError):
+            del children[held]
+        for method in ("update", "setdefault", "pop", "popitem", "clear"):
+            assert not hasattr(children, method)
+
+
+def _trees_from_every_public_path(tmp_path):
+    from lexiforge.object_dict import ObjectDictionary, ObjectEntry, load, save
+
+    agr = parse_tree("agr pers = 1\nagr num = sing")
+    built = {
+        "FeatureTree()": FeatureTree(),
+        "FeatureTree(children)": FeatureTree({"a": leaf("1")}),
+        "set": EMPTY_TREE.set(("agr", "pers"), leaf("1")),
+        "merge": agr.merge(parse_tree("lex = x")),
+        "unify": unify(agr, parse_tree("agr gen = m")),
+    }
+    path = tmp_path / "trees.dic"
+    save(ObjectDictionary.build([ObjectEntry("x", built["unify"])]), str(path))
+    (entry,) = load(str(path)).entries
+    built["load"] = entry.tree
+    return built
+
+
+def test_children_are_read_only_on_every_public_path(tmp_path):
+    for name, tree in _trees_from_every_public_path(tmp_path).items():
+        before = tree.canonical_form()
+        assert_read_only(tree)
+        assert tree.canonical_form() == before, name
+
+
+def test_children_is_a_view_of_the_tree_and_no_copy():
+    tree = parse_tree("a = 1\nb c = 2")
+    children = tree.children
+    assert dict(children) == {"a": leaf("1"), "b": FeatureTree({"c": leaf("2")})}
+    assert list(children) == ["a", "b"] and "a" in children and children.get("z") is None
+    with pytest.raises(TypeError):
+        children["a"] = leaf("2")
+    with pytest.raises(TypeError):
+        del children["a"]
+    # a tree built from a view copies it, as from a dict
+    copied = FeatureTree(children)
+    assert copied == tree and copied.children is not children

@@ -3,13 +3,14 @@ import io
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from lexiforge import morph_engine
@@ -29,7 +30,6 @@ from lexiforge.morph_engine import (
     ValueEquation,
     WFRule,
     _clash,
-    _execute,
     analyze,
     generate,
     parse_wf_rules,
@@ -40,6 +40,7 @@ from lexiforge.source import SourceSyntaxError
 from oracles import all_pairs_analyses, all_pairs_generation, ordered_analyses
 from sources import parse_tree, sorted_lemmas
 from test_dict_compiler import count_constructions
+from test_feature_tree import assert_read_only
 
 
 RULES = """\
@@ -346,16 +347,23 @@ def test_a_passing_candidate_builds_only_the_result(monkeypatch, spanish_dict, w
     # tree built, and no value set is
     (rule,) = wf_rules
     plan = rule.plans[("lex",)]
-    assert len(plan.tests) == 5 and plan.met == ()
-    assert plan.tops == (("lex", 0, ("lex",)), ("agr", 1, ("agr",)), ("vinfo", 1, ("vinfo",)))
+    tested, filtered = plan.source.split("def run_filtered")
+    # two value tests and three pair tests, none left to `run_filtered`
+    assert tested.count("isdisjoint") == 2 and tested.count("_clash") == 3
+    assert "isdisjoint" not in filtered and "_clash" not in filtered
+    # no class is met, and each top is one child of one entry
+    assert "meet" not in plan.source and "_peek" not in plan.source
+    for top in ("c0.get('lex')", "c1.get('agr')", "c1.get('vinfo')"):
+        assert top in tested and top in filtered
     (stem,) = spanish_dict.lookup("ped")
     (ending,) = spanish_dict.lookup("íamos")
-    counts = count_constructions(monkeypatch)
-    tree = _execute(plan, [stem, ending], plan.tests)
-    assert counts == {"FeatureTree": 1, "ValueSet": 0}
-    assert tree.canonical_form() == (
-        "agr num = plu\nagr pers = 1\nlex = pedir\nvinfo mood = ind\nvinfo tense = impf\n"
-    )
+    for run in (plan.run, plan.run_filtered):
+        counts = count_constructions(monkeypatch)
+        tree = run(stem, ending)
+        assert counts == {"FeatureTree": 1, "ValueSet": 0}
+        assert tree.canonical_form() == (
+            "agr num = plu\nagr pers = 1\nlex = pedir\nvinfo mood = ind\nvinfo tense = impf\n"
+        )
 
 
 def test_generate_and_analyze_leave_no_cyclic_garbage(spanish_dict, wf_rules):
@@ -761,8 +769,14 @@ def test_a_copy_through_a_leaf_fails_the_candidate():
     entries = [STEM, ("a", "concat = vm\na = 1"), ("o", "concat = vm\na b = 2")]
     dictionary = small_dictionary(entries)
     rules = parse_wf_rules(STEM_ENDING + "  Word x = Ending a b\n")
-    assert ("x", 1, ("a", "b")) in rules[0].plans[("lex",)].tops  # read from the ending as it is
+    plan = rules[0].plans[("lex",)]
+    # read from the ending as it is, by `_peek`, and no class is met
+    assert "_peek(t1, ('a', 'b'))" in plan.source and "meet" not in plan.source
     # 'a' holds a leaf at `a`, so its copy `Ending a b` runs through it
+    (stem,), (through,), (below,) = map(dictionary.lookup, ("ka", "a", "o"))
+    for run in (plan.run, plan.run_filtered):
+        assert run(stem, through) is None
+        assert run(stem, below).canonical_form() == "lex = ka\nx = 2\n"
     readings = {}
     for surface in ("kaa", "kao"):
         got = {(a.category, a.tree.canonical_form()) for a in analyze(surface, dictionary, rules)}
@@ -1520,16 +1534,23 @@ def test_constrained_generation_equals_the_oracle_on_both_sides_of_the_settled_l
             assert got == expected, (lemma, constraints)
 
 
-def _counting_engine(monkeypatch):
-    calls = {"_execute": 0, "unify": 0}
-    for name in calls:
-        original = getattr(morph_engine, name)
+def _counting_engine(monkeypatch, rules):
+    """Calls of the rules' compiled plans (`run` and `run_filtered`
+    both) and of `unify`, from here on."""
+    calls = {"run": 0, "unify": 0}
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
 
-        monkeypatch.setattr(morph_engine, name, counted)
+        return counted
+
+    for rule in rules:
+        plan = rule.plans[("lex",)]
+        compiled = {name: counting("run", getattr(plan, name)) for name in ("run", "run_filtered")}
+        monkeypatch.setitem(rule.plans, ("lex",), plan._replace(**compiled))
+    monkeypatch.setattr(morph_engine, "unify", counting("unify", morph_engine.unify))
     return calls
 
 
@@ -1538,12 +1559,12 @@ def test_an_unconstrained_paradigm_under_the_fixture_rules_builds_no_result_tree
 ):
     expected = spanish_oracle("pedir", EMPTY_TREE)
     assert "pedíamos" in expected and "pido" in expected
-    calls = _counting_engine(monkeypatch)
+    calls = _counting_engine(monkeypatch, wf_rules)
     assert generate("pedir", EMPTY_TREE, spanish_dict, wf_rules) == expected
-    assert calls == {"_execute": 0, "unify": 0}
+    assert calls == {"run": 0, "unify": 0}
     # a constrained call reads its trees from the kept rows and unifies them
     assert generate("pedir", imperfect_cells()[1], spanish_dict, wf_rules) == ["pedíamos"]
-    assert calls["_execute"] == 0 and calls["unify"] > 0
+    assert calls["run"] == 0 and calls["unify"] > 0
 
 
 def test_unconstrained_paradigms_under_the_fixture_rules_take_as_many_combinations(
@@ -1574,9 +1595,9 @@ def test_an_unconstrained_paradigm_under_a_nested_read_builds_its_trees(
     text = (fixtures_dir / "wf.rules").read_text(encoding="utf-8")
     rules = parse_wf_rules(text + "  Word pers = Ending agr pers\n")
     expected = all_pairs_generation(spanish_dict, rules)("pedir", EMPTY_TREE)
-    calls = _counting_engine(monkeypatch)
+    calls = _counting_engine(monkeypatch, rules)
     assert generate("pedir", EMPTY_TREE, spanish_dict, rules) == expected
-    assert calls["_execute"] > 0 and calls["unify"] > 0
+    assert calls["run"] > 0 and calls["unify"] > 0
 
 
 def _counting_lookups(monkeypatch):
@@ -1908,3 +1929,168 @@ def test_a_place_alone_in_its_class_must_not_lie_below_a_leaf():
         )
     expected = all_pairs_generation(dictionary, rules)("1", EMPTY_TREE)
     assert generate("1", EMPTY_TREE, dictionary, rules) == expected == ["bb", "cb", "db"]
+
+
+# -- the compiled plan -------------------------------------------------------------
+
+# Entries for `V -> A B`: leaves, disjunctions and subtrees at `p` and
+# `q`, a leaf or a subtree at `agr`, and gaps everywhere.
+_COMPILER_TREE_TEXTS = [
+    "\n".join(lines)
+    for lines in product(
+        ["", "lex = x", "lex = y"],
+        ["", "p = 1", "p = 1 2", "p = 2", "p x = 1", "p x = 1 2\np y = 2"],
+        ["", "q = 1", "q x = 1", "q x = 2"],
+        ["", "agr = 1", "agr pers = 2"],
+    )
+]
+
+# One- and two-label places tested in pairs, against values (one or two,
+# quoted too, and disjoint ones, `A p = 1` with `A p = 2`) and against
+# themselves; classes met with children (`V agr`, `V p`), and one whose
+# values meet its child (`A q = 1` with `A q x = A q x`); copies of one-
+# and two-label places into the result, and paths through leaves.
+_COMPILER_EQUATIONS = [
+    "V lex = A lex",
+    "V lex = B lex",
+    "A p = B p",
+    "A p = B q",
+    "A p = 1",
+    "A p = 2",
+    "B p = 1 2",
+    'B q = "1"',
+    "A q = 1",
+    "A p x = 1",
+    "A p x = B q x",
+    "A p = A p",
+    "A q x = A q x",
+    "V c = A p",
+    "V d = B q x",
+    "V agr = B agr",
+    "V agr pers = A p x",
+    "V e = 1",
+    "V p y = B q",
+    "V p = B p",
+]
+
+_COMPILER_CONSTRAINTS = {
+    ("c",): ["1", "2"],
+    ("d",): ["1", "2"],
+    ("agr", "pers"): ["1", "2"],
+    ("p", "y"): ["1", "2"],
+}
+
+
+def _bare(readings):
+    """Readings with each quoted value that could stand bare unquoted.
+    The two sides agree on values, not on spelling: where a rule's `"1"`
+    meets an entry's `1`, the engine keeps the rule's spelling, and the
+    oracle that of the node its pass over the equations meets first."""
+    return {(lhs, re.sub(r'"(\w+)"', r"\1", text)) for lhs, text in readings}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_both_compiled_functions_answer_as_the_oracles(data):
+    texts = data.draw(st.lists(st.sampled_from(_COMPILER_TREE_TEXTS), min_size=1, max_size=5))
+    dictionary = small_dictionary(list(zip("abcde", texts)))  # one entry per letter
+    equations = data.draw(
+        st.lists(st.sampled_from(_COMPILER_EQUATIONS), min_size=1, max_size=6, unique=True)
+    )
+    try:
+        rules = parse_wf_rules("#WF-RULES\n\nV -> A B\n" + "".join("  %s\n" % eq for eq in equations))
+    except SourceSyntaxError:
+        reject()  # a place equated with its own extension
+    (rule,) = rules
+    plan = rule.plans[("lex",)]
+    # each pair of entries spells one word, which only that pair can
+    for first, second in product(dictionary.entries, repeat=2):
+        tree = plan.run(first, second)
+        got = set() if tree is None else {("V", tree.canonical_form())}
+        expected = all_pairs_analyses(first.surface + second.surface, dictionary, rules)
+        assert _bare(got) == _bare(expected)
+        if tree is not None:
+            # the tests it skips passed: the same tree
+            assert plan.run_filtered(first, second).canonical_form() == tree.canonical_form()
+    # generation runs `run_filtered` on the candidates its filters leave
+    constraints = EMPTY_TREE
+    for path in data.draw(st.lists(st.sampled_from(sorted(_COMPILER_CONSTRAINTS)), unique=True)):
+        texts = data.draw(
+            st.lists(st.sampled_from(_COMPILER_CONSTRAINTS[path]), min_size=1, unique=True)
+        )
+        constraints = constraints.set(path, leaf(*texts))
+    oracle = all_pairs_generation(dictionary, rules)
+    for lemma in ("x", "y"):
+        for cell in (EMPTY_TREE, constraints):
+            assert generate(lemma, cell, dictionary, rules) == oracle(lemma, cell), (lemma, cell)
+
+
+# Valid symbols that Python reads as keywords, names or operators, and a
+# quoted value holding both kinds of quote mark.
+_ODD_LABELS = ["if", "None", "return", "__class__", "a'b", "x-y", "ñu"]
+_QUOTES = '"say \\"so\\" it\'s"'
+
+
+def test_labels_odd_in_python_and_values_with_quotes_compile_and_answer_as_the_oracle():
+    rules = parse_wf_rules(
+        "#WF-RULES\n\nV -> A B\n  V lex = A lex\n  A if = B if\n  A None = %s\n"
+        "  A return x = B return x\n  V __class__ = B __class__\n  V a'b = B x-y ñu\n"
+        "  V ñu = %s\n" % (_QUOTES, _QUOTES)
+    )
+    entries = [
+        ("a", "lex = x\nif = 1\nNone = %s\nreturn x = 1" % _QUOTES),
+        ("b", "if = 1\n__class__ = 2\nx-y ñu = 3\nreturn x = 1"),
+        ("c", "lex = y\nif = 1 2\nreturn = 1\nx-y = 1"),
+        ("d", "lex = y\nNone = so\n__class__ = 1"),
+    ]
+    dictionary = small_dictionary(entries)
+    (rule,) = rules
+    source = rule.plans[("lex",)].source
+    for label in _ODD_LABELS[:-2]:
+        assert "%r" % label in source
+    assert "_peek(t1, ('x-y', 'ñu'))" in source and "say" not in source
+    oracle = all_pairs_generation(dictionary, rules)
+    for first, second in product("abcd", repeat=2):
+        got = {(a.category, a.tree.canonical_form()) for a in analyze(first + second, dictionary, rules)}
+        assert got == all_pairs_analyses(first + second, dictionary, rules)
+    assert {a.tree.canonical_form() for a in analyze("ab", dictionary, rules)} == {
+        '__class__ = 2\na\'b = 3\nlex = x\nñu = "say \\"so\\" it\'s"\n'
+    }
+    for lemma in ("x", "y"):
+        assert generate(lemma, EMPTY_TREE, dictionary, rules) == oracle(lemma, EMPTY_TREE)
+    assert generate("x", EMPTY_TREE, dictionary, rules) == ["aa", "ab", "ad"]
+
+
+def test_compiled_plans_bind_no_name_the_tracer_wraps(fixtures_dir, wf_rules):
+    # a function that bound `unify`, `product` or `combinations` would
+    # hide its calls from the benchmark's tracer
+    text = (fixtures_dir / "wf.rules").read_text(encoding="utf-8")
+    parse_wf_rules(text + "  Word pers = Ending agr pers\n")  # a plan that meets a class
+    assert morph_engine._COMPILED
+    for functions in morph_engine._COMPILED.values():
+        for function in functions:
+            assert not {"unify", "product", "combinations"} & function.__globals__.keys()
+
+
+def test_readings_hold_read_only_trees(spanish_dict, wf_rules):
+    (reading,) = analyze("pedíamos", spanish_dict, wf_rules)
+    assert_read_only(reading.tree)
+    with pytest.raises(TypeError):
+        reading.tree.children["lex"] = leaf("pedo")
+
+
+def test_a_cell_cannot_be_changed_once_its_answer_is_kept(spanish_dict, wf_rules):
+    # a cell's tables are kept under the cell: were its children writable,
+    # a changed cell would be answered from the tables of the old one
+    dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    first, third = (
+        EMPTY_TREE.set(("agr", "pers"), leaf(pers)).set(("agr", "num"), leaf("sing"))
+        for pers in "13"
+    )
+    answer = generate("pedir", first, dictionary, wf_rules)
+    with pytest.raises(TypeError):
+        first.children["agr"] = third.children["agr"]
+    assert generate("pedir", first, dictionary, wf_rules) == answer
+    assert generate("pedir", third, dictionary, wf_rules) != answer
+    oracle = all_pairs_generation(spanish_dict, wf_rules)
+    assert answer == oracle("pedir", first) and answer
