@@ -410,7 +410,8 @@ def meet(a: "Node | None", b: "Node | None"):
     labels follow `a`'s; an empty tree gives the other operand itself.
     `a`'s children are copied only at the first label whose meet is not
     `a`'s own node there, so when `b` adds and narrows nothing, `a`
-    itself comes back, as a leaf's intersection gives the leaf itself.
+    itself comes back, as a leaf's intersection gives the leaf itself;
+    two equal leaves under one label are not met at all.
     Anything else (a leaf against a tree, a placeholder, BLOCKED), or
     an empty intersection anywhere below, gives BLOCKED.
     """
@@ -430,6 +431,9 @@ def meet(a: "Node | None", b: "Node | None"):
         return b
     for label, bnode in b._children.items():
         mine = own.get(label)
+        if bnode.__class__ is ValueSet and mine.__class__ is ValueSet:
+            if mine._texts == bnode._texts:
+                continue  # two equal leaves: `intersect` keeps `mine`
         merged = meet(mine, bnode)
         if merged is BLOCKED:
             return BLOCKED

@@ -194,7 +194,6 @@ class _Constituent(NamedTuple):
     tests: tuple
     sources: tuple
     tag: int
-    join: int | None
 
 
 class _RulePlan(NamedTuple):
@@ -211,10 +210,10 @@ class _RulePlan(NamedTuple):
     tag: int
 
 
-# Each value `_tag` has tagged: rule plans, table keys and joins, (table
-# key, linked paths), never anything built from a caller's constraints,
-# so it holds at most a few values per distinct rule ever planned.  Tags
-# are drawn from a counter, so two values never share one.
+# Each value `_tag` has tagged: rule plans and table keys, never
+# anything built from a caller's constraints, so it holds at most a few
+# values per distinct rule ever planned.  Tags are drawn from a counter,
+# so two values never share one.
 _TAGS: dict[tuple, int] = {}
 _NEW_TAGS = count()
 
@@ -267,7 +266,7 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
     equation `C f = v` with a one-label path and one value, or None, and
     whose paths are those its checks, sources and value tests read, each
     once; then its value tests as (position, values) and its constraint
-    sources as (position, path, result path), each of its places with a
+    sources as (position, result path), each of its places with a
     result path of its class.  A row's nodes are aligned with its key's
     paths (`_node_rows`), so a position names a place.  The pair checks
     are the pairs of places within a class.  In rule order, a constituent
@@ -289,9 +288,8 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
     place is a source of its constituent, so its key's paths hold it;
     any other plan's `reads` is ().
 
-    Last, the plan, each constituent's table key (`tag`) and each joined
-    one's key with its linked paths (`join`), since two rules can link
-    one table by different paths, are tagged (`_tag`).
+    Last, the plan and each constituent's table key (`tag`) are tagged
+    (`_tag`).
     """
     lhs, rhs, n = rule.lhs, rule.rhs, len(rule.rhs)
     # constituent k's root class is k and the result's n; `rep` maps an id to its class
@@ -407,9 +405,8 @@ def _plan(rule: WFRule, lex_path: tuple[str]) -> _RulePlan:
             by_lemma[k],
             key,
             tuple((at[k][path], node) for path, node in value_tests[k]),
-            tuple((at[k][path], path, result) for path, result in sources[k]),
+            tuple((at[k][path], result) for path, result in sources[k]),
             _tag(key),
-            _tag((key, tuple(p for _, p in linked[k]))) if k in linked else None,
         ))
     unjoined = tuple(
         (order[i], at[i][p], order[j], at[j][q]) for i, p, j, q in checks
@@ -765,8 +762,8 @@ MAX_COMBINATIONS = 100_000
 # The most entries `generate` keeps in a dictionary's `node_tables`.  The
 # keys hold the caller's constraints, so without a bound a stream of
 # new constraint values would grow the cache for the life of the
-# process; past the bound, a table, join or set of filters not kept is
-# made on each call that needs it and then dropped.
+# process; past the bound, a table, cell state or join not kept is made
+# on each call that needs it and then dropped.
 MAX_NODE_TABLES = 4096
 
 
@@ -788,35 +785,75 @@ def _admit(rows: Sequence, tests) -> Sequence:
     return [row for row in rows if not any(_clash(node, row[1][i]) for i, node in tests)]
 
 
-def _kept(tables: dict, key, rows: Sequence) -> Sequence:
-    """The rows, kept in `tables` (a dictionary's `node_tables`) under
+def _kept(tables: dict, key, value):
+    """The value, kept in `tables` (a dictionary's `node_tables`) under
     key while it holds fewer than `MAX_NODE_TABLES` entries."""
     if len(tables) < MAX_NODE_TABLES:
-        tables[key] = rows
-    return rows
+        tables[key] = value
+    return value
 
 
-def _filters(
-    dictionary: ObjectDictionary, plan: _RulePlan, constraints: FeatureTree
-) -> tuple:
-    """Each constituent's constraint filters, the constraints' nodes at
-    its result paths, where present and not below a leaf: as `wanted`,
-    (path, node) pairs, which name its narrowed table, and as (position,
-    node) tests for `_admit`.  Kept in the dictionary's `node_tables`."""
+def _table(dictionary: ObjectDictionary, constituent: _Constituent) -> Sequence:
+    """A table-drawn constituent's table: its candidates, from its key's
+    index or from every entry, each with its nodes at its key's paths,
+    that pass its value tests.  Kept in the dictionary's `node_tables`
+    under its key's tag."""
     tables = dictionary.node_tables
-    filters = tables.get((plan.tag, constraints))
-    if filters is None:
-        filters = []
-        for constituent in plan.constituents:
-            wanted, tests = [], []
-            for i, path, result in constituent.sources:
-                node = _peek(constraints, result)
-                if node is not None and node is not BLOCKED:
-                    wanted.append((path, node))
-                    tests.append((i, node))
-            filters.append((tuple(wanted), tuple(tests)))
-        filters = _kept(tables, (plan.tag, constraints), tuple(filters))
-    return filters
+    table = tables.get(constituent.tag)
+    if table is None:
+        key = constituent.key
+        index = key.index
+        entries = (
+            dictionary.entries if index is None
+            else dictionary.lookup_by_concat(index[1], index[0])
+        )
+        table = _admit(_node_rows(entries, key.paths), constituent.tests)
+        table = _kept(tables, constituent.tag, table)
+    return table
+
+
+class _Cell(NamedTuple):
+    drawn: _Constituent | None
+    tests: tuple
+    heads: tuple
+    size: int
+    joins: tuple
+
+
+def _cell(dictionary: ObjectDictionary, plan: _RulePlan, constraints: FeatureTree) -> _Cell:
+    """The cell state: all that a call derives from the plan and the
+    constraints, kept in the dictionary's `node_tables` under (plan
+    tag, constraints).  A constituent's tests are (position, node)
+    pairs for `_admit`: the constraints' nodes at its result paths,
+    where present and not below a leaf.  A table-drawn constituent's
+    narrowed table is the rows of its table (`_table`) that clear them.
+    The state holds the lemma-drawn constituent (`drawn`, None without
+    one; it is always the first outer one) and its tests, the other
+    outer constituents' narrowed tables, the product of all narrowed
+    tables' sizes, and for each of the plan's `links` a join (key,
+    narrowed table, links), whose key is an object of its own, which
+    hashes at once."""
+    narrowed, drawn_tests = [], ()
+    for constituent in plan.constituents:
+        tests = []
+        for i, result in constituent.sources:
+            node = _peek(constraints, result)
+            if node is not None and node is not BLOCKED:
+                tests.append((i, node))
+        if constituent.by_lemma:
+            narrowed.append(None)
+            drawn_tests = tuple(tests)
+        else:
+            narrowed.append(_admit(_table(dictionary, constituent), tests))
+    first = plan.outer[0]
+    drawn = plan.constituents[first] if narrowed[first] is None else None
+    return _kept(dictionary.node_tables, (plan.tag, constraints), _Cell(
+        drawn,
+        drawn_tests,
+        tuple(narrowed[k] for k in (plan.outer[1:] if drawn else plan.outer)),
+        prod(len(table) for table in narrowed if table is not None),
+        tuple((object(), narrowed[k], own) for k, own in plan.links),
+    ))
 
 
 def _lemma_rows(
@@ -836,46 +873,13 @@ def _lemma_rows(
     return rows
 
 
-def _table(
-    dictionary: ObjectDictionary, constituent: _Constituent, wanted: tuple, filters: tuple
-) -> list:
-    """A table-drawn constituent's narrowed table: its candidates, from
-    its key's index or from every entry, each with its nodes at its
-    key's paths, that pass its value tests (its table) and clear each
-    (position, node) of `filters`, the positions of `wanted`'s paths.
-    Both tables are kept in the dictionary's `node_tables`."""
-    tables = dictionary.node_tables
-    tag = constituent.tag
-    table = tables.get((tag, wanted))
-    if table is not None:
-        return table
-    table = tables.get((tag, ()))
-    if table is None:
-        key = constituent.key
-        index = key.index
-        entries = (
-            dictionary.entries if index is None
-            else dictionary.lookup_by_concat(index[1], index[0])
-        )
-        table = _kept(tables, (tag, ()), _admit(_node_rows(entries, key.paths), constituent.tests))
-    return _kept(tables, (tag, wanted), _admit(table, filters)) if wanted else table
-
-
-def _joined(
-    dictionary: ObjectDictionary, key: tuple, table: list, links: tuple, head: tuple
-) -> list:
+def _joined(tables: dict, key: object, table: Sequence, links: tuple, probe: tuple) -> tuple:
     """The rows of a joined constituent's narrowed table that clear the
-    outer rows' nodes at the linked places (the probe), a leaf, a
-    subtree, or a missing or blocked node each.  Kept in the
-    dictionary's `node_tables` under `key`, (join tag, wanted), and the
-    probe."""
-    probe = tuple([head[x][1][p] for x, p, _ in links])
-    tables = dictionary.node_tables
-    rows = tables.get((key, probe))
-    if rows is None:
-        tests = [(i, node) for (_, _, i), node in zip(links, probe)]
-        rows = _kept(tables, (key, probe), _admit(table, tests))
-    return rows
+    outer rows' nodes at its linked places (the probe), a leaf, a
+    subtree, or a missing or blocked node each, and their surfaces.
+    Kept in `node_tables` (`tables`) under (join key, probe)."""
+    rows = _admit(table, [(i, node) for (_, _, i), node in zip(links, probe)])
+    return _kept(tables, (key, probe), (rows, [row[0].surface for row in rows]))
 
 
 def generate(
@@ -894,12 +898,12 @@ def generate(
     its table (`_table`), the entries of the index its first value
     equation `C f = v` with a one-label path and one value names (those
     whose f leaf holds v, plus those lacking f), else every entry.  Rows
-    that fail a value test or a constraint filter (`_filters`) are
-    dropped, as the module docstring's pruning says.  A constituent
-    drawn from every entry can multiply the work by the dictionary's
-    size, so a rule whose product of narrowed tables exceeds
-    `MAX_COMBINATIONS` raises `GenerationLimit` before any combination
-    is tried.
+    that fail a value test or a constraint filter are dropped, as the
+    module docstring's pruning says, and what they leave of each table
+    is kept in the cell state (`_cell`).  A constituent drawn from every
+    entry can multiply the work by the dictionary's size, so a rule
+    whose product of narrowed tables exceeds `MAX_COMBINATIONS` raises
+    `GenerationLimit` before any combination is tried.
 
     `product` runs over the outer constituents, then, for each outer
     combination, over the joined ones' rows that clear its links
@@ -907,10 +911,9 @@ def generate(
     Under a plan that is not settled each combination runs the plan's
     `run_filtered`, which skips the tests the filters decide, then the
     lemma test and `unify`.  A settled plan (`_plan`) runs no compiled
-    function and no lemma test: a
-    constrained call reads each tree at the plan's `reads` and unifies
-    it with the constraints, and an unconstrained one keeps each
-    surface as it is.
+    function and no lemma test: a constrained call reads each tree at
+    the plan's `reads` and unifies it with the constraints, and an
+    unconstrained one keeps each surface as it is.
     When, besides, no pair check is left unjoined, it takes the surfaces
     of one outer combination as one `product` over each constituent's
     surface column, in rule order (by `order`): the one surface of an
@@ -918,51 +921,47 @@ def generate(
     combinations the one over the joined lists would.
     """
     lex_path = (lex_feature,)
+    kept = dictionary.node_tables
     surfaces: set[str] = set()
     for rule in rules:
         plan = rule.plans.get(lex_path) or _plan(rule, lex_path)
-        _, _, run_filtered, unjoined, constituents, outer, links, order, settled, reads, _ = plan
+        _, _, run_filtered, unjoined, _, _, _, order, settled, reads, tag = plan
         unconstrained = settled and not constraints._children
-        keys, tables = [], []
-        for constituent, (wanted, filters) in zip(
-            constituents, _filters(dictionary, plan, constraints)
-        ):
-            if constituent.by_lemma:
-                rows = _lemma_rows(dictionary, constituent, lex_feature, lemma)
-                tables.append(_admit(rows, filters))
-            else:
-                tables.append(_table(dictionary, constituent, wanted, filters))
-            keys.append((constituent.join, wanted))
-        size = prod(map(len, tables))
+        drawn, tests, heads, size, joins = (
+            kept.get((tag, constraints)) or _cell(dictionary, plan, constraints)
+        )
+        if drawn is not None:
+            heads = (_admit(_lemma_rows(dictionary, drawn, lex_feature, lemma), tests), *heads)
+            size *= len(heads[0])
         if size > MAX_COMBINATIONS:
             where = "%s:%d: " % (rule.file, rule.line) if rule.file else ""
             raise GenerationLimit(
                 "%srule '%s' has %d candidate combinations, more than the %d generation tries"
                 % (where, rule.name, size, MAX_COMBINATIONS)
             )
-        heads = [tables[k] for k in outer]
         if not all(heads):
             continue
         by_columns = unconstrained and not unjoined
         for head in product(*heads):
             tails = []
-            for k, own in links:
-                tail = _joined(dictionary, keys[k], tables[k], own, head)
-                if not tail:
+            for key, table, links in joins:
+                probe = tuple([head[x][1][p] for x, p, _ in links])
+                tail = kept.get((key, probe)) or _joined(kept, key, table, links, probe)
+                if not tail[0]:
                     break
                 tails.append(tail)
             else:
                 if by_columns:
                     # each combination clears the filters: join the surface columns
                     columns = [[row[0].surface] for row in head]
-                    columns += [[row[0].surface for row in tail] for tail in tails]
+                    columns += [column for _, column in tails]
                     columns = [columns[x] for x in order]
                     if tails:
                         surfaces.update(map("".join, product(*columns)))
                     else:
                         surfaces.add("".join(column[0] for column in columns))
                     continue
-                for tail in product(*tails) if tails else ((),):
+                for tail in product(*[rows for rows, _ in tails]) if tails else ((),):
                     combo = head + tail
                     if unjoined and any(
                         _clash(combo[i][1][p], combo[j][1][q]) for i, p, j, q in unjoined

@@ -76,20 +76,24 @@ class ObjectDictionary:
         self.value_indexes: dict[str, tuple[dict[str, list[ObjectEntry]], list[ObjectEntry]]] = {}
         # generation's caches, filled by `morph_engine.generate` on first
         # use.  A row is (entry, nodes), the entry's nodes at the key's
-        # paths.  A rule plan, a table key (index or None, paths, value
-        # tests) and a join (table key, linked paths) appear in the keys
-        # as the int tags `morph_engine._tag` gave them when the plan was
-        # built, so a warmed call hashes none of them.  A tag stands for
-        # a value, never an identity: equal plans from a second parse of
-        # the rules share the kept tables.  `node_tables` holds at most
-        # `morph_engine.MAX_NODE_TABLES` entries: (key tag, wanted) ->
-        # the rows of a table-drawn constituent that pass its key's
-        # value tests and clear its constraint filters `wanted`, the
-        # constraints' nodes at its result paths as (path, node) pairs,
-        # the table itself under (key tag, ()); ((join tag, wanted),
-        # probe) -> those rows that also clear the probe, the outer
-        # rows' nodes at the join's paths; (plan tag, constraints) ->
-        # each constituent's constraint filters.
+        # paths.  A rule plan and a table key (index or None, paths, value
+        # tests) appear in the keys as the int tags `morph_engine._tag`
+        # gave them when the plan was built, so a warmed call hashes
+        # neither.  A tag stands for a value, never an identity: equal
+        # plans from a second parse of the rules share the kept tables.
+        # No tag is made from a caller's constraints.  `node_tables`
+        # holds at most `morph_engine.MAX_NODE_TABLES` entries, of three
+        # kinds: key tag -> the table, the rows of a table-drawn
+        # constituent that pass its key's value tests; (plan tag,
+        # constraints) -> the cell state (`morph_engine._cell`), what a
+        # call derives from the two: each constituent's constraint
+        # tests, each table cut to the rows that clear them (its
+        # narrowed table), and per joined constituent a join key, an
+        # object of its own; (join key, probe) -> the rows of that
+        # narrowed table that also clear the probe, the outer rows'
+        # nodes at the join's paths, with their surfaces.  So a warmed
+        # call makes one lookup for the cell state and one per outer
+        # combination for each join.
         # `lemma_rows` maps (key tag, lemma feature) to lemma -> the
         # rows of a lemma-drawn constituent that pass its value tests,
         # with a slot only for a lemma the feature's index holds, so it

@@ -412,12 +412,27 @@ def _ordered(plain):
     return plain
 
 
+def _respelled(node, rnd):
+    """A fresh copy of the node, its leaves equal but new: each leaf's
+    values in a new order, and a one-value leaf at random spelled quoted."""
+    if isinstance(node, FeatureTree):
+        children = node.children
+        return FeatureTree({label: _respelled(children[label], rnd) for label in children})
+    values = list(node.values)
+    rnd.shuffle(values)
+    return leaf(*values, quoted=len(values) == 1 and rnd.random() < 0.5)
+
+
 @settings(max_examples=300)
 @given(trees, trees, st.randoms(use_true_random=False))
 def test_meet_keeps_an_operand_it_leaves_unchanged(a, b, rnd):
     assert meet(a, a) is a
     assert meet(a, EMPTY_TREE) is a
     assert meet(a, _dropped(a, rnd)) is a
+    # equal leaves, spelled or ordered otherwise, leave either side as it is
+    twin = _respelled(a, rnd)
+    assert meet(a, twin) is a and meet(twin, a) is twin
+    assert meet(a, twin).canonical_form() == a.canonical_form()
     # any pair: `a`'s labels and values keep their order, `b`'s new
     # labels follow, as in the reference meet
     for x, y in ((a, b), (b, a)):

@@ -1230,15 +1230,10 @@ def test_a_join_on_a_subtree_is_kept(monkeypatch):
     cell = EMPTY_TREE.set(("agr", "pers"), leaf("1"))
     assert generate("ka", cell, dictionary, rules) == oracle("ka", cell) == ["kaa", "kae"]
     # the stem's `agr` subtree is the probe of a kept join, whose key
-    # is ((join tag, constraint filters), probe), the join tag standing
-    # for the ending's table key and its linked path `agr`
+    # is (the ending's join key in the cell's kept record, probe)
     (rule,) = rules
-    ending = rule.plans[("lex",)].constituents[1]
-    assert morph_engine._TAGS[ending.key, (("agr",),)] == ending.join
-    probes = [
-        key[1] for key in dictionary.node_tables
-        if type(key[0]) is tuple and key[0][0] == ending.join
-    ]
+    ((join, _, _),) = dictionary.node_tables[rule.plans[("lex",)].tag, cell].joins
+    probes = [key[1] for key in dictionary.node_tables if type(key) is tuple and key[0] is join]
     assert probes == [(FeatureTree({"pers": leaf("1")}),)]
     kept = dict(dictionary.node_tables)
     clashes = _counting_clashes(monkeypatch)
@@ -1275,8 +1270,9 @@ def test_one_ending_table_linked_by_two_paths_is_two_joins():
     ]
     dictionary = small_dictionary(entries)
     rules = parse_wf_rules(_ONE_KEY_TWO_LINKS)
-    endings = [rule.plans[("lex",)].constituents[-1] for rule in rules]
-    assert endings[0].key == endings[1].key and endings[0].join != endings[1].join
+    plans = [rule.plans[("lex",)] for rule in rules]
+    endings = [plan.constituents[-1] for plan in plans]
+    assert endings[0].key == endings[1].key and endings[0].tag == endings[1].tag
     oracle = all_pairs_generation(dictionary, rules)
     cells = [EMPTY_TREE] + [EMPTY_TREE.set(("conj",), leaf(value)) for value in "12"]
     for lemma in ["x", "y"]:
@@ -1284,6 +1280,13 @@ def test_one_ending_table_linked_by_two_paths_is_two_joins():
             assert generate(lemma, cell, dictionary, rules) == oracle(lemma, cell), (lemma, cell)
     # `V` reads the ending `u` through the join by `conj`
     assert generate("x", EMPTY_TREE, dictionary, rules) == ["kaa", "kamiu"]
+    # the two rules share the ending's one kept table, but each rule's
+    # cell record joins it by its own paths, under a key of its own
+    (w_key, w_table, w_links), (v_key, v_table, v_links) = [
+        dictionary.node_tables[plan.tag, EMPTY_TREE].joins[-1] for plan in plans
+    ]
+    assert w_table is v_table is dictionary.node_tables[endings[0].tag]
+    assert w_links != v_links and w_key is not v_key
 
 
 def test_parsing_the_rules_again_adds_no_tag(spanish_dict, fixtures_dir):
@@ -1326,19 +1329,46 @@ def test_distinct_constraints_add_no_tag(spanish_dict, wf_rules):
     assert morph_engine._TAGS == tags
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2, 5])
+@pytest.fixture(scope="module")
+def unsettled_twin(fixtures_dir, spanish_dict):
+    """`fixtures/wf.rules` with `Word agr = Ending agr` written as two
+    two-label reads, whose plan meets a class and is not settled, and
+    its own oracle."""
+    text = (fixtures_dir / "wf.rules").read_text(encoding="utf-8")
+    split = "  Word agr pers = Ending agr pers\n  Word agr num = Ending agr num\n"
+    rules = parse_wf_rules(text.replace("  Word agr = Ending agr\n", split))
+    assert not rules[0].plans[("lex",)].settled
+    return rules, all_pairs_generation(spanish_dict, rules)
+
+
+@pytest.mark.parametrize(
+    "bound, twin",
+    [pytest.param(bound, False, id=str(bound)) for bound in (0, 1, 2, 5, 40)]
+    + [pytest.param(bound, True, id="unsettled-%d" % bound) for bound in (0, 1, 2, 5, 40)],
+)
 def test_the_kept_tables_never_exceed_their_bound(
-    monkeypatch, spanish_dict, wf_rules, spanish_oracle, bound
+    monkeypatch, request, spanish_dict, wf_rules, spanish_oracle, bound, twin
 ):
+    rules, oracle = (wf_rules, spanish_oracle)
+    if twin:
+        rules, oracle = request.getfixturevalue("unsettled_twin")
     monkeypatch.setattr(morph_engine, "MAX_NODE_TABLES", bound)
     dictionary = ObjectDictionary(spanish_dict.entries)  # no tables yet
+    kept = dictionary.node_tables
     cells = [EMPTY_TREE] + imperfect_cells()
     for lemma in sorted_lemmas(spanish_dict):
         for constraints in cells + cells[::-1]:
-            got = generate(lemma, constraints, dictionary, wf_rules)
-            assert got == spanish_oracle(lemma, constraints), lemma
-            assert len(dictionary.node_tables) <= bound
-    assert len(dictionary.node_tables) == bound
+            got = generate(lemma, constraints, dictionary, rules)
+            assert got == oracle(lemma, constraints), lemma
+            # the tables, the cell records and the joins under their keys
+            # are all the entries, and the bound counts each of them
+            tables = [key for key in kept if type(key) is int]
+            records = [key for key in kept if type(key) is tuple and type(key[0]) is int]
+            joins = {key for record in records for key, _, _ in kept[record].joins}
+            joined = [key for key in kept if type(key) is tuple and key[0] in joins]
+            assert len(tables) + len(records) + len(joined) == len(kept) <= bound
+    assert len(kept) == bound
+    assert len(joined) > 1 or bound < 5
 
 
 def test_unknown_lemmas_keep_no_rows(spanish_dict, wf_rules):
@@ -1983,9 +2013,12 @@ _COMPILER_CONSTRAINTS = {
 
 def _bare(readings):
     """Readings with each quoted value that could stand bare unquoted.
-    The two sides agree on values, not on spelling: where a rule's `"1"`
-    meets an entry's `1`, the engine keeps the rule's spelling, and the
-    oracle that of the node its pass over the equations meets first."""
+    The two sides agree on values, not on spelling.  Where a rule's `"1"`
+    meets an entry's `1`, the engine keeps the spelling of the node a
+    class meets first: the rule's, unless the entry's node comes inside
+    a subtree equated above the place (README).  The oracle keeps that of
+    the node its pass over the equations meets first, and it has no
+    classes to follow the engine's order by."""
     return {(lhs, re.sub(r'"(\w+)"', r"\1", text)) for lhs, text in readings}
 
 
